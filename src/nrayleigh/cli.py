@@ -24,8 +24,7 @@ import click
 from . import montecarlo, moments, schemes, validation
 from .fading import fading_params
 from .montecarlo import SimSettings
-from .schemes import ChannelConfig, OutageQuery, Scheme
-from .specfun import ConvergenceError
+from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
 
 __all__ = ["cli", "main"]
 
@@ -33,10 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
-
-# Probabilities estimated from fewer than this many events get a marker
-# column instead of being suppressed.
-_LOW_CONFIDENCE_EVENTS = 10
 
 _OUTAGE_COLUMNS = [
     "scheme", "n", "n_t", "n_r", "snr_db", "gamma_o", "p_out_analytic",
@@ -145,14 +140,19 @@ def _emit_table(
         for row in rows:
             lines.append(",".join(_fmt(row.get(col)) for col in columns))
         text = "\n".join(lines) + "\n"
+    _write_output(text, out)
+
+
+def _write_output(text: str, out: str | None) -> None:
+    """Write to ``out`` (stdout when None); an I/O error is a usage error."""
     if out is None:
         click.echo(text, nl=False)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise click.ClickException(f"cannot write output to {out}: {exc}") from None
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write output to {out}: {exc}") from None
 
 
 @click.group()
@@ -265,7 +265,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                         p_out_mc=est.value,
                         ci_low=est.ci95_low,
                         ci_high=est.ci95_high,
-                        low_confidence=est.value * trials < _LOW_CONFIDENCE_EVENTS,
+                        low_confidence=est.low_confidence,
                     )
                 rows.append(row)
     rows.sort(key=lambda r: (r["scheme"], r["n"], r["snr_db"]))
@@ -412,12 +412,7 @@ def cmd_validate(config_path: str | None, **flags) -> None:
         determinism_trials=int(opts["determinism_trials"]),
     )
     report = validation.build_report(config)
-    text = validation.report_to_json(report)
-    if opts["out"] is None:
-        click.echo(text, nl=False)
-    else:
-        with open(opts["out"], "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(validation.report_to_json(report), opts["out"])
     for criterion in report["criteria"]:
         status = "PASS" if criterion["passed"] else "FAIL"
         click.echo(f"{status} {criterion['id']} {criterion['name']}", err=True)

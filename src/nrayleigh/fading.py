@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import ln_gamma, reg_lower_gamma
+from scipy import special
 
 __all__ = [
     "BranchSnrParams",
@@ -112,14 +112,14 @@ def _stretched_gamma_pdf(x: float, n: int, shape: float, beta: float) -> float:
             return 0.0
         if alpha == 1.0:
             # Finite limit: the power factor drops out.
-            return math.exp(shape * math.log(beta) - ln_gamma(shape)) / n
+            return math.exp(shape * math.log(beta) - math.lgamma(shape)) / n
         raise SingularDensityError(
             f"density diverges at the origin for shape/n = {alpha} < 1"
         )
     log_pdf = (
         shape * math.log(beta)
         - math.log(n)
-        - ln_gamma(shape)
+        - math.lgamma(shape)
         + (alpha - 1.0) * math.log(x)
         - beta * x ** (1.0 / n)
     )
@@ -155,4 +155,4 @@ def mrc_snr_cdf(gamma: float, params: BranchSnrParams, n: int) -> float:
         raise ValueError(f"SNR must be nonnegative, got {gamma}")
     if gamma == 0.0:
         return 0.0
-    return reg_lower_gamma(params.a, params.beta_mrc * gamma ** (1.0 / n))
+    return float(special.gammainc(params.a, params.beta_mrc * gamma ** (1.0 / n)))

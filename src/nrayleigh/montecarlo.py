@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64
-_LOW_EVENT_THRESHOLD = 20
+_LOW_EVENT_THRESHOLD = 10
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # Product of per-hop powers switches to log space at this cascade order to
 # keep deep fades away from underflow.
@@ -223,7 +223,7 @@ def estimate_outage(
 ) -> EmpiricalEstimate:
     """Empirical outage probability P(post-processing SNR <= gamma_o).
 
-    Estimates with fewer than 20 outage events are flagged low-confidence
+    Estimates with fewer than 10 outage events are flagged low-confidence
     rather than suppressed.
     """
     if gamma_o < 0.0:

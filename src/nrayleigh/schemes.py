@@ -11,7 +11,11 @@ incomplete gamma:
 where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
 1.0 for TAS/SC).  On top of the distributions this module provides outage
 probability, its small-threshold power-law form, diversity order, coding
-gain and the inverse (required-SNR) solver.
+gain and the required-SNR solver.
+
+P is scipy's ``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986), taken
+in log space so deep outage values keep full relative accuracy; the
+required SNR inverts it exactly with ``gammaincinv``.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from scipy import special
+
 from .fading import branch_snr_params, fading_params, validate_cascade_order
-from .specfun import ConvergenceError, ln_gamma, ln_reg_lower_gamma
 
 __all__ = [
     "AsymptoticForm",
     "ChannelConfig",
     "CodingGain",
+    "ConvergenceError",
     "DEFAULT_CALIBRATION",
     "OutageQuery",
     "Scheme",
@@ -48,8 +54,9 @@ class Scheme(Enum):
 
 DEFAULT_CALIBRATION = {Scheme.TAS_MRC: 1.176, Scheme.TAS_SC: 1.0}
 
-# Bracket for the required-SNR bisection, in dB.
-_BRACKET_DB = (-100.0, 200.0)
+
+class ConvergenceError(RuntimeError):
+    """A numerical evaluation gave no usable (finite, positive) result."""
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,23 @@ def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, in
     return fading_params(cfg.n).m, cfg.total_antennas, w * params.beta_sc
 
 
+def _ln_reg_lower_gamma(a: float, x: float) -> float:
+    """ln P(a, x), accurate in both tails; ``-inf`` where P underflows.
+
+    For x < a + 1, P is the small side and ``log(P)`` keeps its relative
+    accuracy down to 1e-308; otherwise Q = 1 - P is the small side and
+    ``log1p(-Q)`` keeps it for P near 1.
+    """
+    if not (0.0 < a < math.inf) or not (x >= 0.0):
+        raise ValueError(
+            f"incomplete gamma requires finite a > 0 and x >= 0, got a={a}, x={x}"
+        )
+    if x < a + 1.0:
+        p = float(special.gammainc(a, x))
+        return math.log(p) if p > 0.0 else -math.inf
+    return math.log1p(-float(special.gammaincc(a, x)))
+
+
 def postproc_cdf(scheme: Scheme, gamma: float, cfg: ChannelConfig) -> float:
     """CDF of the post-processing SNR after selection and combining.
 
@@ -173,7 +197,7 @@ def postproc_cdf(scheme: Scheme, gamma: float, cfg: ChannelConfig) -> float:
     if gamma == 0.0:
         return 0.0
     shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
-    ln_p = ln_reg_lower_gamma(shape, beta * gamma ** (1.0 / cfg.n))
+    ln_p = _ln_reg_lower_gamma(shape, beta * gamma ** (1.0 / cfg.n))
     if ln_p == -math.inf:
         return 0.0
     return math.exp(exponent * ln_p)
@@ -200,7 +224,7 @@ def _ln_asym_coefficient(scheme: Scheme, cfg: ChannelConfig) -> float:
     per_factor = (
         shape * math.log(2.0 * shape / fp.omega)
         - math.log(shape)
-        - ln_gamma(shape)
+        - math.lgamma(shape)
     )
     return exponent * per_factor
 
@@ -249,53 +273,42 @@ def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:
         a = fp.m * cfg.n_r
         # Printed reading: n_r^(1/n) multiplies the denominator scale 2a/Omega.
         printed = (
-            math.exp((ln_gamma(a) + math.log(a)) / a)
+            math.exp((math.lgamma(a) + math.log(a)) / a)
             / ((2.0 * a / fp.omega) * cfg.n_r ** (1.0 / n))
         ) ** n
         extracted = cfg.n_r * math.exp(-ln_c / d)
         return CodingGain(printed=printed, extracted=extracted)
     m = fp.m
     printed = (
-        math.exp((ln_gamma(m) + math.log(m)) / m) / (2.0 * m / fp.omega)
+        math.exp((math.lgamma(m) + math.log(m)) / m) / (2.0 * m / fp.omega)
     ) ** n
     extracted = math.exp(-ln_c / d)
     return CodingGain(printed=printed, extracted=extracted)
 
 
 def required_snr(
-    scheme: Scheme,
-    target_outage: float,
-    query: OutageQuery,
-    cfg: ChannelConfig,
-    rel_tol: float = 1e-9,
+    scheme: Scheme, target_outage: float, query: OutageQuery, cfg: ChannelConfig
 ) -> float:
     """Mean branch SNR at which the outage equals ``target_outage``.
 
-    Bisects on log mean-SNR inside [-100, +200] dB, exploiting that outage
-    is strictly decreasing in the mean SNR.  ``cfg.mean_snr`` is ignored
-    (it is the unknown being solved for).
+    The scale is beta_1 * mean_snr^(-1/n), with beta_1 its value at unit
+    mean SNR, so P(s, beta_1 (gamma_o / g)^(1/n))^k = target solves exactly:
+    g = gamma_o * (beta_1 / x)^n with x = gammaincinv(s, target^(1/k)).
+    ``cfg.mean_snr`` is ignored (it is the unknown being solved for).
 
     Raises:
-        ConvergenceError: if the solution lies outside the bracket.
+        ConvergenceError: if the solution is not a finite positive float.
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError(f"target outage must be in (0, 1), got {target_outage}")
-    lo = 10.0 ** (_BRACKET_DB[0] / 10.0)
-    hi = 10.0 ** (_BRACKET_DB[1] / 10.0)
-
-    def out_at(g: float) -> float:
-        return outage(scheme, query, cfg.with_mean_snr(g))
-
-    if out_at(lo) < target_outage or out_at(hi) > target_outage:
+    shape, exponent, beta = _shape_exponent_scale(scheme, cfg.with_mean_snr(1.0))
+    x = float(special.gammaincinv(shape, target_outage ** (1.0 / exponent)))
+    try:
+        snr = query.gamma_o * (beta / x) ** cfg.n
+    except OverflowError:
+        snr = math.inf
+    if not (0.0 < snr < math.inf):
         raise ConvergenceError(
-            f"required SNR for outage {target_outage} lies outside "
-            f"[{_BRACKET_DB[0]}, {_BRACKET_DB[1]}] dB"
+            f"required SNR for outage {target_outage} is not a finite positive float"
         )
-    ln_lo, ln_hi = math.log(lo), math.log(hi)
-    while ln_hi - ln_lo > rel_tol:
-        ln_mid = 0.5 * (ln_lo + ln_hi)
-        if out_at(math.exp(ln_mid)) > target_outage:
-            ln_lo = ln_mid
-        else:
-            ln_hi = ln_mid
-    return math.exp(0.5 * (ln_lo + ln_hi))
+    return snr

@@ -1,11 +1,12 @@
 """Command-line interface: sweeps, validation report, exit codes."""
 
+import csv
 import json
 
 import pytest
 
-from nrayleigh import cli
-from nrayleigh.specfun import ConvergenceError
+from nrayleigh import cli, montecarlo
+from nrayleigh.schemes import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -50,6 +51,29 @@ class TestOutageSweep:
         assert len(rows) == 6  # 2 schemes x 3 SNR points
         mc_col = header.split(",").index("p_out_mc")
         assert all(r[mc_col] == "" for r in rows)
+
+    def test_low_confidence_column_is_the_estimate_flag(self, capsys, tmp_path, monkeypatch):
+        # At 1077 trials 10 / 1077 * 1077 < 10 in floating point, so a rule
+        # recomputed from the proportion would wrongly flag 10 events.
+        trials = 1077
+        nine, ten = (montecarlo._proportion_estimate(e, trials) for e in (9, 10))
+        # Thresholds ascend, so 10 dB (threshold 0.1) comes first.
+        monkeypatch.setattr(
+            cli.montecarlo, "empirical_cdf_pair",
+            lambda cfg, settings, thresholds: {s: [nine, ten] for s in cli.Scheme},
+        )
+        out_file = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "outage-sweep", "--n", "2", "--snr-db", "0:10:10",
+            "--trials", str(trials), "--out", str(out_file),
+        )
+        assert code == cli.EXIT_OK
+        lines = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 4
+        assert {(r["snr_db"], r["low_confidence"]) for r in rows} == {
+            ("10.0", "1"), ("0.0", "0")
+        }
 
     def test_analytic_column_monotone(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -243,6 +267,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--trials", "1000")
         assert code == cli.EXIT_NUMERIC
         assert "non-convergence" in err
+
+    def test_unwritable_validate_out_is_one(self, capsys, tmp_path):
+        out = tmp_path / "missing_dir" / "r.json"
+        code, _, err = run(
+            capsys, "validate", "--trials", "2000", "--determinism-trials", "1000",
+            "--out", str(out),
+        )
+        assert code == cli.EXIT_USAGE
+        assert "cannot write output" in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")

@@ -8,6 +8,7 @@ import pytest
 from nrayleigh.montecarlo import (
     SimSettings,
     UniformStream,
+    _proportion_estimate,
     empirical_cdf,
     empirical_cdf_pair,
     estimate_moments_af,
@@ -174,6 +175,11 @@ class TestEstimateOutage:
         est = estimate_outage(Scheme.TAS_MRC, cfg(), 1.0,
                               SimSettings(trials=50_000, master_seed=21))
         assert est.ci95_low <= est.value <= est.ci95_high
+
+    @pytest.mark.parametrize("events,flagged", [(9, True), (10, False)])
+    def test_low_event_threshold_is_ten(self, events, flagged):
+        # Counted in integers: 10 / 1077 * 1077 < 10 in floating point.
+        assert _proportion_estimate(events, 1077).low_confidence is flagged
 
     def test_low_event_flag(self):
         c = cfg(mean_snr=1e5)

@@ -9,6 +9,7 @@ from nrayleigh.schemes import (
     ChannelConfig,
     OutageQuery,
     Scheme,
+    ConvergenceError,
     coding_gain,
     diversity_order,
     outage,
@@ -16,7 +17,6 @@ from nrayleigh.schemes import (
     postproc_cdf,
     required_snr,
 )
-from nrayleigh.specfun import ConvergenceError
 
 # mpmath, dps=50
 ASYM_COEFF_MRC_2X3_N2 = 6617.5570150278958
@@ -268,8 +268,20 @@ class TestRequiredSnr:
         assert delta_db == pytest.approx(DB_PER_DOUBLING, abs=1e-6)
 
     def test_out_of_bracket(self):
+        # Outside any fixed search bracket (the solution is ~409 dB), yet the
+        # closed-form inversion solves it and round-trips.
+        q = OutageQuery(threshold=1.0)
+        g = required_snr(Scheme.TAS_MRC, 1e-200, q, cfg())
+        assert 10.0 * math.log10(g) == pytest.approx(409.2, abs=0.1)
+        assert outage(Scheme.TAS_MRC, q, cfg().with_mean_snr(g)) == pytest.approx(
+            1e-200, rel=1e-7
+        )
+
+    def test_overflowing_solution_raises_convergence_error(self):
+        # The solution exceeds the float range: refused, never OverflowError.
         with pytest.raises(ConvergenceError):
-            required_snr(Scheme.TAS_MRC, 1e-200, OutageQuery(threshold=1.0), cfg())
+            required_snr(Scheme.TAS_MRC, 1e-300, OutageQuery(threshold=1.0),
+                         cfg(n=8, n_t=1, n_r=1))
 
     def test_target_validation(self):
         q = OutageQuery(threshold=1.0)

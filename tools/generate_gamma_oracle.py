@@ -38,13 +38,19 @@ def series_p(a: mp.mpf, x: mp.mpf) -> mp.mpf:
     raise RuntimeError(f"series did not converge for a={a}, x={x}")
 
 
-def main() -> None:
-    mp.mp.dps = DPS
+def oracle_entries() -> list[dict]:
+    """Every grid point with P rounded to double, in table order."""
     entries = []
-    for a_str in A_GRID:
-        for x_str in X_GRID:
-            p = series_p(mp.mpf(a_str), mp.mpf(x_str))
-            entries.append({"a": float(a_str), "x": float(x_str), "p": float(p)})
+    with mp.workdps(DPS):
+        for a_str in A_GRID:
+            for x_str in X_GRID:
+                p = series_p(mp.mpf(a_str), mp.mpf(x_str))
+                entries.append({"a": float(a_str), "x": float(x_str), "p": float(p)})
+    return entries
+
+
+def main() -> None:
+    entries = oracle_entries()
     out = {
         "description": (
             "Regularized lower incomplete gamma P(a, x) from the brute-force "
