@@ -200,7 +200,6 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
 @click.option("--seed", type=int, default=None, help="Master seed.")
 @click.option("--omega", type=float, default=None, help="Calibration override for both schemes.")
 @click.option("--workers", type=int, default=None, help="Worker threads.")
-@click.option("--partition-width", type=int, default=None, help="Trials per partition.")
 @click.option("--out", default=None, help="Output path (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
@@ -212,7 +211,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
         {
             "scheme": "both", "n_list": "2,3,4,5", "nt": 2, "nr": 3,
             "snr_db": "0:30:2", "rate": None, "gamma_o": None, "trials": 1_000_000,
-            "seed": 1, "omega": None, "workers": 1, "partition_width": 65536,
+            "seed": 1, "omega": None, "workers": 1,
             "out": None, "fmt": "csv",
         },
     )
@@ -234,10 +233,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
         points = sorted((gamma_o / 10.0 ** (db / 10.0), db) for db in grid_db)
         if trials > 0:
             settings = SimSettings(
-                trials=trials,
-                master_seed=int(opts["seed"]),
-                partition_width=int(opts["partition_width"]),
-                workers=int(opts["workers"]),
+                trials=trials, master_seed=int(opts["seed"]), workers=int(opts["workers"])
             )
             sim_cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
             estimates = montecarlo.empirical_cdf_pair(
@@ -295,7 +291,6 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
 @click.option("--trials", type=int, default=None, help="Monte-Carlo trials (0 = analytics only).")
 @click.option("--seed", type=int, default=None, help="Master seed.")
 @click.option("--workers", type=int, default=None, help="Worker threads.")
-@click.option("--partition-width", type=int, default=None, help="Trials per partition.")
 @click.option("--out", default=None, help="Output path (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
@@ -307,7 +302,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         {
             "scheme": "both", "n_list": "2,3,4,5,6", "nt": 2, "nr": 2,
             "snr_db": "10", "b1": None, "b2": None, "trials": 1_000_000,
-            "seed": 1, "workers": 1, "partition_width": 65536,
+            "seed": 1, "workers": 1,
             "out": None, "fmt": "csv",
         },
     )
@@ -339,6 +334,12 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         cfg = ChannelConfig(
             n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=mean_snr, calibration_omega=1.0
         )
+        estimates = None
+        if trials > 0:
+            settings = SimSettings(
+                trials=trials, master_seed=int(opts["seed"]), workers=int(opts["workers"])
+            )
+            estimates = montecarlo.estimate_moments_af(cfg, settings)
         for scheme in scheme_list:
             try:
                 af_closed = moments.amount_of_fading(scheme, cfg, w)
@@ -355,14 +356,8 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 "b1": w.b1, "b2": w.b2, "af_closed": af_closed, "af_bound": af_bound,
                 "af_oracle": af_oracle, "af_mc": None, "ci_low": None, "ci_high": None,
             }
-            if trials > 0:
-                settings = SimSettings(
-                    trials=trials,
-                    master_seed=int(opts["seed"]),
-                    partition_width=int(opts["partition_width"]),
-                    workers=int(opts["workers"]),
-                )
-                est = montecarlo.estimate_moments_af(scheme, cfg, settings).af
+            if estimates is not None:
+                est = estimates[scheme].af
                 row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
             rows.append(row)
     rows.sort(key=lambda r: (r["scheme"], r["n"]))
@@ -384,7 +379,6 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
 @click.option("--trials", type=int, default=None, help="Monte-Carlo trials per criterion.")
 @click.option("--seed", type=int, default=None, help="Master seed.")
 @click.option("--workers", type=int, default=None, help="Worker threads.")
-@click.option("--partition-width", type=int, default=None, help="Trials per partition.")
 @click.option("--gamma-o", type=float, default=None, help="Outage threshold (linear).")
 @click.option("--omega", type=float, default=None, help="TAS/MRC calibration override.")
 @click.option("--determinism-trials", type=int, default=None,
@@ -397,7 +391,7 @@ def cmd_validate(config_path: str | None, **flags) -> None:
         flags,
         _load_config_file(config_path),
         {
-            "trials": 1_000_000, "seed": 1, "workers": 1, "partition_width": 65536,
+            "trials": 1_000_000, "seed": 1, "workers": 1,
             "gamma_o": 1.0, "omega": 1.176, "determinism_trials": 120_000,
             "out": None,
         },
@@ -405,7 +399,6 @@ def cmd_validate(config_path: str | None, **flags) -> None:
     config = validation.ValidationConfig(
         trials=int(opts["trials"]),
         master_seed=int(opts["seed"]),
-        partition_width=int(opts["partition_width"]),
         workers=int(opts["workers"]),
         gamma_o=float(opts["gamma_o"]),
         mrc_omega=float(opts["omega"]),

@@ -3,7 +3,7 @@
 Each criterion is a function returning a ``CriterionResult`` with a pass
 flag and a details payload; ``build_report`` assembles them into a JSON-
 serializable report whose bytes depend only on the scenario configuration
-and the master seed - never on worker count, partitioning or wall-clock -
+and the master seed - never on worker count or wall-clock -
 so that determinism can itself be checked by byte comparison.  Each
 criterion's details carry the gate constants it is judged by, so a report
 can be re-judged from its own bytes.  c01 judges the incomplete gamma as
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -75,7 +75,6 @@ class ValidationConfig:
 
     trials: int = 1_000_000
     master_seed: int = 1
-    partition_width: int = 65536
     workers: int = 1
     gamma_o: float = 1.0
     mrc_omega: float = 1.176
@@ -83,12 +82,9 @@ class ValidationConfig:
     snr_grid_db: tuple = tuple(float(v) for v in range(0, 31, 2))
     determinism_trials: int = 120_000
 
-    def settings(self, trials: int | None = None) -> SimSettings:
+    def settings(self) -> SimSettings:
         return SimSettings(
-            trials=self.trials if trials is None else trials,
-            master_seed=self.master_seed,
-            partition_width=self.partition_width,
-            workers=self.workers,
+            trials=self.trials, master_seed=self.master_seed, workers=self.workers
         )
 
     def omega(self, scheme: Scheme) -> float:
@@ -389,14 +385,13 @@ def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
         w = moments.default_weights(n)
         cfg = _cfg(n, 2, 2, 10.0, 1.0)
         closed = {}
-        mc = {}
         for scheme in Scheme:
             try:
                 closed[scheme] = moments.amount_of_fading(scheme, cfg, w)
             except moments.NonPhysicalMomentError as exc:
                 closed[scheme] = None
                 issues.append(f"closed AF non-physical at n={n} {scheme.value}: {exc}")
-            mc[scheme] = montecarlo.estimate_moments_af(scheme, cfg, settings).af
+        mc = {s: est.af for s, est in montecarlo.estimate_moments_af(cfg, settings).items()}
         rows.append({"n": n, "b1": w.b1, "b2": w.b2, "closed": closed, "mc": mc})
 
     def closed_series(scheme: Scheme) -> list:
@@ -506,7 +501,7 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> CriterionResult:
     settings = config.settings()
     cfg = _cfg(1, 1, 1, 1.0, 1.0)
     grid = np.logspace(math.log10(0.01), math.log10(4.0), 20)
-    estimates = montecarlo.empirical_cdf(Scheme.TAS_MRC, cfg, settings, grid)
+    estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[Scheme.TAS_MRC]
     rows = []
     all_ok = True
     for g, est in zip(grid, estimates):
@@ -530,17 +525,7 @@ def _criterion_determinism(config: ValidationConfig) -> CriterionResult:
     """Report bytes must not depend on the worker count."""
     probes = []
     for workers in (1, 2):
-        probe_config = ValidationConfig(
-            trials=config.determinism_trials,
-            master_seed=config.master_seed,
-            partition_width=config.partition_width,
-            workers=workers,
-            gamma_o=config.gamma_o,
-            mrc_omega=config.mrc_omega,
-            sc_omega=config.sc_omega,
-            snr_grid_db=config.snr_grid_db,
-            determinism_trials=config.determinism_trials,
-        )
+        probe_config = replace(config, trials=config.determinism_trials, workers=workers)
         probes.append(report_to_json(build_report(probe_config, include_determinism=False)))
     identical = probes[0] == probes[1]
     return CriterionResult(

@@ -51,7 +51,6 @@ from nrayleigh.validation import ValidationConfig, build_report
 ACCEPTANCE_CONFIG = ValidationConfig(
     trials=1_000_000,
     master_seed=1,
-    partition_width=65536,
     workers=2,
     determinism_trials=120_000,
 )

@@ -56,7 +56,7 @@ class TestOutageSweep:
         # At 1077 trials 10 / 1077 * 1077 < 10 in floating point, so a rule
         # recomputed from the proportion would wrongly flag 10 events.
         trials = 1077
-        nine, ten = (montecarlo._proportion_estimate(e, trials) for e in (9, 10))
+        nine, ten = (montecarlo._estimate(e / trials, 0.0, trials, e) for e in (9, 10))
         # Thresholds ascend, so 10 dB (threshold 0.1) comes first.
         monkeypatch.setattr(
             cli.montecarlo, "empirical_cdf_pair",
@@ -276,6 +276,31 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_USAGE
         assert "cannot write output" in err
+
+    # Each invocation would exit 0 (or 2 for validate) if the option existed.
+    REMOVED_OPTION_ARGS = {
+        "outage-sweep": ["--n", "2", "--snr-db", "0", "--trials", "0"],
+        "af-sweep": ["--n", "2", "--trials", "0"],
+        "validate": ["--trials", "1000", "--determinism-trials", "500"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(REMOVED_OPTION_ARGS))
+    def test_partition_width_flag_is_removed(self, capsys, command):
+        code, _, err = run(
+            capsys, command, *self.REMOVED_OPTION_ARGS[command], "--partition-width", "1000"
+        )
+        assert code == cli.EXIT_USAGE
+        assert "--partition-width" in err
+
+    @pytest.mark.parametrize("command", sorted(REMOVED_OPTION_ARGS))
+    def test_partition_width_config_key_is_removed(self, capsys, tmp_path, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"partition_width": 1000}))
+        code, _, err = run(
+            capsys, command, *self.REMOVED_OPTION_ARGS[command], "--config", str(config)
+        )
+        assert code == cli.EXIT_USAGE
+        assert "partition_width" in err
 
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
