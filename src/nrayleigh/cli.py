@@ -7,7 +7,8 @@ outage-sweep  analytic + asymptotic + Monte-Carlo outage curves (CSV/JSON)
 af-sweep      amount-of-fading table per (scheme, n) (CSV/JSON)
 validate      run the acceptance suite, emit a JSON report
 
-Exit codes: 0 success (validate: all criteria passed), 1 usage error,
+Exit codes: 0 success (validate: all criteria passed), 1 usage error
+(including a cascade order above the validated domain n <= 8),
 2 validation failure, 3 numerical non-convergence.
 
 Options may also come from a JSON config file (``--config``); explicit
@@ -22,7 +23,7 @@ import sys
 import click
 
 from . import montecarlo, moments, schemes, validation
-from .fading import fading_params
+from .fading import MAX_VALIDATED_CASCADE, fading_params, validate_cascade_order
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
 
@@ -48,13 +49,33 @@ class ValidationFailure(Exception):
     """Raised by the validate command when criteria fail."""
 
 
-def _parse_n_list(value: str) -> list[int]:
-    try:
-        items = [int(part) for part in value.split(",") if part.strip() != ""]
-    except ValueError:
-        raise click.UsageError(f"cannot parse cascade-order list {value!r}") from None
+def _parse_n_list(value) -> list[int]:
+    """Cascade orders from a flag ("2,3,4") or a config-file list.
+
+    Orders above ``MAX_VALIDATED_CASCADE`` are refused: the severity fit
+    and the analytics are validated only up to it.
+    """
+    if isinstance(value, str):
+        try:
+            items = [int(part) for part in value.split(",") if part.strip() != ""]
+        except ValueError:
+            raise click.UsageError(f"cannot parse cascade-order list {value!r}") from None
+    elif isinstance(value, list):
+        items = value
+    else:
+        raise click.UsageError(f"cascade orders must be a list or a string, got {value!r}")
     if not items:
         raise click.UsageError("cascade-order list is empty")
+    try:
+        items = [validate_cascade_order(n) for n in items]
+    except (TypeError, ValueError):
+        raise click.UsageError(f"cascade orders must be integers >= 1, got {value!r}") from None
+    for n in items:
+        if n > MAX_VALIDATED_CASCADE:
+            raise click.UsageError(
+                f"cascade order {n} is outside the validated domain "
+                f"n <= {MAX_VALIDATED_CASCADE}"
+            )
     return items
 
 
@@ -223,7 +244,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
         query = OutageQuery(threshold=opts["gamma_o"] if opts["gamma_o"] is not None else 1.0)
     gamma_o = query.gamma_o
     scheme_list = _schemes_for(opts["scheme"])
-    orders = _parse_n_list(opts["n_list"]) if isinstance(opts["n_list"], str) else list(opts["n_list"])
+    orders = _parse_n_list(opts["n_list"])
     grid_db = _parse_snr_grid(opts["snr_db"]) if isinstance(opts["snr_db"], str) else list(opts["snr_db"])
     trials = int(opts["trials"])
 
@@ -307,7 +328,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         },
     )
     scheme_list = _schemes_for(opts["scheme"])
-    orders = _parse_n_list(opts["n_list"]) if isinstance(opts["n_list"], str) else list(opts["n_list"])
+    orders = _parse_n_list(opts["n_list"])
     snr_grid = _parse_snr_grid(opts["snr_db"]) if isinstance(opts["snr_db"], str) else [float(opts["snr_db"])]
     # Every AF column is invariant to the mean SNR; computing at a unit
     # reference scale makes that invariance exact in the emitted bytes.

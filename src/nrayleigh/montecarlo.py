@@ -1,22 +1,24 @@
 """Seeded Monte-Carlo engine for cascaded-Rayleigh MIMO antenna selection.
 
-Stream layout v1: every uniform variate has a fixed absolute position in
-one Philox counter stream keyed by the master seed.  Trial t owns draws
-[t * D, (t + 1) * D) where D = n_t * n_r * n * 2: a (magnitude, phase)
-pair per cascade hop of every coefficient, transmit-major then receive
-then hop.  Selection depends only on coefficient powers, so the kernel
-reads the magnitude slots (the even positions) and never converts the
-phase slots; they stay reserved so that every position keeps its meaning.
+Stream layout v2: every uniform variate has a fixed absolute position in
+one Philox counter stream keyed by the master seed.  Selection depends
+only on coefficient powers, so each trial takes D = n_t * n_r * n draws,
+one magnitude per cascade hop.  Trials are addressed in blocks of
+B = ``_chunk_trials(cfg)`` = min(65536, max(1, 2^21 // D)) trials, a
+function of the channel alone; block b holds the draws [b*B*D, (b+1)*B*D)
+and within it slot j (transmit-major, then receive, then hop) owns the B
+positions starting at b*B*D + j*B, one per trial.  The block size is
+therefore part of the layout: changing ``_CHUNK_DRAWS`` changes every
+Monte-Carlo number.
 
-One kernel simulates a chunk of trials and returns both schemes'
-selection statistics from the same draws; the two public views reduce
-them to CDF counts (``empirical_cdf_pair``) or power sums
-(``estimate_moments_af``).  A chunk holds min(65536, max(1, 2^22 // D))
-trials, a function of the channel alone, which bounds chunk memory for
-any (n, n_t, n_r).  Chunk partials are combined in trial order, so every
-estimate is a pure function of (cfg, trials, master_seed) - independent
-of the worker count - and TAS/MRC and TAS/SC share channel realizations
-exactly.
+One kernel simulates a block and returns both schemes' selection
+statistics from the same draws; the two public views reduce them to CDF
+counts (``empirical_cdf_pair``) or power sums (``estimate_moments_af``).
+A block reads at most 2^21 draws, which bounds chunk memory for any
+(n, n_t, n_r); a final partial block is generated in full and truncated.
+Block partials are combined in trial order, so every estimate is a pure
+function of (cfg, trials, master_seed) - independent of the worker count
+- and TAS/MRC and TAS/SC share channel realizations exactly.
 
 Channel convention: each hop is a zero-mean circular complex Gaussian with
 unit power, so every coefficient power is a product of n unit-mean
@@ -45,9 +47,9 @@ __all__ = [
 _U64_MAX = 2**64
 _LOW_EVENT_THRESHOLD = 10
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-# A chunk holds at most this many trials and this many stream draws.
+# A block holds at most this many trials and this many stream draws.
 _CHUNK_TRIALS = 65536
-_CHUNK_DRAWS = 2**22
+_CHUNK_DRAWS = 2**21
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,28 @@ class MomentsAfEstimate:
     af: EmpiricalEstimate
 
 
-def _raw_uniforms(master_seed: int, start_draw: int, count: int, step: int = 1) -> np.ndarray:
-    """Doubles in [0, 1) at absolute stream positions start_draw,
-    start_draw + step, ... below start_draw + count.
+def _raw_uniforms(master_seed: int, start_draw: int, count: int) -> np.ndarray:
+    """Doubles in [0, 1) at absolute stream positions
+    [start_draw, start_draw + count).
 
     Philox advances in blocks of four 64-bit outputs, so the stream is
     positioned at the enclosing block boundary and the in-block remainder
-    is discarded.  Skipped positions are never converted.
+    is discarded.  The conversion reuses the raw output's memory.
     """
     bitgen = np.random.Philox(master_seed)
-    block, rem = divmod(start_draw, 4)
-    if block:
-        bitgen.advance(block)
-    raw = bitgen.random_raw(rem + count)
-    return (raw[rem::step] >> np.uint64(11)) * 2.0**-53
+    counter, rem = divmod(start_draw, 4)
+    if counter:
+        bitgen.advance(counter)
+    raw = bitgen.random_raw(rem + count)[rem:]
+    raw >>= np.uint64(11)
+    u = raw.view(np.float64)
+    u[...] = raw.view(np.int64)  # 53-bit integers convert exactly
+    u *= 2.0**-53
+    return u
 
 
 def _draws_per_trial(cfg: ChannelConfig) -> int:
-    return cfg.n_t * cfg.n_r * cfg.n * 2
+    return cfg.n_t * cfg.n_r * cfg.n
 
 
 def _chunk_trials(cfg: ChannelConfig) -> int:
@@ -117,38 +123,48 @@ def _chunk_trials(cfg: ChannelConfig) -> int:
 
 
 def _chunk_selected(
-    cfg: ChannelConfig, master_seed: int, start_trial: int, count: int
+    cfg: ChannelConfig, master_seed: int, block: int, count: int
 ) -> dict[Scheme, np.ndarray]:
-    """Selection statistics (unscaled by mean SNR) for a block of trials.
+    """Selection statistics (unscaled by mean SNR) for the first ``count``
+    trials of stream block ``block``.
 
     TAS/MRC: max over transmit antennas of the summed receive powers;
     TAS/SC: the single largest coefficient power.  Each hop power is a
-    unit-mean exponential, -log1p(-u), of its magnitude uniform.  Hops are
-    >= 2^-53 or exactly 0, so a product of at most 8 cannot underflow.
+    unit-mean exponential, -log1p(-u), of its uniform.  Hops are >= 2^-53
+    or exactly 0, so a product of at most 8 cannot underflow.
     """
+    width = _chunk_trials(cfg)
     d = _draws_per_trial(cfg)
-    u = _raw_uniforms(master_seed, start_trial * d, count * d, step=2)
-    hops = -np.log1p(-u.reshape(count, cfg.n_t, cfg.n_r, cfg.n))
-    powers = np.prod(hops, axis=-1)
-    return {
-        Scheme.TAS_MRC: powers.sum(axis=2).max(axis=1),
-        Scheme.TAS_SC: powers.max(axis=(1, 2)),
-    }
+    u = _raw_uniforms(master_seed, block * width * d, width * d)
+    hops = u.reshape(cfg.n_t, cfg.n_r, cfg.n, width)[..., :count]
+    np.negative(hops, out=hops)
+    np.log1p(hops, out=hops)
+    np.negative(hops, out=hops)
+    # powers and combined are views into hops, updated in place, so TAS/SC
+    # must be taken before the receive sum overwrites powers[:, 0].
+    powers = hops[:, :, 0]
+    for k in range(1, cfg.n):
+        powers *= hops[:, :, k]
+    tas_sc = powers.max(axis=(0, 1))
+    combined = powers[:, 0]
+    for r in range(1, cfg.n_r):
+        combined += powers[:, r]
+    return {Scheme.TAS_MRC: combined.max(axis=0), Scheme.TAS_SC: tas_sc}
 
 
 def _map_chunks(cfg: ChannelConfig, settings: SimSettings, reduce) -> list:
-    """reduce(selection statistics) of every chunk, in trial order."""
+    """reduce(selection statistics) of every block, in trial order."""
     width = _chunk_trials(cfg)
 
-    def run(start: int):
-        count = min(width, settings.trials - start)
-        return reduce(_chunk_selected(cfg, settings.master_seed, start, count))
+    def run(block: int):
+        count = min(width, settings.trials - block * width)
+        return reduce(_chunk_selected(cfg, settings.master_seed, block, count))
 
-    starts = range(0, settings.trials, width)
+    blocks = range(-(-settings.trials // width))
     if settings.workers == 1:
-        return [run(start) for start in starts]
+        return [run(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-        return list(pool.map(run, starts))
+        return list(pool.map(run, blocks))
 
 
 def _estimate(

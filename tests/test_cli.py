@@ -145,6 +145,43 @@ class TestOutageSweep:
         assert "bogus" in err
 
 
+class TestValidatedDomain:
+    """Cascade orders above fading.MAX_VALIDATED_CASCADE = 8 are refused."""
+
+    # af-sweep gets explicit coefficients, so only the domain check can
+    # refuse an order outside the fitted b-table.
+    ARGS = {
+        "params": [],
+        "outage-sweep": ["--snr-db", "0", "--trials", "1000"],
+        "af-sweep": ["--b1", "1.4", "--b2", "1.7", "--trials", "1000"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("orders", ["9", "40", "2,9"])
+    def test_order_above_domain_is_usage_error(self, capsys, command, orders):
+        code, out, err = run(capsys, command, "--n", orders, *self.ARGS[command])
+        assert code == cli.EXIT_USAGE
+        assert "validated domain n <= 8" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_top_of_domain_runs(self, capsys, command):
+        code, out, _ = run(capsys, command, "--n", "8", *self.ARGS[command])
+        assert code == cli.EXIT_OK
+        assert "tas-mrc" in out and "tas-sc" in out
+
+    @pytest.mark.parametrize("command", ["outage-sweep", "af-sweep"])
+    @pytest.mark.parametrize("orders,message", [
+        ([2, 40], "validated domain"), ([2, "x"], "integer"), (3, "list or a string"),
+    ])
+    def test_config_file_orders_are_checked(self, capsys, tmp_path, command, orders, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_list": orders}))
+        code, _, err = run(capsys, command, *self.ARGS[command], "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert message in err
+
+
 class TestAfSweep:
     def test_missing_coefficients_error(self, capsys):
         code, _, err = run(capsys, "af-sweep", "--n", "7", "--trials", "0")

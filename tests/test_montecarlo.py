@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from nrayleigh import montecarlo
 from nrayleigh.montecarlo import (
@@ -23,7 +24,37 @@ def cfg(n=2, n_t=2, n_r=3, mean_snr=10.0):
 
 
 def draws_per_trial(c):
-    return 2 * c.n * c.n_t * c.n_r
+    return c.n * c.n_t * c.n_r
+
+
+def rebuild(c, seed, trials):
+    """Selection statistics of trials [0, trials) rebuilt from raw Philox
+    output by stream layout v2: block b of B trials holds draws
+    [b*B*D, (b+1)*B*D), slot j (transmit, receive, hop) owns the B
+    positions from b*B*D + j*B, and a final partial block is generated in
+    full and truncated."""
+    width = _chunk_trials(c)
+    blocks = -(-trials // width)
+    raw = np.random.Philox(seed).random_raw(blocks * width * draws_per_trial(c))
+    u = ((raw >> np.uint64(11)) * 2.0**-53).reshape(blocks, c.n_t, c.n_r, c.n, width)
+    powers = np.prod(-np.log1p(-u), axis=3)
+    return {
+        Scheme.TAS_MRC: powers.sum(axis=2).max(axis=1).reshape(-1)[:trials],
+        Scheme.TAS_SC: powers.max(axis=(1, 2)).reshape(-1)[:trials],
+    }
+
+
+def record_reads(monkeypatch):
+    """(start_draw, count) of every stream read the engine makes."""
+    reads = []
+    original = montecarlo._raw_uniforms
+
+    def spy(master_seed, start_draw, count):
+        reads.append((start_draw, count))
+        return original(master_seed, start_draw, count)
+
+    monkeypatch.setattr(montecarlo, "_raw_uniforms", spy)
+    return reads
 
 
 def outage_point(scheme, c, gamma_o, settings):
@@ -37,13 +68,11 @@ class TestUniformStream:
     def test_position_slicing(self):
         # The stream is counter-addressed: reading from position p must
         # reproduce the tail of a longer read from position 0, for
-        # positions that hit every block-alignment case, and a strided
-        # read (the kernel's magnitude slots) must skip without shifting.
+        # positions that hit every block-alignment case.
         full = _raw_uniforms(12345, 0, 1000)
         for pos in (1, 2, 3, 4, 5, 37, 511, 997):
             tail = _raw_uniforms(12345, pos, 1000 - pos)
             assert np.array_equal(full[pos:], tail)
-            assert np.array_equal(full[pos::2], _raw_uniforms(12345, pos, 1000 - pos, step=2))
 
     def test_sequential_takes_are_contiguous(self):
         a = _raw_uniforms(99, 0, 13)
@@ -101,29 +130,131 @@ class TestChannelCoefficient:
             draws
         )
 
-    def test_stream_layout_v1(self):
-        # Rebuilt from the documented layout: trial-major, then transmit,
-        # receive and hop, each hop a (magnitude, phase) pair; only the
-        # magnitude uniform sets the hop power.
-        c = cfg(n=3)
-        trials = 5
-        raw = np.random.Philox(21).random_raw(trials * draws_per_trial(c))
-        u = ((raw >> np.uint64(11)) * 2.0**-53).reshape(trials, c.n_t, c.n_r, c.n, 2)
-        powers = np.prod(-np.log1p(-u[..., 0]), axis=-1)
-        selected = _chunk_selected(c, 21, 0, trials)
-        assert np.array_equal(selected[Scheme.TAS_MRC], powers.sum(axis=2).max(axis=1))
-        assert np.array_equal(selected[Scheme.TAS_SC], powers.max(axis=(1, 2)))
-
-    def test_draw_budget(self):
-        # Trial t owns draws [t*D, (t+1)*D): any block of trials equals the
-        # same slice of a longer block, including blocks that start inside
-        # a Philox block (D = 18 is not a multiple of 4).
-        for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
-            longer = _chunk_selected(c, 1, 0, 300)
-            for start, count in ((0, 1), (1, 7), (3, 64), (101, 199)):
-                block = _chunk_selected(c, 1, start, count)
+    def test_stream_layout_v2(self, monkeypatch):
+        # The kernel equals the from-scratch rebuild for full blocks and a
+        # truncated final block, first at the default 65536-trial blocks,
+        # then at 997-trial blocks of D = 9 draws: those hold 8973 draws,
+        # so blocks 1, 2 and 3 start 1, 2 and 3 draws into a 4-draw
+        # Philox block.
+        def check(c, seed, blocks):
+            width = _chunk_trials(c)
+            reference = rebuild(c, seed, 4 * width)
+            for block, count in blocks:
+                selected = _chunk_selected(c, seed, block, count)
+                first = block * width
                 for s in Scheme:
-                    assert np.array_equal(block[s], longer[s][start:start + count])
+                    assert np.array_equal(selected[s], reference[s][first:first + count])
+
+        check(cfg(n=3), 21, [(0, 65536), (1, 65536), (2, 1000)])
+        c = cfg(n=3, n_t=1, n_r=3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 997 * draws_per_trial(c))
+        assert _chunk_trials(c) == 997
+        check(c, 5, [(0, 997), (1, 997), (2, 500), (3, 1)])
+
+    def test_draw_budget(self, monkeypatch):
+        # Block b reads exactly the draws [b*B*D, (b+1)*B*D), also when it
+        # is truncated, and reproduces the rebuild of those trials.
+        reads = record_reads(monkeypatch)
+        for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
+            width = _chunk_trials(c)
+            d = draws_per_trial(c)
+            reference = rebuild(c, 1, 2 * width)
+            for block, count in ((0, 1), (0, 199), (1, 64), (1, width)):
+                reads.clear()
+                selected = _chunk_selected(c, 1, block, count)
+                assert reads == [(block * width * d, width * d)]
+                first = block * width
+                for s in Scheme:
+                    assert np.array_equal(selected[s], reference[s][first:first + count])
+
+
+class TestLayoutPin:
+    """Frozen outputs of stream layout v2 at seed 2017.
+
+    The rebuild tests above define the layout and the kernel together, so
+    a change to both would pass them; these literals fail on any change
+    to the stream layout, the block size or the reductions.  The 1x5,
+    n = 7 channel has D = 35, so its 59918-trial blocks are draw-capped
+    and block 1 starts 2 draws into a Philox counter.  The moments are
+    compared as exact floats, so a numpy whose log1p rounds differently
+    fails them too.
+    """
+
+    GRID = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0]
+    # (n, n_t, n_r, trials): {scheme: (CDF counts on GRID,
+    #   (mean, second moment, AF, AF standard error))}
+    FROZEN = {
+        (3, 2, 3, 140_000): {
+            Scheme.TAS_MRC: ([14, 588, 5136, 18298, 46970, 97961], (
+                4.76803708109006, 56.33601115474552,
+                1.4780316283913901, 0.031174846569813664)),
+            Scheme.TAS_SC: ([43, 1712, 10813, 30427, 63380, 108308], (
+                3.9061637938677367, 43.96813463520897,
+                1.8816228577929568, 0.044949288248945264)),
+        },
+        (7, 1, 5, 130_000): {
+            Scheme.TAS_MRC: ([5709, 22690, 44568, 64789, 84842, 106661], (
+                5.041551482557939, 834.3580169756278,
+                31.82645844386804, 8.664435815962419)),
+            Scheme.TAS_SC: ([9840, 31777, 54732, 74036, 91667, 110071], (
+                4.511872578256827, 813.5547118889519,
+                38.96438302225274, 10.736254417655426)),
+        },
+    }
+
+    @pytest.mark.parametrize("key", sorted(FROZEN))
+    def test_frozen_counts_and_moments(self, key):
+        n, n_t, n_r, trials = key
+        c = cfg(n=n, n_t=n_t, n_r=n_r, mean_snr=1.0)
+        settings = SimSettings(trials=trials, master_seed=2017)
+        pair = empirical_cdf_pair(c, settings, self.GRID)
+        both = estimate_moments_af(c, settings)
+        for s in Scheme:
+            counts, moments = self.FROZEN[key][s]
+            assert [e.value for e in pair[s]] == [k / trials for k in counts]
+            est = both[s]
+            assert (est.mean.value, est.second_moment.value, est.af.value,
+                    est.af.std_error) == moments
+
+
+class TestExactChannel:
+    """The kernel's TAS/SC CDF against the exact channel.
+
+    A coefficient power is a product of n unit exponentials with CDF
+    F_n(x) = G^{n,1}_{1,n+1}(x | 1; 1, ..., 1, 0), a Meijer G function,
+    and TAS/SC takes the largest of n_t n_r iid powers, so its CDF is
+    exactly F_n(x)^(n_t n_r).  F_1 is 1 - e^-x and F_2 is
+    1 - 2 sqrt(x) K_1(2 sqrt(x)); n >= 3 needs mpmath.
+    """
+
+    TRIALS = 200_000
+
+    @staticmethod
+    def exact_cdf(n, x):
+        if n == 1:
+            return -math.expm1(-x)
+        if n == 2:
+            r = 2.0 * math.sqrt(x)
+            return 1.0 - r * special.k1(r)
+        mpmath = pytest.importorskip("mpmath")
+        return float(mpmath.meijerg([[1], []], [[1] * n, [0]], x))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tas_sc_cdf_within_4_sigma(self, n):
+        # log F_n-distributed power has mean -n*euler_gamma and variance
+        # n*pi^2/6; the grid spans the bulk of the largest of six.
+        c = cfg(n=n, mean_snr=1.0)
+        branches = c.n_t * c.n_r
+        centre, spread = -n * np.euler_gamma, math.sqrt(n * math.pi**2 / 6.0)
+        grid = np.exp(centre + spread * np.linspace(-0.25, 2.0, 8))
+        estimates = empirical_cdf_pair(
+            c, SimSettings(trials=self.TRIALS, master_seed=11), grid
+        )[Scheme.TAS_SC]
+        for x, est in zip(grid, estimates):
+            exact = self.exact_cdf(n, float(x)) ** branches
+            assert 1e-3 < exact < 1.0 - 1e-3
+            sigma = math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+            assert abs(est.value - exact) <= 4.0 * sigma, (x, est.value, exact)
 
 
 class TestSimulatePostprocSnr:
@@ -150,19 +281,24 @@ class TestSimulatePostprocSnr:
 
 class TestDeterminism:
     def test_chunk_size_invariance(self, monkeypatch):
-        # Chunk size is fixed by the channel, but counts must not depend on
-        # it: 997-trial chunks of D = 18 draws hold 17946 draws, which is
-        # not a multiple of the 4-draw Philox block.
+        # The block size is part of the layout, so the counts of every
+        # block size equal the counts of the from-scratch rebuild at that
+        # size: 997-trial blocks of D = 9 or 18 draws start inside a 4-draw
+        # Philox block, and 30000 trials end in a truncated block.
         grid = np.logspace(-1.0, 1.0, 9)
         settings = SimSettings(trials=30_000, master_seed=9)
         for c in (cfg(n=3), cfg(n=3, n_t=1, n_r=3)):
-            reference = empirical_cdf_pair(c, settings, grid)
+            thresholds = grid / c.mean_snr
             for trials_per_chunk in (997, 1000, 4096):
                 monkeypatch.setattr(
                     montecarlo, "_CHUNK_DRAWS", trials_per_chunk * draws_per_trial(c)
                 )
                 assert _chunk_trials(c) == trials_per_chunk
-                assert empirical_cdf_pair(c, settings, grid) == reference
+                pair = empirical_cdf_pair(c, settings, grid)
+                reference = rebuild(c, 9, settings.trials)
+                for s in Scheme:
+                    counts = np.searchsorted(np.sort(reference[s]), thresholds, side="right")
+                    assert [e.value for e in pair[s]] == [k / settings.trials for k in counts]
             monkeypatch.undo()
 
     def test_worker_count_invariance(self, monkeypatch):
@@ -184,22 +320,21 @@ class TestDeterminism:
         ]
         assert results[0] == results[1] == results[2]
 
-    def test_chunk_holds_at_most_2_22_draws(self, monkeypatch):
-        # Every D <= 64 keeps 65536-trial chunks; 16x16, n = 8 (D = 4096)
-        # is capped at 1024 trials.
+    def test_chunk_holds_at_most_2_21_draws(self, monkeypatch):
+        # Every D <= 32 keeps 65536-trial blocks, 4x4 at n = 5..8 is
+        # draw-capped, and 16x16, n = 8 (D = 2048) holds 1024 trials; the
+        # truncated final block is read in full.
         assert _chunk_trials(cfg(n=8, n_t=2, n_r=2)) == 65536
+        assert _chunk_trials(cfg(n=5, n_t=2, n_r=3)) == 65536
+        assert _chunk_trials(cfg(n=3, n_t=1, n_r=11)) < 65536
+        assert [_chunk_trials(cfg(n=n, n_t=4, n_r=4)) for n in (5, 6, 7, 8)] == [
+            26214, 21845, 18724, 16384
+        ]
         c = cfg(n=8, n_t=16, n_r=16)
-        counts = []
-        original = montecarlo._raw_uniforms
-
-        def spy(master_seed, start_draw, count, step=1):
-            counts.append(count)
-            return original(master_seed, start_draw, count, step)
-
-        monkeypatch.setattr(montecarlo, "_raw_uniforms", spy)
+        reads = record_reads(monkeypatch)
         empirical_cdf_pair(c, SimSettings(trials=1025, master_seed=1), [1.0])
-        assert counts == [1024 * 4096, 4096]
-        assert max(counts) <= 2**22
+        assert reads == [(0, 1024 * 2048), (1024 * 2048, 1024 * 2048)]
+        assert max(count for _, count in reads) <= 2**21
 
     def test_seed_changes_results(self):
         c = cfg()  # P(selected power <= 1) ~ 5%: ample events either way
