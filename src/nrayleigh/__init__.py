@@ -2,16 +2,7 @@
 antenna selection over cascaded (n*) Rayleigh fading channels, validated by
 a seeded Monte-Carlo channel simulator."""
 
-from .fading import (
-    BranchSnrParams,
-    FadingParams,
-    SingularDensityError,
-    amplitude_pdf,
-    branch_snr_params,
-    fading_params,
-    mrc_snr_cdf,
-    mrc_snr_pdf,
-)
+from .fading import FadingParams, fading_params
 from .moments import (
     CAPTION_COEFFS,
     NonPhysicalMomentError,
@@ -51,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticForm",
-    "BranchSnrParams",
     "CAPTION_COEFFS",
     "ChannelConfig",
     "CodingGain",
@@ -63,14 +53,11 @@ __all__ = [
     "OutageQuery",
     "Scheme",
     "SimSettings",
-    "SingularDensityError",
     "WeightingCoefficients",
     "af_bound_tas_mrc",
     "af_simo",
     "af_siso",
     "amount_of_fading",
-    "amplitude_pdf",
-    "branch_snr_params",
     "coding_gain",
     "default_weights",
     "diversity_order",
@@ -80,8 +67,6 @@ __all__ = [
     "moment_oracle",
     "moment_tas_mrc",
     "moment_tas_sc",
-    "mrc_snr_cdf",
-    "mrc_snr_pdf",
     "outage",
     "outage_asymptotic",
     "postproc_cdf",

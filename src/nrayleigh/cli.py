@@ -269,6 +269,10 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                 )
                 analytic = schemes.outage(scheme, query, cfg)
                 asymptotic, _ = schemes.outage_asymptotic(scheme, query, cfg)
+                if asymptotic > 1.0:
+                    # The power law holds only for z << 1; past 1 it is no
+                    # probability, so the cell is left empty.
+                    asymptotic = None
                 row = {
                     "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
                     "snr_db": db, "gamma_o": gamma_o, "p_out_analytic": analytic,

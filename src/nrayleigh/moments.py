@@ -25,7 +25,7 @@ ground truth the closed forms are judged against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy import integrate
 
@@ -101,15 +101,6 @@ def default_weights(n: int) -> WeightingCoefficients:
     return WeightingCoefficients(b1=b1, b2=b2)
 
 
-def _uncalibrated(cfg: ChannelConfig) -> ChannelConfig:
-    """The moment model carries no calibration weight; force it to 1."""
-    if cfg.calibration_omega == 1.0:
-        return cfg
-    return ChannelConfig(
-        n=cfg.n, n_t=cfg.n_t, n_r=cfg.n_r, mean_snr=cfg.mean_snr, calibration_omega=1.0
-    )
-
-
 def _moment_sum(
     l: int,
     shape: float,
@@ -159,7 +150,8 @@ def _moment_sum(
 def _scheme_moment(
     l: int, scheme: Scheme, cfg: ChannelConfig, b: float, per_term_weights: bool
 ) -> float:
-    shape, exponent, beta = _shape_exponent_scale(scheme, _uncalibrated(cfg))
+    # The moment model carries no calibration weight.
+    shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
     return _moment_sum(l, shape, exponent, beta, cfg.n, b, per_term_weights)
 
 
@@ -262,7 +254,7 @@ def moment_oracle(
     if l != int(l) or int(l) < 1:
         raise ValueError(f"moment order must be an integer >= 1, got {l}")
     l = int(l)
-    shape, exponent, beta = _shape_exponent_scale(scheme, _uncalibrated(cfg))
+    shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
     nl = cfg.n * l
 
     def integrand(u: float) -> float:

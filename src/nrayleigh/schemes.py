@@ -2,11 +2,13 @@
 
 TAS/MRC picks the transmit antenna whose receive-side maximal-ratio combined
 SNR is largest; TAS/SC picks the single best transmit/receive antenna pair.
-Both post-processing SNR distributions are powers of a regularized
-incomplete gamma:
+Both post-processing SNR distributions are powers of one regularized
+incomplete gamma over the stretched-gamma fit (m, Omega) of ``fading``:
 
-    TAS/MRC: F(g) = P(a, w * beta_mrc * g^(1/n)) ^ n_t,   a = m * n_r
-    TAS/SC:  F(g) = P(m, w * beta_sc  * g^(1/n)) ^ (n_t * n_r)
+    F(g) = P(s, w * (2s/Omega) * (G * mean_snr)^(-1/n) * g^(1/n)) ^ k
+
+    TAS/MRC: shape s = m * n_r, exponent k = n_t,         receive gain G = n_r
+    TAS/SC:  shape s = m,       exponent k = n_t * n_r,   receive gain G = 1
 
 where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
 1.0 for TAS/SC).  On top of the distributions this module provides outage
@@ -21,12 +23,12 @@ required SNR inverts it exactly with ``gammaincinv``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from scipy import special
 
-from .fading import branch_snr_params, fading_params, validate_cascade_order
+from .fading import fading_params, validate_cascade_order
 
 __all__ = [
     "AsymptoticForm",
@@ -98,13 +100,7 @@ class ChannelConfig:
         return DEFAULT_CALIBRATION[scheme]
 
     def with_mean_snr(self, mean_snr: float) -> "ChannelConfig":
-        return ChannelConfig(
-            n=self.n,
-            n_t=self.n_t,
-            n_r=self.n_r,
-            mean_snr=mean_snr,
-            calibration_omega=self.calibration_omega,
-        )
+        return replace(self, mean_snr=mean_snr)
 
 
 @dataclass(frozen=True)
@@ -159,13 +155,26 @@ class CodingGain:
     extracted: float
 
 
-def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, float]:
-    """(gamma-shape, order-statistics exponent, calibrated scale) for cfg."""
-    params = branch_snr_params(cfg.n, cfg.n_r, cfg.mean_snr)
-    w = cfg.omega_for(scheme)
+def _shape_exponent_gain(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, int]:
+    """(gamma shape, order-statistics exponent, receive gain) for cfg.
+
+    TAS/MRC sums the n_r receive branches of the chosen transmit antenna, so
+    its shape and its SNR scale carry n_r; TAS/SC takes the largest of all
+    N single-branch SNRs.
+    """
+    m = fading_params(cfg.n).m
     if scheme is Scheme.TAS_MRC:
-        return params.a, int(cfg.n_t), w * params.beta_mrc
-    return fading_params(cfg.n).m, cfg.total_antennas, w * params.beta_sc
+        return m * cfg.n_r, int(cfg.n_t), int(cfg.n_r)
+    return m, cfg.total_antennas, 1
+
+
+def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, float]:
+    """(gamma shape, order-statistics exponent, calibrated scale) for cfg."""
+    shape, exponent, gain = _shape_exponent_gain(scheme, cfg)
+    omega = fading_params(cfg.n).omega
+    w = cfg.omega_for(scheme)
+    scale = (2.0 * shape / omega) * (gain * cfg.mean_snr) ** (-1.0 / cfg.n)
+    return shape, exponent, w * scale
 
 
 def _ln_reg_lower_gamma(a: float, x: float) -> float:
@@ -216,13 +225,9 @@ def diversity_order(scheme: Scheme, cfg: ChannelConfig) -> float:
 
 def _ln_asym_coefficient(scheme: Scheme, cfg: ChannelConfig) -> float:
     """ln of the power-law coefficient [(2s/Omega)^s / (s Gamma(s))]^k."""
-    fp = fading_params(cfg.n)
-    if scheme is Scheme.TAS_MRC:
-        shape, exponent = fp.m * cfg.n_r, int(cfg.n_t)
-    else:
-        shape, exponent = fp.m, cfg.total_antennas
+    shape, exponent, _ = _shape_exponent_gain(scheme, cfg)
     per_factor = (
-        shape * math.log(2.0 * shape / fp.omega)
+        shape * math.log(2.0 * shape / fading_params(cfg.n).omega)
         - math.log(shape)
         - math.lgamma(shape)
     )
@@ -244,11 +249,11 @@ def outage_asymptotic(
     decomposition.  The value is meaningful only for z << 1; it is returned
     unconditionally and the caller judges the regime.
     """
+    _, _, gain = _shape_exponent_gain(scheme, cfg)
+    z = query.gamma_o / (gain * cfg.mean_snr)
     if scheme is Scheme.TAS_MRC:
-        z = query.gamma_o / (cfg.n_r * cfg.mean_snr)
         z_definition = "gamma_o / (n_r * mean_snr)"
     else:
-        z = query.gamma_o / cfg.mean_snr
         z_definition = "gamma_o / mean_snr"
     d = diversity_order(scheme, cfg)
     ln_coeff = _ln_asym_coefficient(scheme, cfg)
@@ -262,27 +267,19 @@ def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:
     """Coding gain: the SNR scale at which the asymptote crosses unity.
 
     Extracted form: writing the power law as (gamma_o / (CG * mean_snr))^d
-    gives CG = n_r * C^(-1/d) for TAS/MRC and CG = C^(-1/d) for TAS/SC,
-    with C the asymptotic coefficient.
+    gives CG = G * C^(-1/d), with C the asymptotic coefficient and G the
+    receive gain (n_r for TAS/MRC, 1 for TAS/SC).
     """
-    fp = fading_params(cfg.n)
+    shape, _, gain = _shape_exponent_gain(scheme, cfg)
     n = cfg.n
     d = diversity_order(scheme, cfg)
     ln_c = _ln_asym_coefficient(scheme, cfg)
-    if scheme is Scheme.TAS_MRC:
-        a = fp.m * cfg.n_r
-        # Printed reading: n_r^(1/n) multiplies the denominator scale 2a/Omega.
-        printed = (
-            math.exp((math.lgamma(a) + math.log(a)) / a)
-            / ((2.0 * a / fp.omega) * cfg.n_r ** (1.0 / n))
-        ) ** n
-        extracted = cfg.n_r * math.exp(-ln_c / d)
-        return CodingGain(printed=printed, extracted=extracted)
-    m = fp.m
+    # Printed reading: G^(1/n) multiplies the denominator scale 2s/Omega.
     printed = (
-        math.exp((math.lgamma(m) + math.log(m)) / m) / (2.0 * m / fp.omega)
+        math.exp((math.lgamma(shape) + math.log(shape)) / shape)
+        / ((2.0 * shape / fading_params(n).omega) * gain ** (1.0 / n))
     ) ** n
-    extracted = math.exp(-ln_c / d)
+    extracted = gain * math.exp(-ln_c / d)
     return CodingGain(printed=printed, extracted=extracted)
 
 

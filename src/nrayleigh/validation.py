@@ -55,6 +55,9 @@ _AF_LOWER_BOUND_MARGIN = 1.10
 _MOMENT_REL_TOL = 0.25
 _MOMENT_FAIL_FRACTION = 0.20
 _BASE_CASE_SIGMAS = 4.0
+# c02's mean-SNR grid, and the calibration its TAS/SC curves are judged at.
+_SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
+_SC_OMEGA = schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC]
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,6 @@ class ValidationConfig:
     workers: int = 1
     gamma_o: float = 1.0
     mrc_omega: float = 1.176
-    sc_omega: float = 1.0
-    snr_grid_db: tuple = tuple(float(v) for v in range(0, 31, 2))
     determinism_trials: int = 120_000
 
     def settings(self) -> SimSettings:
@@ -88,7 +89,7 @@ class ValidationConfig:
         )
 
     def omega(self, scheme: Scheme) -> float:
-        return self.mrc_omega if scheme is Scheme.TAS_MRC else self.sc_omega
+        return self.mrc_omega if scheme is Scheme.TAS_MRC else _SC_OMEGA
 
 
 def _cfg(
@@ -136,7 +137,7 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
     gamma_o = config.gamma_o
     # Descending SNR gives ascending selection-statistic thresholds.
     points = sorted(
-        ((gamma_o / 10.0 ** (db / 10.0), db) for db in config.snr_grid_db)
+        ((gamma_o / 10.0 ** (db / 10.0), db) for db in _SNR_GRID_DB)
     )
     thresholds = [t for t, _ in points]
     per_curve = {}
@@ -570,8 +571,8 @@ def build_report(config: ValidationConfig, include_determinism: bool = True) -> 
             "master_seed": config.master_seed,
             "gamma_o": config.gamma_o,
             "mrc_omega": config.mrc_omega,
-            "sc_omega": config.sc_omega,
-            "snr_grid_db": list(config.snr_grid_db),
+            "sc_omega": _SC_OMEGA,
+            "snr_grid_db": list(_SNR_GRID_DB),
             "weighting_coefficients": {
                 str(n): list(pair) for n, pair in moments.CAPTION_COEFFS.items()
             },

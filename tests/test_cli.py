@@ -6,7 +6,13 @@ import json
 import pytest
 
 from nrayleigh import cli, montecarlo
-from nrayleigh.schemes import ConvergenceError
+from nrayleigh.schemes import (
+    ChannelConfig,
+    ConvergenceError,
+    OutageQuery,
+    Scheme,
+    outage_asymptotic,
+)
 
 
 def run(capsys, *argv):
@@ -119,6 +125,26 @@ class TestOutageSweep:
         data = json.loads(out_file.read_text())
         assert {"config", "rows"} <= set(data)
         assert data["rows"][0]["scheme"] in {"tas-mrc", "tas-sc"}
+
+    def test_asymptote_above_one_is_left_empty(self, capsys, tmp_path):
+        # TAS/SC, n = 2, 2x3: the power law reads 1.50 at 4 dB and 0.154 at 6 dB.
+        args = ["outage-sweep", "--scheme", "tas-sc", "--n", "2", "--snr-db", "4:6:2",
+                "--trials", "0"]
+        cfg = ChannelConfig(n=2, n_t=2, n_r=3, mean_snr=10.0 ** 0.6)
+        kept, _ = outage_asymptotic(Scheme.TAS_SC, OutageQuery(threshold=1.0), cfg)
+        assert kept < 1.0
+        csv_file, json_file = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+        assert run(capsys, *args, "--out", str(csv_file))[0] == cli.EXIT_OK
+        assert run(capsys, *args, "--format", "json", "--out", str(json_file))[0] == cli.EXIT_OK
+        lines = [l for l in csv_file.read_text().splitlines() if not l.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert [r["snr_db"] for r in rows] == ["4.0", "6.0"]
+        assert rows[0]["p_out_asymptotic"] == ""
+        assert float(rows[1]["p_out_asymptotic"]) == pytest.approx(kept, rel=1e-12)
+        rows = json.loads(json_file.read_text())["rows"]
+        assert [r["snr_db"] for r in rows] == [4.0, 6.0]
+        assert rows[0]["p_out_asymptotic"] is None
+        assert rows[1]["p_out_asymptotic"] == pytest.approx(kept, rel=1e-12)
 
     def test_rate_and_threshold_conflict(self, capsys):
         code, _, _ = run(

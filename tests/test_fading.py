@@ -1,22 +1,8 @@
-"""Severity fit and the stretched-gamma density/distribution layer.
-
-Quadrature oracles use scipy's adaptive Gauss-Kronrod integrator with the
-u = x^(1/n) substitution to keep the origin singularity out of the rule.
-"""
-
-import math
+"""Severity fit of the cascaded Rayleigh channel."""
 
 import pytest
-from scipy import integrate
 
-from nrayleigh.fading import (
-    SingularDensityError,
-    amplitude_pdf,
-    branch_snr_params,
-    fading_params,
-    mrc_snr_cdf,
-    mrc_snr_pdf,
-)
+from nrayleigh.fading import fading_params
 
 # mpmath, dps=50, direct arithmetic of the severity fit
 EXPECTED_PARAMS = {
@@ -24,18 +10,6 @@ EXPECTED_PARAMS = {
     2: (1.6467, 1.5708709218747201),
     5: (3.4773, 1.3060383096203316),
 }
-# beta^m e^(-beta) / Gamma(m) at n=1, x_bar=1, x=1 (mpmath)
-AMP_PDF_N1_AT_1 = 0.37555503249677193
-
-
-def _integrate_substituted(fn, n: int, upper: float = math.inf) -> float:
-    """integral of fn(x) dx with x = u^n, removing the x -> 0 singularity."""
-
-    def g(u: float) -> float:
-        return fn(u**n) * n * u ** (n - 1)
-
-    value, _ = integrate.quad(g, 0.0, upper, limit=400)
-    return value
 
 
 class TestFadingParams:
@@ -44,7 +18,6 @@ class TestFadingParams:
         fp = fading_params(n)
         assert fp.m == pytest.approx(expected[0], abs=1e-12)
         assert fp.omega == pytest.approx(expected[1], abs=1e-12)
-        assert fp.alpha == pytest.approx(fp.m / n, abs=1e-15)
 
     def test_monotone_trends(self):
         params = [fading_params(n) for n in range(1, 9)]
@@ -57,124 +30,3 @@ class TestFadingParams:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             fading_params(bad)
-
-
-class TestBranchSnrParams:
-    def test_composition(self):
-        p = branch_snr_params(2, 3, 10.0)
-        fp = fading_params(2)
-        assert p.a == pytest.approx(fp.m * 3)
-        assert p.alpha_mrc == pytest.approx(p.a / 2)
-        assert p.beta_mrc == pytest.approx((2 * p.a / fp.omega) * (30.0) ** -0.5)
-        assert p.beta_sc == pytest.approx((2 * fp.m / fp.omega) * 10.0**-0.5)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_scale_exponent(self, n):
-        # Both scales shrink as mean_snr^(-1/n).
-        p1 = branch_snr_params(n, 2, 4.0)
-        p2 = branch_snr_params(n, 2, 8.0)
-        factor = 2.0 ** (-1.0 / n)
-        assert p2.beta_mrc == pytest.approx(p1.beta_mrc * factor, rel=1e-12)
-        assert p2.beta_sc == pytest.approx(p1.beta_sc * factor, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            branch_snr_params(2, 0, 1.0)
-        with pytest.raises(ValueError):
-            branch_snr_params(2, 2, 0.0)
-
-
-class TestAmplitudePdf:
-    def test_direct_value_n1(self):
-        assert amplitude_pdf(1.0, 1, 1.0) == pytest.approx(AMP_PDF_N1_AT_1, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_normalization(self, n):
-        total = _integrate_substituted(lambda x: amplitude_pdf(x, n, 1.0), n)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_nonnegative(self):
-        for n in (1, 2, 4):
-            for x in (0.001, 0.1, 1.0, 10.0, 100.0):
-                assert amplitude_pdf(x, n, 2.0) >= 0.0
-
-    def test_stretched_exponential_tail(self):
-        # d(log f)/d(x^(1/n)) approaches -beta for large x.
-        n = 2
-        fp = fading_params(n)
-        beta = 2 * fp.m / fp.omega
-        x1, x2 = 400.0, 900.0
-        slope = (
-            math.log(amplitude_pdf(x2, n, 1.0)) - math.log(amplitude_pdf(x1, n, 1.0))
-        ) / (x2 ** (1 / n) - x1 ** (1 / n))
-        assert slope == pytest.approx(-beta, rel=0.02)
-
-    def test_origin_cases(self):
-        # n = 1: shape exponent m/n > 1, density vanishes at the origin.
-        assert amplitude_pdf(0.0, 1, 1.0) == 0.0
-        # n >= 2: m/n < 1, the density diverges and must signal, not inf.
-        with pytest.raises(SingularDensityError):
-            amplitude_pdf(0.0, 2, 1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            amplitude_pdf(1.0, 2, 0.0)
-
-
-class TestMrcSnrDistribution:
-    @pytest.mark.parametrize("n,n_r", [(1, 1), (2, 3), (3, 2), (5, 2)])
-    def test_pdf_normalizes(self, n, n_r):
-        params = branch_snr_params(n, n_r, 10.0)
-        total = _integrate_substituted(lambda g: mrc_snr_pdf(g, params, n), n)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_pdf_origin(self):
-        # a > n: vanishing density at the origin.
-        params = branch_snr_params(2, 3, 10.0)
-        assert mrc_snr_pdf(0.0, params, 2) == 0.0
-        # a < n (single receive antenna, double cascade): divergent origin.
-        params11 = branch_snr_params(2, 1, 10.0)
-        with pytest.raises(SingularDensityError):
-            mrc_snr_pdf(0.0, params11, 2)
-
-    def test_cdf_limits(self):
-        params = branch_snr_params(2, 3, 10.0)
-        assert mrc_snr_cdf(0.0, params, 2) == 0.0
-        assert mrc_snr_cdf(1e9, params, 2) == pytest.approx(1.0, abs=1e-9)
-
-    def test_cdf_monotone(self):
-        params = branch_snr_params(3, 2, 5.0)
-        grid = [10 ** (i / 25 - 2) for i in range(101)]
-        values = [mrc_snr_cdf(g, params, 3) for g in grid]
-        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
-
-    @pytest.mark.parametrize("gamma_max", [1.0, 10.0, 100.0])
-    def test_cdf_equals_integrated_pdf(self, gamma_max):
-        n, n_r = 2, 3
-        params = branch_snr_params(n, n_r, 10.0)
-        integral = _integrate_substituted(
-            lambda g: mrc_snr_pdf(g, params, n), n, upper=gamma_max ** (1.0 / n)
-        )
-        assert integral == pytest.approx(mrc_snr_cdf(gamma_max, params, n), abs=1e-6)
-
-    def test_pdf_matches_cdf_derivative(self):
-        # Central finite difference of the CDF reproduces the density.
-        n, n_r = 1, 1
-        params = branch_snr_params(n, n_r, 4.0)
-        for g in (0.5, 2.0, 6.0):
-            h = 1e-5 * g
-            derivative = (
-                mrc_snr_cdf(g + h, params, n) - mrc_snr_cdf(g - h, params, n)
-            ) / (2 * h)
-            assert derivative == pytest.approx(mrc_snr_pdf(g, params, n), rel=1e-6)
-
-    @pytest.mark.parametrize("c", [0.1, 2.0, 10.0])
-    def test_scale_law(self, c):
-        # F(g; mean) depends only on g/mean.
-        n, n_r = 2, 3
-        p1 = branch_snr_params(n, n_r, 7.0)
-        p2 = branch_snr_params(n, n_r, 7.0 * c)
-        for g in (0.3, 1.0, 5.0, 20.0):
-            assert mrc_snr_cdf(g, p1, n) == pytest.approx(
-                mrc_snr_cdf(c * g, p2, n), rel=1e-12
-            )

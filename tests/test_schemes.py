@@ -1,15 +1,21 @@
-"""Post-processing SNR analytics: distributions, outage, asymptotics, gains."""
+"""Post-processing SNR analytics: distributions, outage, asymptotics, gains,
+and the log-space incomplete gamma every one of them goes through."""
 
+import importlib.util
+import json
 import math
+import pathlib
 
 import pytest
+from scipy import special
 
-from nrayleigh.fading import branch_snr_params, fading_params, mrc_snr_cdf
+from nrayleigh.fading import fading_params
 from nrayleigh.schemes import (
     ChannelConfig,
     OutageQuery,
     Scheme,
     ConvergenceError,
+    _ln_reg_lower_gamma,
     coding_gain,
     diversity_order,
     outage,
@@ -18,7 +24,14 @@ from nrayleigh.schemes import (
     required_snr,
 )
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
+ORACLE_PATH = REPO / "src" / "nrayleigh" / "data" / "reg_lower_gamma_oracle.json"
+GENERATOR_PATH = REPO / "tools" / "generate_gamma_oracle.py"
+
 # mpmath, dps=50
+P_3_3 = 0.57680991887315648467558946697447489863055346638515
+Q_494_20 = 1.5436394306932059711218796777869500309874260095461e-5
+P_25_03 = 0.011996757205906266514706560652025391041073219653665
 ASYM_COEFF_MRC_2X3_N2 = 6617.5570150278958
 CG_EXTRACTED_MRC_2X3_N2 = 0.50549437275247244
 DB_PER_DOUBLING = 3.010299956639812
@@ -76,12 +89,15 @@ class TestPostprocCdf:
 
     def test_single_transmit_antenna_reduces_to_branch_cdf(self):
         # With one transmit antenna and unit calibration the TAS/MRC
-        # distribution is exactly the combined-branch distribution.
+        # distribution is exactly the combined-branch distribution
+        # P(m n_r, (2 m n_r / Omega) (n_r mean_snr)^(-1/n) g^(1/n)).
         c = cfg(n_t=1, omega=1.0)
-        params = branch_snr_params(c.n, c.n_r, c.mean_snr)
+        fp = fading_params(c.n)
+        a = fp.m * c.n_r
+        beta = (2.0 * a / fp.omega) * (c.n_r * c.mean_snr) ** (-1.0 / c.n)
         for g in (0.01, 0.5, 1.0, 4.0, 25.0):
             assert postproc_cdf(Scheme.TAS_MRC, g, c) == pytest.approx(
-                mrc_snr_cdf(g, params, c.n), rel=1e-12
+                float(special.gammainc(a, beta * g ** (1.0 / c.n))), rel=1e-12
             )
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -92,6 +108,7 @@ class TestPostprocCdf:
         values = [postproc_cdf(scheme, g, c) for g in grid]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+        assert postproc_cdf(scheme, 1e9, c) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nonincreasing_in_mean_snr(self, scheme):
@@ -289,3 +306,295 @@ class TestRequiredSnr:
             required_snr(Scheme.TAS_MRC, 0.0, q, cfg())
         with pytest.raises(ValueError):
             required_snr(Scheme.TAS_MRC, 1.0, q, cfg())
+
+
+def reg_lower_gamma(a, x):
+    """P(a, x) as the analytics evaluate it."""
+    return math.exp(_ln_reg_lower_gamma(a, x))
+
+
+def reg_upper_gamma(a, x):
+    """Q(a, x) = 1 - P(a, x) from the same log-space value."""
+    return -math.expm1(_ln_reg_lower_gamma(a, x))
+
+
+class TestLnRegLowerGamma:
+    """P(a, x) through ``schemes._ln_reg_lower_gamma``, behind every outage,
+    CDF and moment-oracle evaluation.
+
+    tools/generate_gamma_oracle.py regenerates the frozen table.
+    """
+
+    def test_zero_argument(self):
+        assert _ln_reg_lower_gamma(2.5, 0.0) == -math.inf
+        assert reg_lower_gamma(2.5, 0.0) == 0.0
+        assert reg_upper_gamma(2.5, 0.0) == 1.0
+
+    def test_exponential_closed_form(self):
+        # P(1, x) = 1 - exp(-x).
+        for x in (0.01, 0.5, 1.0, 3.0, 10.0, 40.0):
+            assert reg_lower_gamma(1.0, x) == pytest.approx(-math.expm1(-x), abs=1e-12)
+            assert reg_upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-10)
+
+    def test_series_oracle_values(self):
+        assert reg_lower_gamma(3.0, 3.0) == pytest.approx(P_3_3, abs=1e-12)
+        assert reg_upper_gamma(4.94, 20.0) == pytest.approx(Q_494_20, rel=1e-9)
+        assert reg_lower_gamma(2.5, 0.3) == pytest.approx(P_25_03, abs=1e-12)
+
+    def test_frozen_oracle_table(self):
+        table = json.loads(ORACLE_PATH.read_text())
+        worst = 0.0
+        for entry in table["entries"]:
+            err = abs(reg_lower_gamma(entry["a"], entry["x"]) - entry["p"])
+            worst = max(worst, err)
+        assert worst <= 1e-10
+
+    def test_integer_shape_closed_form(self):
+        # P(a, x) = 1 - exp(-x) sum_{k<a} x^k/k! for integer a.
+        for a in (1, 2, 3, 5, 8):
+            for x in (0.2, 1.0, 2.5, 7.0, 15.0):
+                partial = sum(x**k / math.factorial(k) for k in range(a))
+                expected = 1.0 - math.exp(-x) * partial
+                assert reg_lower_gamma(float(a), x) == pytest.approx(
+                    expected, abs=1e-10
+                )
+
+    @pytest.mark.parametrize("a", [0.5, 1.6467, 4.9401, 10.0])
+    def test_monotone_in_x(self, a):
+        xs = [i * 30.0 / 999 for i in range(1000)]
+        values = [reg_lower_gamma(a, x) for x in xs]
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+        assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_complement_identity(self):
+        # Both branches of the log-space P agree with scipy's own Q.
+        for a in (0.5, 1.0, 1.6467, 4.9401, 10.0, 25.0):
+            for x in (0.0, 0.3, 1.0, a, a + 1.0, 3 * a + 5.0, 80.0):
+                p = reg_lower_gamma(a, x)
+                q = float(special.gammaincc(a, x))
+                assert abs(p + q - 1.0) <= 1e-12
+
+    def test_log_form_matches_both_tails(self):
+        # Deep lower tail: ln P must stay accurate far below double range of
+        # P**k.  Expansion: ln P = a ln x - x - ln G(a+1) + ln(1 + x/(a+1) + ...).
+        ln_p = _ln_reg_lower_gamma(25.0, 0.01)
+        expected = 25.0 * math.log(0.01) - 0.01 - math.lgamma(26.0) + math.log1p(0.01 / 26.0)
+        assert ln_p == pytest.approx(expected, abs=1e-6)
+        # Near saturation ln P ~ -Q; abs=0 so that pytest's default 1e-12
+        # absolute slack cannot hide a log(P) that lost Q to rounding.
+        assert _ln_reg_lower_gamma(1.0, 30.0) == pytest.approx(
+            -math.exp(-30.0), rel=1e-6, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "a,x",
+        [
+            (0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
+            # ln Gamma(a) sits in the prefactor; a shape outside its finite
+            # positive domain is refused, not turned into nan.
+            (-1.0, 1.0), (-0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+        ],
+    )
+    def test_domain_errors(self, a, x):
+        with pytest.raises(ValueError):
+            _ln_reg_lower_gamma(a, x)
+
+    def test_generator_reproduces_frozen_table(self):
+        # The frozen table is the only independent evidence behind c01:
+        # regenerating it with mpmath must give the committed values exactly.
+        pytest.importorskip("mpmath")
+        spec = importlib.util.spec_from_file_location("generate_gamma_oracle", GENERATOR_PATH)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        table = json.loads(ORACLE_PATH.read_text())
+        assert table["dps"] == generator.DPS
+        assert generator.oracle_entries() == table["entries"]
+
+
+# Exact float outputs of the analytics at mean SNR 10 and gamma_o = 1.
+# Keyed (scheme, n, n_t, n_r, calibration): postproc_cdf at g = 0.1 and
+# g = 2, and required_snr at outage 1e-3.
+PINNED_CDF_AND_SNR = {
+    ("tas-mrc", 1, 1, 1, None):
+        (0.010147455230882594, 0.2017262599747535, 940.2386752102651),
+    ("tas-mrc", 1, 1, 1, 1.0):
+        (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
+    ("tas-mrc", 1, 2, 3, None):
+        (2.5725717725670353e-14, 2.2400753276841514e-06, 1.670340727661191),
+    ("tas-mrc", 1, 2, 3, 1.0):
+        (9.412439200051505e-15, 8.631901318389175e-07, 1.4203577616166592),
+    ("tas-mrc", 1, 4, 4, None):
+        (2.142955045825237e-38, 3.842484287860371e-17, 0.530517503805294),
+    ("tas-mrc", 1, 4, 4, 1.0):
+        (1.465309317379343e-39, 2.9352819107295718e-18, 0.45112032636504595),
+    ("tas-mrc", 2, 1, 1, None):
+        (0.05783941141386507, 0.41574283295479064, 16362.957918496624),
+    ("tas-mrc", 2, 1, 1, 1.0):
+        (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
+    ("tas-mrc", 2, 2, 3, None):
+        (9.381339859766922e-09, 0.002303196753809448, 6.337940184555536),
+    ("tas-mrc", 2, 2, 3, 1.0):
+        (2.1005658105579222e-09, 0.0007292861381282493, 4.582827311938556),
+    ("tas-mrc", 2, 4, 4, None):
+        (6.109944710629337e-23, 2.5314695327162258e-08, 1.3586205380851297),
+    ("tas-mrc", 2, 4, 4, 1.0):
+        (1.1002642240579146e-24, 1.0660749637614202e-09, 0.9823890928585383),
+    ("tas-mrc", 5, 1, 1, None):
+        (0.34322807087640217, 0.7566547189500198, 4395667.441567437),
+    ("tas-mrc", 5, 1, 1, 1.0):
+        (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
+    ("tas-mrc", 5, 2, 3, None):
+        (0.004023540719904003, 0.36072423622378236, 186.55297250414978),
+    ("tas-mrc", 5, 2, 3, 1.0):
+        (0.0006415938350928418, 0.15749565794910275, 82.94029289715463),
+    ("tas-mrc", 5, 4, 4, None):
+        (3.489530531562082e-07, 0.07288209980212, 19.702038513251868),
+    ("tas-mrc", 5, 4, 4, 1.0):
+        (2.3841608619162667e-09, 0.007661707629641059, 8.759403953875784),
+    ("tas-mrc", 8, 1, 1, None):
+        (0.6172469134956345, 0.8915373875163641, 402794130.1368839),
+    ("tas-mrc", 8, 1, 1, 1.0):
+        (0.4714811084090923, 0.792264238189408, 110109441.3200139),
+    ("tas-mrc", 8, 2, 3, None):
+        (0.17797580335807253, 0.8324130413257365, 3931.335371560994),
+    ("tas-mrc", 8, 2, 3, 1.0):
+        (0.043494819707365, 0.5550884646339518, 1074.685823393412),
+    ("tas-mrc", 8, 4, 4, None):
+        (0.013356585432492057, 0.6947281398799959, 255.54239406261667),
+    ("tas-mrc", 8, 4, 4, 1.0):
+        (0.00030942469362759263, 0.25961213982928505, 69.8561079682353),
+    ("tas-sc", 1, 1, 1, None):
+        (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
+    ("tas-sc", 1, 1, 1, 1.0):
+        (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
+    ("tas-sc", 1, 2, 3, None):
+        (4.005841158323761e-13, 2.737258675041497e-05, 2.5557960301556046),
+    ("tas-sc", 1, 2, 3, 1.0):
+        (4.005841158323761e-13, 2.737258675041497e-05, 2.5557960301556046),
+    ("tas-sc", 1, 4, 4, None):
+        (8.720002279896968e-34, 6.805221136290562e-13, 0.9489153915863197),
+    ("tas-sc", 1, 4, 4, 1.0):
+        (8.720002279896968e-34, 6.805221136290562e-13, 0.9489153915863197),
+    ("tas-sc", 2, 1, 1, None):
+        (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
+    ("tas-sc", 2, 1, 1, 1.0):
+        (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
+    ("tas-sc", 2, 2, 3, None):
+        (8.631709402913091e-09, 0.0018003420380885056, 5.936336161334806),
+    ("tas-sc", 2, 2, 3, 1.0):
+        (8.631709402913091e-09, 0.0018003420380885056, 5.936336161334806),
+    ("tas-sc", 2, 4, 4, None):
+        (3.1351488304957204e-22, 4.796746047986666e-08, 1.341922025420034),
+    ("tas-sc", 2, 4, 4, 1.0):
+        (3.1351488304957204e-22, 4.796746047986666e-08, 1.341922025420034),
+    ("tas-sc", 5, 1, 1, None):
+        (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
+    ("tas-sc", 5, 1, 1, 1.0):
+        (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
+    ("tas-sc", 5, 2, 3, None):
+        (0.0002596330099558076, 0.07307979468902856, 55.73693911303286),
+    ("tas-sc", 5, 2, 3, 1.0):
+        (0.0002596330099558076, 0.07307979468902856, 55.73693911303286),
+    ("tas-sc", 5, 4, 4, None):
+        (2.7434249786309084e-10, 0.0009335254942129404, 4.903098816929975),
+    ("tas-sc", 5, 4, 4, 1.0):
+        (2.7434249786309084e-10, 0.0009335254942129404, 4.903098816929975),
+    ("tas-sc", 8, 1, 1, None):
+        (0.4714811084090923, 0.792264238189408, 110109441.3200139),
+    ("tas-sc", 8, 1, 1, 1.0):
+        (0.4714811084090923, 0.792264238189408, 110109441.3200139),
+    ("tas-sc", 8, 2, 3, None):
+        (0.01098463865296667, 0.2472978366421385, 452.95929322746355),
+    ("tas-sc", 8, 2, 3, 1.0):
+        (0.01098463865296667, 0.2472978366421385, 452.95929322746355),
+    ("tas-sc", 8, 4, 4, None):
+        (5.962504688641874e-06, 0.02409466241096949, 20.4599381347528),
+    ("tas-sc", 8, 4, 4, 1.0):
+        (5.962504688641874e-06, 0.02409466241096949, 20.4599381347528),
+}
+# Keyed (scheme, n, n_t, n_r): outage_asymptotic value and z, coding_gain
+# printed and extracted.  All four ignore the calibration weight.
+PINNED_ASYMPTOTE_AND_GAIN = {
+    ("tas-mrc", 1, 1, 1):
+        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364),
+    ("tas-mrc", 1, 2, 3):
+        (1.5831058167537125e-08, 0.03333333333333333, 0.1995525243995474, 1.7959727195959267),
+    ("tas-mrc", 1, 4, 4):
+        (5.813370256223277e-23, 0.025, 0.13698235551753077, 2.191717688280492),
+    ("tas-mrc", 2, 1, 1):
+        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776),
+    ("tas-mrc", 2, 2, 3):
+        (0.00033386506778207816, 0.03333333333333333, 0.05616604141694142, 0.5054943727524726),
+    ("tas-mrc", 2, 4, 4):
+        (7.005201641861378e-11, 0.025, 0.036872958820712995, 0.5899673411314079),
+    ("tas-mrc", 5, 1, 1):
+        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118),
+    ("tas-mrc", 5, 2, 3):
+        (86144.9009903464, 0.03333333333333333, 0.000729511277479692, 0.006565601497317249),
+    ("tas-mrc", 5, 4, 4):
+        (5490557140233.709, 0.025, 0.00044770178797091486, 0.007163228607534639),
+    ("tas-mrc", 8, 1, 1):
+        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+    ("tas-mrc", 8, 2, 3):
+        (3789692895504.335, 0.03333333333333333, 7.69198762023089e-06, 6.92278885820778e-05),
+    ("tas-mrc", 8, 4, 4):
+        (2.0208151530118928e+33, 0.025, 4.555390805297553e-06, 7.288625288476085e-05),
+    ("tas-sc", 1, 1, 1):
+        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364),
+    ("tas-sc", 1, 2, 3):
+        (6.845783198734364e-07, 0.1, 0.9800514869094364, 0.9800514869094364),
+    ("tas-sc", 1, 4, 4):
+        (3.640226245695895e-17, 0.1, 0.9800514869094364, 0.9800514869094364),
+    ("tas-sc", 2, 1, 1):
+        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776),
+    ("tas-sc", 2, 2, 3):
+        (0.0016307123268226166, 0.1, 0.3666778357970775, 0.3666778357970776),
+    ("tas-sc", 2, 4, 4):
+        (3.684169568899942e-08, 0.1, 0.3666778357970775, 0.3666778357970776),
+    ("tas-sc", 5, 1, 1):
+        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118),
+    ("tas-sc", 5, 2, 3):
+        (46674.20522318423, 0.1, 0.00760427610605412, 0.007604276106054118),
+    ("tas-sc", 5, 4, 4):
+        (2824046329335.416, 0.1, 0.00760427610605412, 0.007604276106054118),
+    ("tas-sc", 8, 1, 1):
+        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+    ("tas-sc", 8, 2, 3):
+        (745738746391.8025, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+    ("tas-sc", 8, 4, 4):
+        (4.57331612223862e+31, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+}
+
+
+class TestAnalyticBytes:
+    """The analytics reproduce pinned floats bit for bit.
+
+    A refactor that reorders the float operations of the scale, z or a
+    gain (say, (w * 2s/Omega) * ... for w * ((2s/Omega) * ...)) changes
+    the CLI tables and the validation report; these literals catch it.
+    """
+
+    def test_cdf_and_required_snr(self):
+        changed = []
+        for (scheme, n, n_t, n_r, omega), pinned in PINNED_CDF_AND_SNR.items():
+            c = cfg(n=n, n_t=n_t, n_r=n_r, omega=omega)
+            got = (
+                postproc_cdf(Scheme(scheme), 0.1, c),
+                postproc_cdf(Scheme(scheme), 2.0, c),
+                required_snr(Scheme(scheme), 1e-3, OutageQuery(threshold=1.0), c),
+            )
+            if list(map(repr, got)) != list(map(repr, pinned)):
+                changed.append(((scheme, n, n_t, n_r, omega), got))
+        assert changed == []
+
+    def test_asymptote_and_coding_gain(self):
+        changed = []
+        for (scheme, n, n_t, n_r), pinned in PINNED_ASYMPTOTE_AND_GAIN.items():
+            for omega in (None, 1.0):
+                c = cfg(n=n, n_t=n_t, n_r=n_r, omega=omega)
+                value, form = outage_asymptotic(Scheme(scheme), OutageQuery(threshold=1.0), c)
+                gain = coding_gain(Scheme(scheme), c)
+                got = (value, form.z, gain.printed, gain.extracted)
+                if list(map(repr, got)) != list(map(repr, pinned)):
+                    changed.append(((scheme, n, n_t, n_r, omega), got))
+        assert changed == []
