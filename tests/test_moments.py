@@ -9,7 +9,6 @@ from nrayleigh.moments import (
     CAPTION_COEFFS,
     NonPhysicalMomentError,
     WeightingCoefficients,
-    _moment_sum,
     af_bound_tas_mrc,
     af_simo,
     af_siso,
@@ -138,11 +137,6 @@ class TestMomentFormulas:
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             moment_tas_mrc(0, cfg(), default_weights(2))
-
-    def test_moment_sum_exponent_cap(self):
-        # The moment expansion is validated for exponents up to 64 only.
-        with pytest.raises(ValueError, match="n <= 64"):
-            _moment_sum(1, 1.6467, 65, 1.0, 2, 1.5, per_term_weights=True)
 
 
 class TestAmountOfFading:

@@ -1,10 +1,6 @@
-"""Post-processing SNR analytics: distributions, outage, asymptotics, gains,
-and the log-space incomplete gamma every one of them goes through."""
+"""Post-processing SNR analytics: distributions, outage, asymptotics, gains."""
 
-import importlib.util
-import json
 import math
-import pathlib
 
 import pytest
 from scipy import special
@@ -15,7 +11,6 @@ from nrayleigh.schemes import (
     OutageQuery,
     Scheme,
     ConvergenceError,
-    _ln_reg_lower_gamma,
     coding_gain,
     diversity_order,
     outage,
@@ -24,14 +19,7 @@ from nrayleigh.schemes import (
     required_snr,
 )
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-ORACLE_PATH = REPO / "src" / "nrayleigh" / "data" / "reg_lower_gamma_oracle.json"
-GENERATOR_PATH = REPO / "tools" / "generate_gamma_oracle.py"
-
 # mpmath, dps=50
-P_3_3 = 0.57680991887315648467558946697447489863055346638515
-Q_494_20 = 1.5436394306932059711218796777869500309874260095461e-5
-P_25_03 = 0.011996757205906266514706560652025391041073219653665
 ASYM_COEFF_MRC_2X3_N2 = 6617.5570150278958
 CG_EXTRACTED_MRC_2X3_N2 = 0.50549437275247244
 DB_PER_DOUBLING = 3.010299956639812
@@ -306,109 +294,6 @@ class TestRequiredSnr:
             required_snr(Scheme.TAS_MRC, 0.0, q, cfg())
         with pytest.raises(ValueError):
             required_snr(Scheme.TAS_MRC, 1.0, q, cfg())
-
-
-def reg_lower_gamma(a, x):
-    """P(a, x) as the analytics evaluate it."""
-    return math.exp(_ln_reg_lower_gamma(a, x))
-
-
-def reg_upper_gamma(a, x):
-    """Q(a, x) = 1 - P(a, x) from the same log-space value."""
-    return -math.expm1(_ln_reg_lower_gamma(a, x))
-
-
-class TestLnRegLowerGamma:
-    """P(a, x) through ``schemes._ln_reg_lower_gamma``, behind every outage,
-    CDF and moment-oracle evaluation.
-
-    tools/generate_gamma_oracle.py regenerates the frozen table.
-    """
-
-    def test_zero_argument(self):
-        assert _ln_reg_lower_gamma(2.5, 0.0) == -math.inf
-        assert reg_lower_gamma(2.5, 0.0) == 0.0
-        assert reg_upper_gamma(2.5, 0.0) == 1.0
-
-    def test_exponential_closed_form(self):
-        # P(1, x) = 1 - exp(-x).
-        for x in (0.01, 0.5, 1.0, 3.0, 10.0, 40.0):
-            assert reg_lower_gamma(1.0, x) == pytest.approx(-math.expm1(-x), abs=1e-12)
-            assert reg_upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-10)
-
-    def test_series_oracle_values(self):
-        assert reg_lower_gamma(3.0, 3.0) == pytest.approx(P_3_3, abs=1e-12)
-        assert reg_upper_gamma(4.94, 20.0) == pytest.approx(Q_494_20, rel=1e-9)
-        assert reg_lower_gamma(2.5, 0.3) == pytest.approx(P_25_03, abs=1e-12)
-
-    def test_frozen_oracle_table(self):
-        table = json.loads(ORACLE_PATH.read_text())
-        worst = 0.0
-        for entry in table["entries"]:
-            err = abs(reg_lower_gamma(entry["a"], entry["x"]) - entry["p"])
-            worst = max(worst, err)
-        assert worst <= 1e-10
-
-    def test_integer_shape_closed_form(self):
-        # P(a, x) = 1 - exp(-x) sum_{k<a} x^k/k! for integer a.
-        for a in (1, 2, 3, 5, 8):
-            for x in (0.2, 1.0, 2.5, 7.0, 15.0):
-                partial = sum(x**k / math.factorial(k) for k in range(a))
-                expected = 1.0 - math.exp(-x) * partial
-                assert reg_lower_gamma(float(a), x) == pytest.approx(
-                    expected, abs=1e-10
-                )
-
-    @pytest.mark.parametrize("a", [0.5, 1.6467, 4.9401, 10.0])
-    def test_monotone_in_x(self, a):
-        xs = [i * 30.0 / 999 for i in range(1000)]
-        values = [reg_lower_gamma(a, x) for x in xs]
-        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
-        assert all(0.0 <= v <= 1.0 for v in values)
-
-    def test_complement_identity(self):
-        # Both branches of the log-space P agree with scipy's own Q.
-        for a in (0.5, 1.0, 1.6467, 4.9401, 10.0, 25.0):
-            for x in (0.0, 0.3, 1.0, a, a + 1.0, 3 * a + 5.0, 80.0):
-                p = reg_lower_gamma(a, x)
-                q = float(special.gammaincc(a, x))
-                assert abs(p + q - 1.0) <= 1e-12
-
-    def test_log_form_matches_both_tails(self):
-        # Deep lower tail: ln P must stay accurate far below double range of
-        # P**k.  Expansion: ln P = a ln x - x - ln G(a+1) + ln(1 + x/(a+1) + ...).
-        ln_p = _ln_reg_lower_gamma(25.0, 0.01)
-        expected = 25.0 * math.log(0.01) - 0.01 - math.lgamma(26.0) + math.log1p(0.01 / 26.0)
-        assert ln_p == pytest.approx(expected, abs=1e-6)
-        # Near saturation ln P ~ -Q; abs=0 so that pytest's default 1e-12
-        # absolute slack cannot hide a log(P) that lost Q to rounding.
-        assert _ln_reg_lower_gamma(1.0, 30.0) == pytest.approx(
-            -math.exp(-30.0), rel=1e-6, abs=0.0
-        )
-
-    @pytest.mark.parametrize(
-        "a,x",
-        [
-            (0.0, 1.0), (-2.0, 1.0), (1.0, -0.5),
-            # ln Gamma(a) sits in the prefactor; a shape outside its finite
-            # positive domain is refused, not turned into nan.
-            (-1.0, 1.0), (-0.5, 1.0), (math.inf, 1.0), (math.nan, 1.0),
-        ],
-    )
-    def test_domain_errors(self, a, x):
-        with pytest.raises(ValueError):
-            _ln_reg_lower_gamma(a, x)
-
-    def test_generator_reproduces_frozen_table(self):
-        # The frozen table is the only independent evidence behind c01:
-        # regenerating it with mpmath must give the committed values exactly.
-        pytest.importorskip("mpmath")
-        spec = importlib.util.spec_from_file_location("generate_gamma_oracle", GENERATOR_PATH)
-        generator = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generator)
-        table = json.loads(ORACLE_PATH.read_text())
-        assert table["dps"] == generator.DPS
-        assert generator.oracle_entries() == table["entries"]
 
 
 # Exact float outputs of the analytics at mean SNR 10 and gamma_o = 1.
