@@ -1,6 +1,7 @@
 """Command-line interface: sweeps, validation report, exit codes."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,21 @@ class TestOutageSweep:
         assert code == cli.EXIT_USAGE
         assert "bogus" in err
 
+    def test_explicit_flag_at_its_default_overrides_config_file(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nt": 3}))
+        code, out, _ = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
+                           "--trials", "0", "--config", str(config), "--nt", "2")
+        assert code == cli.EXIT_OK
+        assert "# n_t=2" in out
+
+    def test_config_file_cannot_name_the_config_option(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"config_path": str(config)}))
+        code, _, err = run(capsys, "outage-sweep", "--trials", "0", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert "config_path" in err
+
 
 class TestValidatedDomain:
     """Cascade orders above fading.MAX_VALIDATED_CASCADE = 8 are refused."""
@@ -307,6 +323,19 @@ class TestValidate:
         # 10 log10(5) per cascade step, far outside any tolerance.
         assert by_id["c03"]["details"]["gaps_db"][0] > 8.0
 
+    def test_seed_and_omega_config_keys(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "validate", "--trials", "2000", "--determinism-trials", "1000",
+            "--config", str(config), "--out", str(report_file),
+        )
+        assert code == cli.EXIT_VALIDATION
+        resolved = json.loads(report_file.read_text())["config"]
+        assert resolved["master_seed"] == 7
+        assert resolved["mrc_omega"] == 1.3
+
     def test_report_round_trips(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
         run(
@@ -368,3 +397,31 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
         assert code == cli.EXIT_USAGE
+
+
+class TestOutputBytes:
+    """sha256 of two small outputs, pinned so that any change to a report
+    or table byte shows.  The digests hold for the numpy/scipy builds the
+    project is tested with (numpy 2.4, scipy 1.17, x86-64); another build
+    may move a float's last digit, so check such a diff before re-pinning."""
+
+    def test_validate_report(self, capsys, tmp_path):
+        report_file = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
+            "--seed", "3", "--out", str(report_file),
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
+            "6be6669785e765eb91a29200ef22518af2a42b66dab83abd2fa928a19c9d98f9"
+        )
+
+    def test_outage_sweep_json(self, capsys):
+        code, out, _ = run(
+            capsys, "outage-sweep", "--n", "2,3", "--trials", "20000", "--rate", "2.5",
+            "--omega", "1.0", "--format", "json",
+        )
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f50c97c3ffae620e2d517215f5e2395c4b0eefc6c5cf7dc7ec84101a5a378f64"
+        )
