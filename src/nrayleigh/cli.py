@@ -11,21 +11,25 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 (including a cascade order above the validated domain n <= 8),
 2 validation failure, 3 numerical non-convergence.
 
-Options may also come from a JSON config file (``--config``); explicit
-flags override file values.
+Option defaults live in the ``click.option`` declarations (``validate``'s
+come from ``ValidationConfig``).  A JSON config file (``--config``, keys
+named like the option parameters) replaces defaults; explicit flags win.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
+from click.core import ParameterSource
 
 from . import montecarlo, moments, schemes, validation
 from .fading import MAX_VALIDATED_CASCADE, fading_params, validate_cascade_order
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
+from .validation import ValidationConfig
 
 __all__ = ["cli", "main"]
 
@@ -113,28 +117,28 @@ def _schemes_for(value: str) -> list[Scheme]:
         raise click.UsageError(f"unknown scheme {value!r}") from None
 
 
-def _load_config_file(path: str | None) -> dict:
+def _resolve(flags: dict, path: str | None) -> dict:
+    """Overlay the JSON config file at ``path`` on ``flags``: a file value
+    replaces only a parameter at its default, so an explicit flag wins even
+    when it equals the default.  Keys must name parameters (not ``--config``).
+    """
     if path is None:
-        return {}
+        return flags
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            file_values = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(data, dict):
+    if not isinstance(file_values, dict):
         raise click.UsageError(f"config file {path} must contain a JSON object")
-    return data
-
-
-def _resolve(flags: dict, file_values: dict, defaults: dict) -> dict:
-    """File values override defaults; explicit flags override both."""
-    unknown = set(file_values) - set(defaults)
+    unknown = set(file_values) - set(flags)
     if unknown:
         raise click.UsageError(f"unknown config file keys: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(file_values)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return merged
+    ctx = click.get_current_context()
+    for name, value in file_values.items():
+        if ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
+            flags[name] = value
+    return flags
 
 
 def _fmt(value) -> str:
@@ -195,10 +199,7 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
     )
     click.echo(header)
     for n in orders:
-        try:
-            cfg = ChannelConfig(n=n, n_t=nt, n_r=nr, mean_snr=1.0)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+        cfg = ChannelConfig(n=n, n_t=nt, n_r=nr, mean_snr=1.0)
         fp = fading_params(n)
         for scheme in (Scheme.TAS_MRC, Scheme.TAS_SC):
             d = schemes.diversity_order(scheme, cfg)
@@ -210,32 +211,24 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
 
 
 @cli.command("outage-sweep")
-@click.option("--scheme", default=None, help="tas-mrc, tas-sc or both.")
-@click.option("--n", "n_list", default=None, help="Cascade orders, e.g. 2,3,4,5.")
-@click.option("--nt", type=int, default=None, help="Transmit antennas.")
-@click.option("--nr", type=int, default=None, help="Receive antennas.")
-@click.option("--snr-db", default=None, help="Mean-SNR grid start:stop:step in dB.")
+@click.option("--scheme", default="both", help="tas-mrc, tas-sc or both.")
+@click.option("--n", "n_list", default="2,3,4,5", help="Cascade orders, e.g. 2,3,4,5.")
+@click.option("--nt", type=int, default=2, help="Transmit antennas.")
+@click.option("--nr", type=int, default=3, help="Receive antennas.")
+@click.option("--snr-db", default="0:30:2", help="Mean-SNR grid start:stop:step in dB.")
 @click.option("--rate", type=float, default=None, help="Target rate R; threshold 2^R-1.")
 @click.option("--gamma-o", type=float, default=None, help="Outage threshold (linear).")
-@click.option("--trials", type=int, default=None, help="Monte-Carlo trials (0 = analytics only).")
-@click.option("--seed", type=int, default=None, help="Master seed.")
+@click.option("--trials", type=int, default=1_000_000,
+              help="Monte-Carlo trials (0 = analytics only).")
+@click.option("--seed", type=int, default=1, help="Master seed.")
 @click.option("--omega", type=float, default=None, help="Calibration override for both schemes.")
-@click.option("--workers", type=int, default=None, help="Worker threads.")
+@click.option("--workers", type=int, default=1, help="Worker threads.")
 @click.option("--out", default=None, help="Output path (default: stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
 def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     """Outage probability sweep: analytic, asymptotic and empirical columns."""
-    opts = _resolve(
-        flags,
-        _load_config_file(config_path),
-        {
-            "scheme": "both", "n_list": "2,3,4,5", "nt": 2, "nr": 3,
-            "snr_db": "0:30:2", "rate": None, "gamma_o": None, "trials": 1_000_000,
-            "seed": 1, "omega": None, "workers": 1,
-            "out": None, "fmt": "csv",
-        },
-    )
+    opts = _resolve(flags, config_path)
     if opts["rate"] is not None and opts["gamma_o"] is not None:
         raise click.UsageError("provide at most one of --rate / --gamma-o")
     if opts["rate"] is not None:
@@ -306,58 +299,39 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
 
 
 @cli.command("af-sweep")
-@click.option("--scheme", default=None, help="tas-mrc, tas-sc or both.")
-@click.option("--n", "n_list", default=None, help="Cascade orders, e.g. 2,3,4,5,6.")
-@click.option("--nt", type=int, default=None, help="Transmit antennas.")
-@click.option("--nr", type=int, default=None, help="Receive antennas.")
-@click.option("--snr-db", default=None, help="Mean SNR in dB (AF is invariant to it).")
+@click.option("--scheme", default="both", help="tas-mrc, tas-sc or both.")
+@click.option("--n", "n_list", default="2,3,4,5,6", help="Cascade orders, e.g. 2,3,4,5,6.")
+@click.option("--nt", type=int, default=2, help="Transmit antennas.")
+@click.option("--nr", type=int, default=2, help="Receive antennas.")
 @click.option("--b1", type=float, default=None, help="TAS/MRC weighting override.")
 @click.option("--b2", type=float, default=None, help="TAS/SC weighting override.")
-@click.option("--trials", type=int, default=None, help="Monte-Carlo trials (0 = analytics only).")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--workers", type=int, default=None, help="Worker threads.")
+@click.option("--trials", type=int, default=1_000_000,
+              help="Monte-Carlo trials (0 = analytics only).")
+@click.option("--seed", type=int, default=1, help="Master seed.")
+@click.option("--workers", type=int, default=1, help="Worker threads.")
 @click.option("--out", default=None, help="Output path (default: stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
 def cmd_af_sweep(config_path: str | None, **flags) -> None:
     """Amount-of-fading table: closed form, bound, quadrature oracle, Monte-Carlo."""
-    opts = _resolve(
-        flags,
-        _load_config_file(config_path),
-        {
-            "scheme": "both", "n_list": "2,3,4,5,6", "nt": 2, "nr": 2,
-            "snr_db": "10", "b1": None, "b2": None, "trials": 1_000_000,
-            "seed": 1, "workers": 1,
-            "out": None, "fmt": "csv",
-        },
-    )
+    opts = _resolve(flags, config_path)
     scheme_list = _schemes_for(opts["scheme"])
     orders = _parse_n_list(opts["n_list"])
-    snr_grid = _parse_snr_grid(opts["snr_db"]) if isinstance(opts["snr_db"], str) else [float(opts["snr_db"])]
-    # Every AF column is invariant to the mean SNR; computing at a unit
-    # reference scale makes that invariance exact in the emitted bytes.
-    mean_snr = 1.0
     trials = int(opts["trials"])
 
-    weights: dict[int, moments.WeightingCoefficients] = {}
-    for n in orders:
-        if opts["b1"] is not None and opts["b2"] is not None:
-            weights[n] = moments.WeightingCoefficients(b1=opts["b1"], b2=opts["b2"])
-        else:
-            try:
-                defaults = moments.default_weights(n)
-            except ValueError as exc:
-                raise click.UsageError(str(exc)) from None
-            weights[n] = moments.WeightingCoefficients(
-                b1=opts["b1"] if opts["b1"] is not None else defaults.b1,
-                b2=opts["b2"] if opts["b2"] is not None else defaults.b2,
-            )
+    overrides = {b: opts[b] for b in ("b1", "b2") if opts[b] is not None}
+    weights = {
+        n: moments.WeightingCoefficients(**overrides) if len(overrides) == 2
+        else replace(moments.default_weights(n), **overrides)
+        for n in orders
+    }
 
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
+        # Every AF column is invariant to the mean SNR, so none is an input.
         cfg = ChannelConfig(
-            n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=mean_snr, calibration_omega=1.0
+            n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0, calibration_omega=1.0
         )
         estimates = None
         if trials > 0:
@@ -391,7 +365,6 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         "schemes": ",".join(s.value for s in scheme_list),
         "n_list": ",".join(str(n) for n in orders),
         "n_t": opts["nt"], "n_r": opts["nr"],
-        "mean_snr_db": snr_grid[0],
         "weighting_coefficients": ";".join(
             f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
         ),
@@ -401,27 +374,22 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
 
 
 @cli.command("validate")
-@click.option("--trials", type=int, default=None, help="Monte-Carlo trials per criterion.")
-@click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--workers", type=int, default=None, help="Worker threads.")
-@click.option("--gamma-o", type=float, default=None, help="Outage threshold (linear).")
-@click.option("--omega", type=float, default=None, help="TAS/MRC calibration override.")
-@click.option("--determinism-trials", type=int, default=None,
+@click.option("--trials", type=int, default=ValidationConfig.trials,
+              help="Monte-Carlo trials per criterion.")
+@click.option("--seed", type=int, default=ValidationConfig.master_seed, help="Master seed.")
+@click.option("--workers", type=int, default=ValidationConfig.workers, help="Worker threads.")
+@click.option("--gamma-o", type=float, default=ValidationConfig.gamma_o,
+              help="Outage threshold (linear).")
+@click.option("--omega", type=float, default=ValidationConfig.mrc_omega,
+              help="TAS/MRC calibration override.")
+@click.option("--determinism-trials", type=int, default=ValidationConfig.determinism_trials,
               help="Trials for the worker-count determinism probe.")
 @click.option("--out", default=None, help="Report path (default: stdout).")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
 def cmd_validate(config_path: str | None, **flags) -> None:
     """Run the acceptance suite and emit the JSON validation report."""
-    opts = _resolve(
-        flags,
-        _load_config_file(config_path),
-        {
-            "trials": 1_000_000, "seed": 1, "workers": 1,
-            "gamma_o": 1.0, "omega": 1.176, "determinism_trials": 120_000,
-            "out": None,
-        },
-    )
-    config = validation.ValidationConfig(
+    opts = _resolve(flags, config_path)
+    config = ValidationConfig(
         trials=int(opts["trials"]),
         master_seed=int(opts["seed"]),
         workers=int(opts["workers"]),
@@ -463,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"numerical non-convergence: {exc}", err=True)
         return EXIT_NUMERIC
     except ValueError as exc:
-        # Domain errors from the library surface as usage problems.
+        # Domain errors from the library (a bad antenna count, no fitted
+        # coefficients for n) surface as usage problems.
         click.echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
     return EXIT_OK

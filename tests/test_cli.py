@@ -259,20 +259,19 @@ class TestAfSweep:
             else:
                 assert parts[bound_idx] == ""
 
-    def test_af_invariant_to_mean_snr(self, capsys, tmp_path):
-        outputs = []
-        for snr in ("0", "20"):
-            out_file = tmp_path / f"af{snr}.csv"
-            run(
-                capsys, "af-sweep", "--n", "2", "--snr-db", snr, "--trials", "5000",
-                "--out", str(out_file),
-            )
-            rows = [
-                l for l in out_file.read_text().splitlines()
-                if not l.startswith("#") and not l.startswith("scheme")
-            ]
-            outputs.append(rows)
-        assert outputs[0] == outputs[1]
+    # AF is invariant to the mean SNR, so af-sweep takes none as input.
+    def test_snr_db_flag_is_removed(self, capsys):
+        code, _, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0", "--snr-db", "10")
+        assert code == cli.EXIT_USAGE
+        assert "--snr-db" in err
+
+    def test_snr_db_config_key_is_removed(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"snr_db": "10"}))
+        code, _, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0",
+                           "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert "snr_db" in err
 
 
 class TestValidate:
