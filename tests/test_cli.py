@@ -424,3 +424,17 @@ class TestOutputBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f50c97c3ffae620e2d517215f5e2395c4b0eefc6c5cf7dc7ec84101a5a378f64"
         )
+
+    def test_deep_cascade_sweep_csv(self, capsys):
+        # 4x4 blocks hold 26214/21845/18724/16384 trials at n = 5..8, so
+        # 30000 trials leave 22428, 13690, 7448 and 2768 trials of the
+        # final block unread: both sides of the kernel's choice between
+        # per-slot reads and one block read.
+        code, out, _ = run(
+            capsys, "outage-sweep", "--n", "5,6,7,8", "--nt", "4", "--nr", "4",
+            "--snr-db", "0:40:10", "--trials", "30000", "--seed", "1",
+        )
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f3b76372d53de8465a94d28cc163ded0ce99639ff74d32beb4f47ee8dda912ab"
+        )
