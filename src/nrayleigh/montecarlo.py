@@ -15,7 +15,10 @@ One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
 counts (``empirical_cdf_pair``) or power sums (``estimate_moments_af``).
 A block reads at most 2^21 draws, which bounds chunk memory for any
-(n, n_t, n_r); a final partial block is generated in full and truncated.
+(n, n_t, n_r).  Because every position is addressed, the kernel generates
+only the draws it uses: a final partial block that leaves at least
+``_SLOT_READ_MIN_UNREAD`` trials unread reads the head of each slot row
+separately, and any other block is read with one positioned call.
 Block partials are combined in trial order, so every estimate is a pure
 function of (cfg, trials, master_seed) - independent of the worker count
 - and TAS/MRC and TAS/SC share channel realizations exactly.
@@ -50,6 +53,9 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # A block holds at most this many trials and this many stream draws.
 _CHUNK_TRIALS = 65536
 _CHUNK_DRAWS = 2**21
+# A positioned read costs about as much as 2500 draws, so a block that
+# leaves at least this many trials unread reads only its slot-row heads.
+_SLOT_READ_MIN_UNREAD = 4096
 
 
 @dataclass(frozen=True)
@@ -94,24 +100,24 @@ class MomentsAfEstimate:
     af: EmpiricalEstimate
 
 
-def _raw_uniforms(master_seed: int, start_draw: int, count: int) -> np.ndarray:
-    """Doubles in [0, 1) at absolute stream positions
-    [start_draw, start_draw + count).
+def _uniforms(master_seed: int, start_draw: int, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous float64 array ``out`` with the doubles in [0, 1)
+    at absolute stream positions [start_draw, start_draw + out.size) and
+    return it.
 
     Philox advances in blocks of four 64-bit outputs, so the stream is
     positioned at the enclosing block boundary and the in-block remainder
-    is discarded.  The conversion reuses the raw output's memory.
+    is discarded.  ``Generator.random`` maps each 64-bit word w to
+    (w >> 11) * 2^-53 in one pass.
     """
     bitgen = np.random.Philox(master_seed)
     counter, rem = divmod(start_draw, 4)
     if counter:
         bitgen.advance(counter)
-    raw = bitgen.random_raw(rem + count)[rem:]
-    raw >>= np.uint64(11)
-    u = raw.view(np.float64)
-    u[...] = raw.view(np.int64)  # 53-bit integers convert exactly
-    u *= 2.0**-53
-    return u
+    if rem:
+        bitgen.random_raw(rem)
+    np.random.Generator(bitgen).random(out=out)
+    return out
 
 
 def _draws_per_trial(cfg: ChannelConfig) -> int:
@@ -132,19 +138,33 @@ def _chunk_selected(
     TAS/SC: the single largest coefficient power.  Each hop power is a
     unit-mean exponential, -log1p(-u), of its uniform.  Hops are >= 2^-53
     or exactly 0, so a product of at most 8 cannot underflow.
+
+    Only the draws the trials use are generated: a block that leaves at
+    least ``_SLOT_READ_MIN_UNREAD`` trials unread reads the first ``count``
+    positions of each slot row on its own, any other block is read whole.
     """
     width = _chunk_trials(cfg)
     d = _draws_per_trial(cfg)
-    u = _raw_uniforms(master_seed, block * width * d, width * d)
-    hops = u.reshape(cfg.n_t, cfg.n_r, cfg.n, width)[..., :count]
+    if width - count >= _SLOT_READ_MIN_UNREAD:
+        u = np.empty((d, count))
+        for j in range(d):
+            _uniforms(master_seed, (block * d + j) * width, u[j])
+        hops = u.reshape(cfg.n_t, cfg.n_r, cfg.n, count)
+    else:
+        u = _uniforms(master_seed, block * width * d, np.empty(width * d))
+        hops = u.reshape(cfg.n_t, cfg.n_r, cfg.n, width)[..., :count]
     np.negative(hops, out=hops)
     np.log1p(hops, out=hops)
-    np.negative(hops, out=hops)
-    # powers and combined are views into hops, updated in place, so TAS/SC
-    # must be taken before the receive sum overwrites powers[:, 0].
+    # hops hold log1p(-u) <= 0, so their product carries the sign (-1)^n;
+    # negating it for odd n gives the same bits as multiplying -log1p(-u),
+    # since IEEE rounding is symmetric in sign.  powers and combined are
+    # views into hops, updated in place, so TAS/SC must be taken before the
+    # receive sum overwrites powers[:, 0].
     powers = hops[:, :, 0]
     for k in range(1, cfg.n):
         powers *= hops[:, :, k]
+    if cfg.n % 2:
+        np.negative(powers, out=powers)
     tas_sc = powers.max(axis=(0, 1))
     combined = powers[:, 0]
     for r in range(1, cfg.n_r):

@@ -1,6 +1,7 @@
 """Monte-Carlo engine: stream addressing, determinism, distributional checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nrayleigh.montecarlo import (
     SimSettings,
     _chunk_selected,
     _chunk_trials,
-    _raw_uniforms,
+    _uniforms,
     empirical_cdf_pair,
     estimate_moments_af,
 )
@@ -25,6 +26,10 @@ def cfg(n=2, n_t=2, n_r=3, mean_snr=10.0):
 
 def draws_per_trial(c):
     return c.n * c.n_t * c.n_r
+
+
+def uniforms(seed, start_draw, count):
+    return _uniforms(seed, start_draw, np.empty(count))
 
 
 def rebuild(c, seed, trials):
@@ -47,13 +52,13 @@ def rebuild(c, seed, trials):
 def record_reads(monkeypatch):
     """(start_draw, count) of every stream read the engine makes."""
     reads = []
-    original = montecarlo._raw_uniforms
+    original = montecarlo._uniforms
 
-    def spy(master_seed, start_draw, count):
-        reads.append((start_draw, count))
-        return original(master_seed, start_draw, count)
+    def spy(master_seed, start_draw, out):
+        reads.append((start_draw, out.size))
+        return original(master_seed, start_draw, out)
 
-    monkeypatch.setattr(montecarlo, "_raw_uniforms", spy)
+    monkeypatch.setattr(montecarlo, "_uniforms", spy)
     return reads
 
 
@@ -69,22 +74,22 @@ class TestUniformStream:
         # The stream is counter-addressed: reading from position p must
         # reproduce the tail of a longer read from position 0, for
         # positions that hit every block-alignment case.
-        full = _raw_uniforms(12345, 0, 1000)
+        full = uniforms(12345, 0, 1000)
         for pos in (1, 2, 3, 4, 5, 37, 511, 997):
-            tail = _raw_uniforms(12345, pos, 1000 - pos)
+            tail = uniforms(12345, pos, 1000 - pos)
             assert np.array_equal(full[pos:], tail)
 
     def test_sequential_takes_are_contiguous(self):
-        a = _raw_uniforms(99, 0, 13)
-        b = _raw_uniforms(99, 13, 29)
-        combined = _raw_uniforms(99, 0, 42)
+        a = uniforms(99, 0, 13)
+        b = uniforms(99, 13, 29)
+        combined = uniforms(99, 0, 42)
         assert np.array_equal(np.concatenate([a, b]), combined)
 
     def test_range_and_determinism(self):
-        u = _raw_uniforms(7, 0, 100_000)
+        u = uniforms(7, 0, 100_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
-        assert np.array_equal(u, _raw_uniforms(7, 0, 100_000))
-        assert not np.array_equal(u[:50_000], _raw_uniforms(8, 0, 50_000))
+        assert np.array_equal(u, uniforms(7, 0, 100_000))
+        assert not np.array_equal(u[:50_000], uniforms(8, 0, 50_000))
 
     def test_validation(self):
         # The master seed is the 64-bit Philox key: seeds outside it are
@@ -94,8 +99,20 @@ class TestUniformStream:
         with pytest.raises(ValueError):
             SimSettings(trials=1, master_seed=2**64)
         top = SimSettings(trials=1, master_seed=2**64 - 1)
-        u = _raw_uniforms(top.master_seed, 0, 8)
+        u = uniforms(top.master_seed, 0, 8)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 3, 5 * 2**21 + 1])
+    def test_doubles_are_top_53_bits_of_philox_words(self, seed, start):
+        # Position p holds (w >> 11) * 2^-53 for the p-th 64-bit word w of
+        # Philox keyed by the seed.
+        bitgen = np.random.Philox(seed)
+        counter, rem = divmod(start, 4)
+        bitgen.advance(counter)
+        words = bitgen.random_raw(rem + 1000)[rem:]
+        expected = (words >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(uniforms(seed, start, 1000), expected)
 
 
 class TestChannelCoefficient:
@@ -152,21 +169,63 @@ class TestChannelCoefficient:
         check(c, 5, [(0, 997), (1, 997), (2, 500), (3, 1)])
 
     def test_draw_budget(self, monkeypatch):
-        # Block b reads exactly the draws [b*B*D, (b+1)*B*D), also when it
-        # is truncated, and reproduces the rebuild of those trials.
+        # A block reads only the draws its trials use.  One that leaves
+        # fewer than _SLOT_READ_MIN_UNREAD trials unread reads the whole
+        # block [b*B*D, (b+1)*B*D) once; any other reads the first `count`
+        # positions of each slot row j, from (b*D + j)*B.  Either way it
+        # reproduces the rebuild of those trials.
         reads = record_reads(monkeypatch)
-        for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
+
+        def check(c, seed, blocks):
             width = _chunk_trials(c)
             d = draws_per_trial(c)
-            reference = rebuild(c, 1, 2 * width)
-            for block, count in ((0, 1), (0, 199), (1, 64), (1, width)):
+            reference = rebuild(c, seed, 3 * width)
+            for block, count in blocks:
                 reads.clear()
-                selected = _chunk_selected(c, 1, block, count)
-                assert reads == [(block * width * d, width * d)]
+                selected = _chunk_selected(c, seed, block, count)
+                if width - count >= montecarlo._SLOT_READ_MIN_UNREAD:
+                    assert reads == [((block * d + j) * width, count) for j in range(d)]
+                else:
+                    assert reads == [(block * width * d, width * d)]
                 first = block * width
                 for s in Scheme:
                     assert np.array_equal(selected[s], reference[s][first:first + count])
 
+        # 65536-trial blocks: slot heads, then both sides of the threshold.
+        for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
+            check(c, 1, [(0, 1), (0, 199), (1, 64), (1, 61440), (1, 61441), (1, 65536)])
+        # Every order, so both sign paths: 6001-trial blocks make slot rows
+        # start inside a 4-draw Philox block; 1905 trials leave exactly
+        # 4096 unread, 1906 leave 4095.
+        for n in range(1, 9):
+            c = cfg(n=n, n_t=2, n_r=2)
+            monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 6001 * draws_per_trial(c))
+            assert _chunk_trials(c) == 6001
+            check(c, 3, [(0, 6001), (1, 1905), (1, 1906), (2, 7)])
+        # 997-trial blocks of D = 9 draws, with the threshold lowered so
+        # that their unaligned slot rows are also read one at a time.
+        c = cfg(n=3, n_t=1, n_r=3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 997 * draws_per_trial(c))
+        monkeypatch.setattr(montecarlo, "_SLOT_READ_MIN_UNREAD", 500)
+        assert _chunk_trials(c) == 997
+        check(c, 5, [(0, 997), (1, 1), (1, 497), (1, 498), (2, 500)])
+
+    @pytest.mark.parametrize("count", [65536, 54464, 4])
+    def test_peak_memory_is_one_block(self, count):
+        # One call holds at most the B*D block doubles and the two B-trial
+        # results, plus numpy's reduction buffers; per-slot reads fill one
+        # (D, count) buffer instead of joining D separate rows.
+        c = cfg(n=4)
+        width, d = _chunk_trials(c), draws_per_trial(c)
+        assert width == 65536
+        _chunk_selected(c, 2, 1, count)  # warm up numpy and Philox
+        tracemalloc.start()
+        try:
+            _chunk_selected(c, 2, 1, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * width * (d + 2) + 64 * 1024
 
 class TestLayoutPin:
     """Frozen outputs of stream layout v2 at seed 2017.
