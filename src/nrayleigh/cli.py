@@ -49,6 +49,11 @@ _AF_COLUMNS = [
 ]
 
 
+# Parameters whose config-file value may also be a JSON list; their
+# commands parse them.
+_LIST_PARAMS = ("n_list", "snr_db")
+
+
 class ValidationFailure(Exception):
     """Raised by the validate command when criteria fail."""
 
@@ -121,6 +126,11 @@ def _resolve(flags: dict, path: str | None) -> dict:
     """Overlay the JSON config file at ``path`` on ``flags``: a file value
     replaces only a parameter at its default, so an explicit flag wins even
     when it equals the default.  Keys must name parameters (not ``--config``).
+
+    A value is read as the text of its flag would be, so 3 and "3" give
+    the same integer while 1.5 or true for an integer is refused; null is
+    accepted only where the default is None.  ``_LIST_PARAMS`` values pass
+    through unconverted.
     """
     if path is None:
         return flags
@@ -135,9 +145,20 @@ def _resolve(flags: dict, path: str | None) -> dict:
     if unknown:
         raise click.UsageError(f"unknown config file keys: {sorted(unknown)}")
     ctx = click.get_current_context()
+    params = {param.name: param for param in ctx.command.params}
     for name, value in file_values.items():
-        if ctx.get_parameter_source(name) is ParameterSource.DEFAULT:
-            flags[name] = value
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            continue
+        param = params[name]
+        if value is None:
+            if param.default is not None:
+                raise click.UsageError(f"config file key {name!r} cannot be null")
+        elif name not in _LIST_PARAMS:
+            try:
+                value = param.type.convert(str(value), param, ctx)
+            except click.BadParameter as exc:
+                raise click.UsageError(f"config file key {name!r}: {exc.message}") from None
+        flags[name] = value
     return flags
 
 
@@ -239,7 +260,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     scheme_list = _schemes_for(opts["scheme"])
     orders = _parse_n_list(opts["n_list"])
     grid_db = _parse_snr_grid(opts["snr_db"]) if isinstance(opts["snr_db"], str) else list(opts["snr_db"])
-    trials = int(opts["trials"])
+    trials = opts["trials"]
 
     rows: list[dict] = []
     for n in orders:
@@ -247,7 +268,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
         points = sorted((gamma_o / 10.0 ** (db / 10.0), db) for db in grid_db)
         if trials > 0:
             settings = SimSettings(
-                trials=trials, master_seed=int(opts["seed"]), workers=int(opts["workers"])
+                trials=trials, master_seed=opts["seed"], workers=opts["workers"]
             )
             sim_cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
             estimates = montecarlo.empirical_cdf_pair(
@@ -271,7 +292,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                     "snr_db": db, "gamma_o": gamma_o, "p_out_analytic": analytic,
                     "p_out_asymptotic": asymptotic, "p_out_mc": None,
                     "ci_low": None, "ci_high": None, "trials": trials,
-                    "seed": int(opts["seed"]), "low_confidence": None,
+                    "seed": opts["seed"], "low_confidence": None,
                 }
                 if estimates is not None:
                     est = estimates[scheme][idx]
@@ -292,7 +313,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
         else schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC],
         "omega_tas_sc": opts["omega"] if opts["omega"] is not None
         else schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC],
-        "trials": trials, "seed": int(opts["seed"]),
+        "trials": trials, "seed": opts["seed"],
         "snr_grid_db": opts["snr_db"],
     }
     _emit_table(_OUTAGE_COLUMNS, rows, header_config, opts["fmt"], opts["out"])
@@ -317,7 +338,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
     opts = _resolve(flags, config_path)
     scheme_list = _schemes_for(opts["scheme"])
     orders = _parse_n_list(opts["n_list"])
-    trials = int(opts["trials"])
+    trials = opts["trials"]
 
     overrides = {b: opts[b] for b in ("b1", "b2") if opts[b] is not None}
     weights = {
@@ -336,7 +357,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         estimates = None
         if trials > 0:
             settings = SimSettings(
-                trials=trials, master_seed=int(opts["seed"]), workers=int(opts["workers"])
+                trials=trials, master_seed=opts["seed"], workers=opts["workers"]
             )
             estimates = montecarlo.estimate_moments_af(cfg, settings)
         for scheme in scheme_list:
@@ -368,7 +389,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         "weighting_coefficients": ";".join(
             f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
         ),
-        "trials": trials, "seed": int(opts["seed"]),
+        "trials": trials, "seed": opts["seed"],
     }
     _emit_table(_AF_COLUMNS, rows, header_config, opts["fmt"], opts["out"])
 
@@ -390,12 +411,12 @@ def cmd_validate(config_path: str | None, **flags) -> None:
     """Run the acceptance suite and emit the JSON validation report."""
     opts = _resolve(flags, config_path)
     config = ValidationConfig(
-        trials=int(opts["trials"]),
-        master_seed=int(opts["seed"]),
-        workers=int(opts["workers"]),
-        gamma_o=float(opts["gamma_o"]),
-        mrc_omega=float(opts["omega"]),
-        determinism_trials=int(opts["determinism_trials"]),
+        trials=opts["trials"],
+        master_seed=opts["seed"],
+        workers=opts["workers"],
+        gamma_o=opts["gamma_o"],
+        mrc_omega=opts["omega"],
+        determinism_trials=opts["determinism_trials"],
     )
     report = validation.build_report(config)
     _write_output(validation.report_to_json(report), opts["out"])

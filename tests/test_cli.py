@@ -179,6 +179,49 @@ class TestOutageSweep:
         assert code == cli.EXIT_OK
         assert "# n_t=2" in out
 
+    @pytest.mark.parametrize("file_values,flags", [
+        ({"omega": "1.2", "trials": 0}, ["--omega", "1.2", "--trials", "0"]),
+        ({"gamma_o": 1, "trials": "2000"}, ["--gamma-o", "1", "--trials", "2000"]),
+        ({"omega": None, "out": None, "trials": 0}, ["--trials", "0"]),
+    ])
+    def test_config_values_are_read_like_flag_text(self, capsys, tmp_path, file_values, flags):
+        # An integer, float or choice value converts through its option's
+        # type, and null stands for a None default.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(file_values))
+        base = ["outage-sweep", "--n", "2", "--snr-db", "0:10:5"]
+        code, from_file, _ = run(capsys, *base, "--config", str(config))
+        assert code == cli.EXIT_OK
+        assert from_file == run(capsys, *base, *flags)[1]
+
+    def test_config_file_lists_for_orders_and_snr_grid(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_list": [2, 3], "snr_db": [0, 5], "trials": 0}))
+        code, out, _ = run(capsys, "outage-sweep", "--config", str(config))
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert {(r["n"], r["snr_db"]) for r in rows} == {
+            (n, db) for n in ("2", "3") for db in ("0", "5")
+        }
+
+    @pytest.mark.parametrize("command,file_values,key", [
+        ("outage-sweep", {"seed": None}, "seed"),
+        ("outage-sweep", {"fmt": "xml", "trials": 0}, "fmt"),
+        ("outage-sweep", {"trials": 1.5}, "trials"),
+        ("af-sweep", {"nt": True, "trials": 0}, "nt"),
+        ("af-sweep", {"scheme": ["tas-mrc"], "trials": 0}, "scheme"),
+        ("validate", {"omega": None}, "omega"),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(
+        self, capsys, tmp_path, command, file_values, key
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(file_values))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and key in err
+        assert out == ""
+
     def test_config_file_cannot_name_the_config_option(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"config_path": str(config)}))

@@ -382,7 +382,7 @@ class TestDeterminism:
     def test_chunk_holds_at_most_2_21_draws(self, monkeypatch):
         # Every D <= 32 keeps 65536-trial blocks, 4x4 at n = 5..8 is
         # draw-capped, and 16x16, n = 8 (D = 2048) holds 1024 trials; the
-        # truncated final block is read in full.
+        # final block leaves 1023 < 4096 trials unread, so it is read whole.
         assert _chunk_trials(cfg(n=8, n_t=2, n_r=2)) == 65536
         assert _chunk_trials(cfg(n=5, n_t=2, n_r=3)) == 65536
         assert _chunk_trials(cfg(n=3, n_t=1, n_r=11)) < 65536
