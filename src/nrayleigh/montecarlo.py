@@ -15,8 +15,8 @@ One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
 counts (``empirical_cdf_pair``) or power sums (``estimate_moments_af``).
 A block reads at most 2^21 draws, which bounds chunk memory for any
-(n, n_t, n_r).  Because every position is addressed, the kernel generates
-only the draws it uses: a final partial block that leaves at least
+(n, n_t, n_r).  Because every position is addressed, a final partial
+block need not be generated in full: one that leaves at least
 ``_SLOT_READ_MIN_UNREAD`` trials unread reads the head of each slot row
 separately, and any other block is read with one positioned call.
 Block partials are combined in trial order, so every estimate is a pure
@@ -139,9 +139,9 @@ def _chunk_selected(
     unit-mean exponential, -log1p(-u), of its uniform.  Hops are >= 2^-53
     or exactly 0, so a product of at most 8 cannot underflow.
 
-    Only the draws the trials use are generated: a block that leaves at
-    least ``_SLOT_READ_MIN_UNREAD`` trials unread reads the first ``count``
-    positions of each slot row on its own, any other block is read whole.
+    A block that leaves at least ``_SLOT_READ_MIN_UNREAD`` trials unread
+    reads the first ``count`` positions of each slot row on its own, into
+    one buffer; any other block is read whole.
     """
     width = _chunk_trials(cfg)
     d = _draws_per_trial(cfg)
