@@ -481,3 +481,21 @@ class TestOutputBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f3b76372d53de8465a94d28cc163ded0ce99639ff74d32beb4f47ee8dda912ab"
         )
+
+    def test_params_table(self, capsys):
+        code, out, _ = run(capsys, "params", "--n", "1,2,3,4,5,6,7,8")
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "674ab770ceab1702538054228b676c71d6b46d3071227f2e0842cad10d688830"
+        )
+
+    def test_analytic_outage_sweep_csv(self, capsys):
+        # Every cascade order on a 0.5 dB grid: 2 x 8 x 141 analytic rows.
+        code, out, _ = run(
+            capsys, "outage-sweep", "--trials", "0", "--n", "1,2,3,4,5,6,7,8",
+            "--snr-db", "-10:60:0.5",
+        )
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "86b6aa9b5602ad5755be34d9baa627609cd2f1bd7b04f24c56c9d11404114b79"
+        )

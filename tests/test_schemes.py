@@ -298,156 +298,398 @@ class TestRequiredSnr:
 
 # Exact float outputs of the analytics at mean SNR 10 and gamma_o = 1.
 # Keyed (scheme, n, n_t, n_r, calibration): postproc_cdf at g = 0.1 and
-# g = 2, and required_snr at outage 1e-3.
+# g = 2, and required_snr at outage 1e-3, for n = 1..8 under the default,
+# unit and an explicit 1.3 calibration.
 PINNED_CDF_AND_SNR = {
     ("tas-mrc", 1, 1, 1, None):
         (0.010147455230882594, 0.2017262599747535, 940.2386752102651),
     ("tas-mrc", 1, 1, 1, 1.0):
         (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
+    ("tas-mrc", 1, 1, 1, 1.3):
+        (0.011251200124210539, 0.22102610953312823, 1039.379487902504),
     ("tas-mrc", 1, 2, 3, None):
         (2.5725717725670353e-14, 2.2400753276841514e-06, 1.670340727661191),
     ("tas-mrc", 1, 2, 3, 1.0):
         (9.412439200051505e-15, 8.631901318389175e-07, 1.4203577616166592),
+    ("tas-mrc", 1, 2, 3, 1.3):
+        (4.789324016206313e-14, 4.02102305910315e-06, 1.8464650901016568),
     ("tas-mrc", 1, 4, 4, None):
         (2.142955045825237e-38, 3.842484287860371e-17, 0.530517503805294),
     ("tas-mrc", 1, 4, 4, 1.0):
         (1.465309317379343e-39, 2.9352819107295718e-18, 0.45112032636504595),
+    ("tas-mrc", 1, 4, 4, 1.3):
+        (1.1251675316102452e-37, 1.866161374621121e-16, 0.5864564242745598),
     ("tas-mrc", 2, 1, 1, None):
         (0.05783941141386507, 0.41574283295479064, 16362.957918496624),
     ("tas-mrc", 2, 1, 1, 1.0):
         (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
+    ("tas-mrc", 2, 1, 1, 1.3):
+        (0.06715547712586302, 0.4603156318383738, 19995.57395230236),
     ("tas-mrc", 2, 2, 3, None):
         (9.381339859766922e-09, 0.002303196753809448, 6.337940184555536),
     ("tas-mrc", 2, 2, 3, 1.0):
         (2.1005658105579222e-09, 0.0007292861381282493, 4.582827311938556),
+    ("tas-mrc", 2, 2, 3, 1.3):
+        (2.3455839645823318e-08, 0.00452274566936217, 7.74497815717616),
     ("tas-mrc", 2, 4, 4, None):
         (6.109944710629337e-23, 2.5314695327162258e-08, 1.3586205380851297),
     ("tas-mrc", 2, 4, 4, 1.0):
         (1.1002642240579146e-24, 1.0660749637614202e-09, 0.9823890928585383),
+    ("tas-mrc", 2, 4, 4, 1.3):
+        (7.166750179517573e-22, 1.6396098825895232e-07, 1.6602375669309297),
+    ("tas-mrc", 3, 1, 1, None):
+        (0.13829219304755927, 0.5681860976160481, 134307.7776704228),
+    ("tas-mrc", 3, 1, 1, 1.0):
+        (0.10375542539446626, 0.47608548826367264, 82580.82131391605),
+    ("tas-mrc", 3, 1, 1, 1.3):
+        (0.16414456643408373, 0.6260314939697265, 181430.0644266736),
+    ("tas-mrc", 3, 2, 3, None):
+        (5.773931060955823e-06, 0.039441242778673176, 20.877216734939278),
+    ("tas-mrc", 3, 2, 3, 1.0):
+        (9.825106449340287e-07, 0.012938100475131886, 12.836618508799805),
+    ("tas-mrc", 3, 2, 3, 1.3):
+        (1.666141547895691e-05, 0.07256254229132574, 28.20205086383318),
+    ("tas-mrc", 3, 4, 4, None):
+        (3.7005941856383286e-15, 0.00011254732890561874, 3.3777830145581085),
+    ("tas-mrc", 3, 4, 4, 1.0):
+        (3.0912774145659325e-17, 5.114095054379434e-06, 2.0768722437422324),
+    ("tas-mrc", 3, 4, 4, 1.3):
+        (6.520368003691609e-14, 0.0006166497394193423, 4.562888319501686),
+    ("tas-mrc", 4, 1, 1, None):
+        (0.2380048313334381, 0.6773159379212603, 829023.6981428065),
+    ("tas-mrc", 4, 1, 1, 1.0):
+        (0.1754677785166049, 0.5720658568922016, 433448.6536747824),
+    ("tas-mrc", 4, 1, 1, 1.3):
+        (0.28390350978811385, 0.739012630678983, 1237972.6997605464),
+    ("tas-mrc", 4, 2, 3, None):
+        (0.0003009753726917964, 0.1651540417496509, 63.88021777238008),
+    ("tas-mrc", 4, 2, 3, 1.0):
+        (4.6663377312962684e-05, 0.06157983298628147, 33.39927972133848),
+    ("tas-mrc", 4, 2, 3, 1.3):
+        (0.0008844558445205059, 0.27005102276372506, 95.3916828121148),
+    ("tas-mrc", 4, 4, 4, None):
+        (2.406414997759598e-10, 0.0076240983214552445, 8.220332694640902),
+    ("tas-mrc", 4, 4, 4, 1.0):
+        (1.5319872859065111e-12, 0.0005005986070406571, 4.297937618952265),
+    ("tas-mrc", 4, 4, 4, 1.3):
+        (4.514282542264824e-09, 0.02969270534639668, 12.275339633489565),
     ("tas-mrc", 5, 1, 1, None):
         (0.34322807087640217, 0.7566547189500198, 4395667.441567437),
     ("tas-mrc", 5, 1, 1, 1.0):
         (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
+    ("tas-mrc", 5, 1, 1, 1.3):
+        (0.40732743687602235, 0.8165454788001362, 7256128.763124003),
     ("tas-mrc", 5, 2, 3, None):
         (0.004023540719904003, 0.36072423622378236, 186.55297250414978),
     ("tas-mrc", 5, 2, 3, 1.0):
         (0.0006415938350928418, 0.15749565794910275, 82.94029289715463),
+    ("tas-mrc", 5, 2, 3, 1.3):
+        (0.011105596190305362, 0.5211552243115938, 307.9515017066323),
     ("tas-mrc", 5, 4, 4, None):
         (3.489530531562082e-07, 0.07288209980212, 19.702038513251868),
     ("tas-mrc", 5, 4, 4, 1.0):
         (2.3841608619162667e-09, 0.007661707629641059, 8.759403953875784),
+    ("tas-mrc", 5, 4, 4, 1.3):
+        (5.531478665457625e-06, 0.19600868811684774, 32.52305372246401),
+    ("tas-mrc", 6, 1, 1, None):
+        (0.44447325110755614, 0.8151404446682035, 21138164.127344716),
+    ("tas-mrc", 6, 1, 1, 1.0):
+        (0.32957903353708823, 0.7057237468919786, 7991408.573250975),
+    ("tas-mrc", 6, 1, 1, 1.3):
+        (0.521852299244343, 0.8702402708175611, 38573002.82404499),
+    ("tas-mrc", 6, 2, 3, None):
+        (0.023234025672589562, 0.5605698776678233, 527.2208007008414),
+    ("tas-mrc", 6, 2, 3, 1.0):
+        (0.004111768882508379, 0.2865740017285409, 199.31895699809732),
+    ("tas-mrc", 6, 2, 3, 1.3):
+        (0.05746462462063774, 0.7265182406384494, 962.0745355090288),
+    ("tas-mrc", 6, 4, 4, None):
+        (4.743916350614719e-05, 0.24969257397644432, 46.68191112655105),
+    ("tas-mrc", 6, 4, 4, 1.0):
+        (4.3395380554513386e-07, 0.042258777713454876, 17.648373933754737),
+    ("tas-mrc", 6, 4, 4, 1.3):
+        (0.0005523624259915761, 0.4847989360738676, 85.18533013881276),
+    ("tas-mrc", 7, 1, 1, None):
+        (0.5365352046076276, 0.8587407687377213, 94781433.39346813),
+    ("tas-mrc", 7, 1, 1, 1.0):
+        (0.4031419681904531, 0.7533829469617294, 30469969.54425296),
+    ("tas-mrc", 7, 1, 1, 1.3):
+        (0.6214353837482196, 0.9077387847522727, 191194540.19370395),
+    ("tas-mrc", 7, 2, 3, None):
+        (0.07746872971612487, 0.7210050848319959, 1453.7064339546953),
+    ("tas-mrc", 7, 2, 3, 1.0):
+        (0.015919435944771698, 0.42536084810844554, 467.331936044941),
+    ("tas-mrc", 7, 2, 3, 1.3):
+        (0.16774700065067732, 0.8577364904400522, 2932.438593355891),
+    ("tas-mrc", 7, 4, 4, None):
+        (0.0013549768175854708, 0.4869177098424769, 109.61844928386888),
+    ("tas-mrc", 7, 4, 4, 1.0):
+        (1.900466040159775e-05, 0.12676947627013968, 35.23971617206944),
+    ("tas-mrc", 7, 4, 4, 1.3):
+        (0.010772579288718897, 0.7359074890463018, 221.12399292982744),
     ("tas-mrc", 8, 1, 1, None):
         (0.6172469134956345, 0.8915373875163641, 402794130.1368839),
     ("tas-mrc", 8, 1, 1, 1.0):
         (0.4714811084090923, 0.792264238189408, 110109441.3200139),
+    ("tas-mrc", 8, 1, 1, 1.3):
+        (0.7044348325826759, 0.934113179598721, 898196539.5688215),
     ("tas-mrc", 8, 2, 3, None):
         (0.17797580335807253, 0.8324130413257365, 3931.335371560994),
     ("tas-mrc", 8, 2, 3, 1.0):
         (0.043494819707365, 0.5550884646339518, 1074.685823393412),
+    ("tas-mrc", 8, 2, 3, 1.3):
+        (0.33529097122259505, 0.9303821335345113, 8766.542415651875),
     ("tas-mrc", 8, 4, 4, None):
         (0.013356585432492057, 0.6947281398799959, 255.54239406261667),
     ("tas-mrc", 8, 4, 4, 1.0):
         (0.00030942469362759263, 0.25961213982928505, 69.8561079682353),
+    ("tas-mrc", 8, 4, 4, 1.3):
+        (0.07088753237488188, 0.8834623453482127, 569.837733191824),
     ("tas-sc", 1, 1, 1, None):
         (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
     ("tas-sc", 1, 1, 1, 1.0):
         (0.008585830044203142, 0.1736011669311387, 799.5226830019261),
+    ("tas-sc", 1, 1, 1, 1.3):
+        (0.011251200124210539, 0.22102610953312823, 1039.379487902504),
     ("tas-sc", 1, 2, 3, None):
         (4.005841158323761e-13, 2.737258675041497e-05, 2.5557960301556046),
     ("tas-sc", 1, 2, 3, 1.0):
         (4.005841158323761e-13, 2.737258675041497e-05, 2.5557960301556046),
+    ("tas-sc", 1, 2, 3, 1.3):
+        (2.0285844733298702e-12, 0.00011659004669034208, 3.3225348392022864),
     ("tas-sc", 1, 4, 4, None):
         (8.720002279896968e-34, 6.805221136290562e-13, 0.9489153915863197),
     ("tas-sc", 1, 4, 4, 1.0):
         (8.720002279896968e-34, 6.805221136290562e-13, 0.9489153915863197),
+    ("tas-sc", 1, 4, 4, 1.3):
+        (6.594495743287201e-32, 3.244122685663135e-11, 1.2335900090622156),
     ("tas-sc", 2, 1, 1, None):
         (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
     ("tas-sc", 2, 1, 1, 1.0):
         (0.04529144065126477, 0.34878610121967035, 11831.700563492517),
+    ("tas-sc", 2, 1, 1, 1.3):
+        (0.06715547712586302, 0.4603156318383738, 19995.57395230236),
     ("tas-sc", 2, 2, 3, None):
         (8.631709402913091e-09, 0.0018003420380885056, 5.936336161334806),
     ("tas-sc", 2, 2, 3, 1.0):
         (8.631709402913091e-09, 0.0018003420380885056, 5.936336161334806),
+    ("tas-sc", 2, 2, 3, 1.3):
+        (9.172519298013476e-08, 0.009513368949842978, 10.032408112655824),
     ("tas-sc", 2, 4, 4, None):
         (3.1351488304957204e-22, 4.796746047986666e-08, 1.341922025420034),
     ("tas-sc", 2, 4, 4, 1.0):
         (3.1351488304957204e-22, 4.796746047986666e-08, 1.341922025420034),
+    ("tas-sc", 2, 4, 4, 1.3):
+        (1.7112088764943352e-19, 4.063418685038195e-06, 2.267848222959858),
+    ("tas-sc", 3, 1, 1, None):
+        (0.10375542539446626, 0.47608548826367264, 82580.82131391605),
+    ("tas-sc", 3, 1, 1, 1.0):
+        (0.10375542539446626, 0.47608548826367264, 82580.82131391605),
+    ("tas-sc", 3, 1, 1, 1.3):
+        (0.16414456643408373, 0.6260314939697265, 181430.0644266736),
+    ("tas-sc", 3, 2, 3, None):
+        (1.2475699114118494e-06, 0.01164420017367946, 12.887333400609633),
+    ("tas-sc", 3, 2, 3, 1.0):
+        (1.2475699114118494e-06, 0.01164420017367946, 12.887333400609633),
+    ("tas-sc", 3, 2, 3, 1.3):
+        (1.955955936744202e-05, 0.06019731098125576, 28.313471481139366),
+    ("tas-sc", 3, 4, 4, None):
+        (1.803736299346447e-16, 6.965609128366577e-06, 2.013839465184666),
+    ("tas-sc", 3, 4, 4, 1.0):
+        (1.803736299346447e-16, 6.965609128366577e-06, 2.013839465184666),
+    ("tas-sc", 3, 4, 4, 1.3):
+        (2.77730885205337e-13, 0.0005565945009330354, 4.42440530501071),
+    ("tas-sc", 4, 1, 1, None):
+        (0.1754677785166049, 0.5720658568922016, 433448.6536747824),
+    ("tas-sc", 4, 1, 1, 1.0):
+        (0.1754677785166049, 0.5720658568922016, 433448.6536747824),
+    ("tas-sc", 4, 1, 1, 1.3):
+        (0.28390350978811385, 0.739012630678983, 1237972.6997605464),
+    ("tas-sc", 4, 2, 3, None):
+        (2.9186651116226424e-05, 0.03504904338233947, 27.07288891396029),
+    ("tas-sc", 4, 2, 3, 1.0):
+        (2.9186651116226424e-05, 0.03504904338233947, 27.07288891396029),
+    ("tas-sc", 4, 2, 3, 1.3):
+        (0.0005236300591797088, 0.1628962800230902, 77.322878027162),
+    ("tas-sc", 4, 4, 4, None):
+        (8.075288458358287e-13, 0.00013156381263739752, 3.1132502169287988),
+    ("tas-sc", 4, 4, 4, 1.0):
+        (8.075288458358287e-13, 0.00013156381263739752, 3.1132502169287988),
+    ("tas-sc", 4, 4, 4, 1.3):
+        (1.7812799730404355e-09, 0.007914614707801438, 8.891753944570345),
     ("tas-sc", 5, 1, 1, None):
         (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
     ("tas-sc", 5, 1, 1, 1.0):
         (0.2525767193590846, 0.6465958106133171, 1954286.4430851096),
+    ("tas-sc", 5, 1, 1, 1.3):
+        (0.40732743687602235, 0.8165454788001362, 7256128.763124003),
     ("tas-sc", 5, 2, 3, None):
         (0.0002596330099558076, 0.07307979468902856, 55.73693911303286),
     ("tas-sc", 5, 2, 3, 1.0):
         (0.0002596330099558076, 0.07307979468902856, 55.73693911303286),
+    ("tas-sc", 5, 2, 3, 1.3):
+        (0.004567325739700284, 0.29640277875928206, 206.94735334095327),
     ("tas-sc", 5, 4, 4, None):
         (2.7434249786309084e-10, 0.0009335254942129404, 4.903098816929975),
     ("tas-sc", 5, 4, 4, 1.0):
         (2.7434249786309084e-10, 0.0009335254942129404, 4.903098816929975),
+    ("tas-sc", 5, 4, 4, 1.3):
+        (5.742468616923433e-07, 0.03905584652860287, 18.204862690343823),
+    ("tas-sc", 6, 1, 1, None):
+        (0.32957903353708823, 0.7057237468919786, 7991408.573250975),
+    ("tas-sc", 6, 1, 1, 1.0):
+        (0.32957903353708823, 0.7057237468919786, 7991408.573250975),
+    ("tas-sc", 6, 1, 1, 1.3):
+        (0.521852299244343, 0.8702402708175611, 38573002.82404499),
+    ("tas-sc", 6, 2, 3, None):
+        (0.0012816146267038404, 0.12354022486831329, 113.1537166807893),
+    ("tas-sc", 6, 2, 3, 1.0):
+        (0.0012816146267038404, 0.12354022486831329, 113.1537166807893),
+    ("tas-sc", 6, 2, 3, 1.3):
+        (0.020196941505403042, 0.43434523330560515, 546.1713780582842),
+    ("tas-sc", 6, 4, 4, None):
+        (1.937997506764261e-08, 0.0037857828545295696, 7.82288959447985),
+    ("tas-sc", 6, 4, 4, 1.0):
+        (1.937997506764261e-08, 0.0037857828545295696, 7.82288959447985),
+    ("tas-sc", 6, 4, 4, 1.3):
+        (3.0252524439229078e-05, 0.10819989167329565, 37.7595939006417),
+    ("tas-sc", 7, 1, 1, None):
+        (0.4031419681904531, 0.7533829469617294, 30469969.54425296),
+    ("tas-sc", 7, 1, 1, 1.0):
+        (0.4031419681904531, 0.7533829469617294, 30469969.54425296),
+    ("tas-sc", 7, 1, 1, 1.3):
+        (0.6214353837482196, 0.9077387847522727, 191194540.19370395),
+    ("tas-sc", 7, 2, 3, None):
+        (0.004292873296737507, 0.18284989428790274, 227.3255618417557),
+    ("tas-sc", 7, 2, 3, 1.0):
+        (0.004292873296737507, 0.18284989428790274, 227.3255618417557),
+    ("tas-sc", 7, 2, 3, 1.3):
+        (0.05759381762339229, 0.5594552466404644, 1426.4341881761957),
+    ("tas-sc", 7, 4, 4, None):
+        (4.867749133645703e-07, 0.010770914279913052, 12.60326479436385),
+    ("tas-sc", 7, 4, 4, 1.0):
+        (4.867749133645703e-07, 0.010770914279913052, 12.60326479436385),
+    ("tas-sc", 7, 4, 4, 1.3):
+        (0.0004946928630882984, 0.2125075036042725, 79.0836175204641),
     ("tas-sc", 8, 1, 1, None):
         (0.4714811084090923, 0.792264238189408, 110109441.3200139),
     ("tas-sc", 8, 1, 1, 1.0):
         (0.4714811084090923, 0.792264238189408, 110109441.3200139),
+    ("tas-sc", 8, 1, 1, 1.3):
+        (0.7044348325826759, 0.934113179598721, 898196539.5688215),
     ("tas-sc", 8, 2, 3, None):
         (0.01098463865296667, 0.2472978366421385, 452.95929322746355),
     ("tas-sc", 8, 2, 3, 1.0):
         (0.01098463865296667, 0.2472978366421385, 452.95929322746355),
+    ("tas-sc", 8, 2, 3, 1.3):
+        (0.12219260843980423, 0.6643500898069347, 3694.9281084808945),
     ("tas-sc", 8, 4, 4, None):
         (5.962504688641874e-06, 0.02409466241096949, 20.4599381347528),
     ("tas-sc", 8, 4, 4, 1.0):
         (5.962504688641874e-06, 0.02409466241096949, 20.4599381347528),
+    ("tas-sc", 8, 4, 4, 1.3):
+        (0.0036766573908986254, 0.3360407882767307, 166.89800086277296),
 }
 # Keyed (scheme, n, n_t, n_r): outage_asymptotic value and z, coding_gain
-# printed and extracted.  All four ignore the calibration weight.
+# printed and extracted, and diversity_order.  All five ignore the
+# calibration weight.
 PINNED_ASYMPTOTE_AND_GAIN = {
     ("tas-mrc", 1, 1, 1):
-        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364),
+        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364, 1.0365),
     ("tas-mrc", 1, 2, 3):
-        (1.5831058167537125e-08, 0.03333333333333333, 0.1995525243995474, 1.7959727195959267),
+        (1.5831058167537125e-08, 0.03333333333333333, 0.1995525243995474, 1.7959727195959267, 6.218999999999999),
     ("tas-mrc", 1, 4, 4):
-        (5.813370256223277e-23, 0.025, 0.13698235551753077, 2.191717688280492),
+        (5.813370256223277e-23, 0.025, 0.13698235551753077, 2.191717688280492, 16.584),
     ("tas-mrc", 2, 1, 1):
-        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776),
+        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776, 0.82335),
     ("tas-mrc", 2, 2, 3):
-        (0.00033386506778207816, 0.03333333333333333, 0.05616604141694142, 0.5054943727524726),
+        (0.00033386506778207816, 0.03333333333333333, 0.05616604141694142, 0.5054943727524726, 4.9401),
     ("tas-mrc", 2, 4, 4):
-        (7.005201641861378e-11, 0.025, 0.036872958820712995, 0.5899673411314079),
+        (7.005201641861378e-11, 0.025, 0.036872958820712995, 0.5899673411314079, 13.1736),
+    ("tas-mrc", 3, 1, 1):
+        (0.9300477971688058, 0.1, 0.11011959124063807, 0.11011959124063816, 0.7523),
+    ("tas-mrc", 3, 2, 3):
+        (0.3703380443715916, 0.03333333333333333, 0.013846226612459024, 0.12461603951213104, 4.5138),
+    ("tas-mrc", 3, 4, 4):
+        (0.015638292733162314, 0.025, 0.008828850544083874, 0.14126160870534174, 12.0368),
+    ("tas-mrc", 4, 1, 1):
+        (2.3805412215975723, 0.1, 0.02981847507006001, 0.029818475070060017, 0.7167749999999999),
+    ("tas-mrc", 4, 2, 3):
+        (203.8335514106739, 0.03333333333333333, 0.003226991378407353, 0.029042922405666194, 4.300649999999999),
+    ("tas-mrc", 4, 4, 4):
+        (436834.74578761414, 0.025, 0.0020140313925198316, 0.03222450228031727, 11.468399999999999),
     ("tas-mrc", 5, 1, 1):
-        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118),
+        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118, 0.69546),
     ("tas-mrc", 5, 2, 3):
-        (86144.9009903464, 0.03333333333333333, 0.000729511277479692, 0.006565601497317249),
+        (86144.9009903464, 0.03333333333333333, 0.000729511277479692, 0.006565601497317249, 4.172759999999999),
     ("tas-mrc", 5, 4, 4):
-        (5490557140233.709, 0.025, 0.00044770178797091486, 0.007163228607534639),
+        (5490557140233.709, 0.025, 0.00044770178797091486, 0.007163228607534639, 11.12736),
+    ("tas-mrc", 6, 1, 1):
+        (15.06878418998264, 0.1, 0.0018651376110189958, 0.0018651376110189958, 0.68125),
+    ("tas-mrc", 6, 2, 3):
+        (32174305.398373857, 0.03333333333333333, 0.0001618296135477197, 0.0014564665219294769, 4.0875),
+    ("tas-mrc", 6, 4, 4):
+        (4.710187468756604e+19, 0.025, 9.7952184987813e-05, 0.0015672349598050102, 10.9),
+    ("tas-mrc", 7, 1, 1):
+        (37.8504608603874, 0.1, 0.000445174740730625, 0.00044517474073062436, 0.6711),
+    ("tas-mrc", 7, 2, 3):
+        (11253294516.782717, 0.03333333333333333, 3.544356784315054e-05, 0.00031899211058835557, 4.0266),
+    ("tas-mrc", 7, 4, 4):
+        (3.281765632556542e+26, 0.025, 2.1203954484554555e-05, 0.00033926327175287337, 10.7376),
     ("tas-mrc", 8, 1, 1):
-        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138, 0.6634875),
     ("tas-mrc", 8, 2, 3):
-        (3789692895504.335, 0.03333333333333333, 7.69198762023089e-06, 6.92278885820778e-05),
+        (3789692895504.335, 0.03333333333333333, 7.69198762023089e-06, 6.92278885820778e-05, 3.980925),
     ("tas-mrc", 8, 4, 4):
-        (2.0208151530118928e+33, 0.025, 4.555390805297553e-06, 7.288625288476085e-05),
+        (2.0208151530118928e+33, 0.025, 4.555390805297553e-06, 7.288625288476085e-05, 10.6158),
     ("tas-sc", 1, 1, 1):
-        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364),
+        (0.09387944717879351, 0.1, 0.9800514869094364, 0.9800514869094364, 1.0365),
     ("tas-sc", 1, 2, 3):
-        (6.845783198734364e-07, 0.1, 0.9800514869094364, 0.9800514869094364),
+        (6.845783198734364e-07, 0.1, 0.9800514869094364, 0.9800514869094364, 6.218999999999999),
     ("tas-sc", 1, 4, 4):
-        (3.640226245695895e-17, 0.1, 0.9800514869094364, 0.9800514869094364),
+        (3.640226245695895e-17, 0.1, 0.9800514869094364, 0.9800514869094364, 16.584),
     ("tas-sc", 2, 1, 1):
-        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776),
+        (0.34308065115819286, 0.1, 0.3666778357970775, 0.3666778357970776, 0.82335),
     ("tas-sc", 2, 2, 3):
-        (0.0016307123268226166, 0.1, 0.3666778357970775, 0.3666778357970776),
+        (0.0016307123268226166, 0.1, 0.3666778357970775, 0.3666778357970776, 4.9401),
     ("tas-sc", 2, 4, 4):
-        (3.684169568899942e-08, 0.1, 0.3666778357970775, 0.3666778357970776),
+        (3.684169568899942e-08, 0.1, 0.3666778357970775, 0.3666778357970776, 13.1736),
+    ("tas-sc", 3, 1, 1):
+        (0.9300477971688058, 0.1, 0.11011959124063807, 0.11011959124063816, 0.7523),
+    ("tas-sc", 3, 2, 3):
+        (0.6471897206919489, 0.1, 0.11011959124063807, 0.11011959124063816, 4.5138),
+    ("tas-sc", 3, 4, 4):
+        (0.31338939455259696, 0.1, 0.11011959124063807, 0.11011959124063816, 12.0368),
+    ("tas-sc", 4, 1, 1):
+        (2.3805412215975723, 0.1, 0.02981847507006001, 0.029818475070060017, 0.7167749999999999),
+    ("tas-sc", 4, 2, 3):
+        (181.992812616996, 0.1, 0.02981847507006001, 0.029818475070060017, 4.300649999999999),
+    ("tas-sc", 4, 4, 4):
+        (1063680.7467551818, 0.1, 0.02981847507006001, 0.029818475070060017, 11.468399999999999),
     ("tas-sc", 5, 1, 1):
-        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118),
+        (6.000390137688949, 0.1, 0.00760427610605412, 0.007604276106054118, 0.69546),
     ("tas-sc", 5, 2, 3):
-        (46674.20522318423, 0.1, 0.00760427610605412, 0.007604276106054118),
+        (46674.20522318423, 0.1, 0.00760427610605412, 0.007604276106054118, 4.172759999999999),
     ("tas-sc", 5, 4, 4):
-        (2824046329335.416, 0.1, 0.00760427610605412, 0.007604276106054118),
+        (2824046329335.416, 0.1, 0.00760427610605412, 0.007604276106054118, 11.12736),
+    ("tas-sc", 6, 1, 1):
+        (15.06878418998264, 0.1, 0.0018651376110189958, 0.0018651376110189958, 0.68125),
+    ("tas-sc", 6, 2, 3):
+        (11707637.812441682, 0.1, 0.0018651376110189958, 0.0018651376110189976, 4.0875),
+    ("tas-sc", 6, 4, 4):
+        (7.06726554356465e+18, 0.1, 0.0018651376110189958, 0.0018651376110189958, 10.9),
+    ("tas-sc", 7, 1, 1):
+        (37.8504608603874, 0.1, 0.000445174740730625, 0.00044517474073062436, 0.6711),
+    ("tas-sc", 7, 2, 3):
+        (2940539587.628344, 0.1, 0.000445174740730625, 0.00044517474073062436, 4.0266),
+    ("tas-sc", 7, 4, 4):
+        (1.7747563884871576e+25, 0.1, 0.000445174740730625, 0.00044517474073062436, 10.7376),
     ("tas-sc", 8, 1, 1):
-        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+        (95.22795353990605, 0.1, 0.00010414325596683134, 0.00010414325596683138, 0.6634875),
     ("tas-sc", 8, 2, 3):
-        (745738746391.8025, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+        (745738746391.8025, 0.1, 0.00010414325596683134, 0.00010414325596683138, 3.980925),
     ("tas-sc", 8, 4, 4):
-        (4.57331612223862e+31, 0.1, 0.00010414325596683134, 0.00010414325596683138),
+        (4.57331612223862e+31, 0.1, 0.00010414325596683134, 0.00010414325596683138, 10.6158),
 }
 
 
@@ -475,11 +717,12 @@ class TestAnalyticBytes:
     def test_asymptote_and_coding_gain(self):
         changed = []
         for (scheme, n, n_t, n_r), pinned in PINNED_ASYMPTOTE_AND_GAIN.items():
-            for omega in (None, 1.0):
+            for omega in (None, 1.0, 1.3):
                 c = cfg(n=n, n_t=n_t, n_r=n_r, omega=omega)
                 value, form = outage_asymptotic(Scheme(scheme), OutageQuery(threshold=1.0), c)
                 gain = coding_gain(Scheme(scheme), c)
-                got = (value, form.z, gain.printed, gain.extracted)
+                got = (value, form.z, gain.printed, gain.extracted,
+                       diversity_order(Scheme(scheme), c))
                 if list(map(repr, got)) != list(map(repr, pinned)):
                     changed.append(((scheme, n, n_t, n_r, omega), got))
         assert changed == []
