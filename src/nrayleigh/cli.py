@@ -19,6 +19,7 @@ named like the option parameters) replaces defaults; explicit flags win.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -88,15 +89,45 @@ def _parse_n_list(value) -> list[int]:
     return items
 
 
-def _parse_snr_grid(value: str) -> list[float]:
-    parts = value.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise click.UsageError(
-            f"SNR grid must be 'start:stop:step' or a single value, got {value!r}"
-        )
-    start, stop, step = (float(p) for p in parts)
+def _parse_snr_grid(value) -> list[float]:
+    """Mean-SNR grid in dB from a flag ("start:stop:step" or one value) or a
+    config-file list of numbers.
+
+    List values are kept as given, so the rows print them as written.  Each
+    point must give a finite, positive linear SNR 10^(dB/10).
+    """
+    if isinstance(value, str):
+        try:
+            parts = [float(p) for p in value.split(":")]
+        except ValueError:
+            raise click.UsageError(f"cannot parse SNR grid {value!r}") from None
+        if len(parts) == 1:
+            grid = parts
+        elif len(parts) == 3:
+            grid = _stepped_grid(*parts)
+        else:
+            raise click.UsageError(
+                f"SNR grid must be 'start:stop:step' or a single value, got {value!r}"
+            )
+    elif isinstance(value, list):
+        if not value:
+            raise click.UsageError("SNR grid is empty")
+        if not all(isinstance(db, (int, float)) and not isinstance(db, bool) for db in value):
+            raise click.UsageError(f"SNR grid values must be numbers, got {value!r}")
+        grid = value
+    else:
+        raise click.UsageError(f"SNR grid must be a list or a string, got {value!r}")
+    for db in grid:
+        try:
+            linear = 10.0 ** (db / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not (0.0 < linear < math.inf):
+            raise click.UsageError(f"SNR grid point {db!r} dB has no finite positive linear SNR")
+    return grid
+
+
+def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
     if not (start < stop) or not (step > 0):
         raise click.UsageError("SNR grid requires start < stop and step > 0")
     grid = []
@@ -259,7 +290,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     gamma_o = query.gamma_o
     scheme_list = _schemes_for(opts["scheme"])
     orders = _parse_n_list(opts["n_list"])
-    grid_db = _parse_snr_grid(opts["snr_db"]) if isinstance(opts["snr_db"], str) else list(opts["snr_db"])
+    grid_db = _parse_snr_grid(opts["snr_db"])
     trials = opts["trials"]
 
     rows: list[dict] = []

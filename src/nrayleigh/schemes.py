@@ -13,7 +13,9 @@ incomplete gamma over the stretched-gamma fit (m, Omega) of ``fading``:
 where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
 1.0 for TAS/SC).  On top of the distributions this module provides outage
 probability, its small-threshold power-law form, diversity order, coding
-gain and the required-SNR solver.
+gain and the required-SNR solver.  Everything that depends only on
+(scheme, n, n_t, n_r) is computed once per channel and memoised (``_law``);
+each call applies only its mean SNR and calibration weight.
 
 P is scipy's ``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986), taken
 in log space so deep outage values keep full relative accuracy; the
@@ -22,9 +24,11 @@ required SNR inverts it exactly with ``gammaincinv``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from scipy import special
 
@@ -155,26 +159,50 @@ class CodingGain:
     extracted: float
 
 
-def _shape_exponent_gain(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, int]:
-    """(gamma shape, order-statistics exponent, receive gain) for cfg.
+# Channels whose law stays memoised: a link study touches a few hundred
+# (scheme, n, n_t, n_r), and each entry is one small tuple.
+_LAW_CACHE_SIZE = 4096
+
+
+class _Law(NamedTuple):
+    """The part of a channel's law that depends only on (scheme, n, n_t, n_r)."""
+
+    shape: float  # gamma shape s
+    exponent: int  # order-statistics exponent k
+    gain: int  # receive gain G
+    pre: float  # 2s / Omega, the uncalibrated scale at unit G * mean_snr
+    ln_coeff: float  # ln of the power-law coefficient [(2s/Omega)^s / (s Gamma(s))]^k
+    diversity: float  # d = m N / n
+
+
+@functools.lru_cache(maxsize=_LAW_CACHE_SIZE)
+def _law(scheme: Scheme, n: int, n_t: int, n_r: int) -> _Law:
+    """The one place that maps a scheme to its law, computed once per channel.
 
     TAS/MRC sums the n_r receive branches of the chosen transmit antenna, so
     its shape and its SNR scale carry n_r; TAS/SC takes the largest of all
-    N single-branch SNRs.
+    N single-branch SNRs.  The mean SNR and the calibration weight are
+    applied per call by the callers, never stored here.
     """
-    m = fading_params(cfg.n).m
+    fp = fading_params(n)
     if scheme is Scheme.TAS_MRC:
-        return m * cfg.n_r, int(cfg.n_t), int(cfg.n_r)
-    return m, cfg.total_antennas, 1
+        shape, exponent, gain = fp.m * n_r, n_t, n_r
+    else:
+        shape, exponent, gain = fp.m, n_t * n_r, 1
+    pre = 2.0 * shape / fp.omega
+    ln_coeff = exponent * (shape * math.log(pre) - math.log(shape) - math.lgamma(shape))
+    return _Law(shape, exponent, gain, pre, ln_coeff, fp.m * (n_t * n_r) / n)
+
+
+def _law_of(scheme: Scheme, cfg: ChannelConfig) -> _Law:
+    return _law(scheme, int(cfg.n), int(cfg.n_t), int(cfg.n_r))
 
 
 def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, float]:
     """(gamma shape, order-statistics exponent, calibrated scale) for cfg."""
-    shape, exponent, gain = _shape_exponent_gain(scheme, cfg)
-    omega = fading_params(cfg.n).omega
-    w = cfg.omega_for(scheme)
-    scale = (2.0 * shape / omega) * (gain * cfg.mean_snr) ** (-1.0 / cfg.n)
-    return shape, exponent, w * scale
+    law = _law_of(scheme, cfg)
+    scale = law.pre * (law.gain * cfg.mean_snr) ** (-1.0 / cfg.n)
+    return law.shape, law.exponent, cfg.omega_for(scheme) * scale
 
 
 def _ln_reg_lower_gamma(a: float, x: float) -> float:
@@ -219,19 +247,7 @@ def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
 
 def diversity_order(scheme: Scheme, cfg: ChannelConfig) -> float:
     """High-SNR slope magnitude d = m N / n; identical for both schemes."""
-    del scheme  # shared by construction
-    return fading_params(cfg.n).m * cfg.total_antennas / cfg.n
-
-
-def _ln_asym_coefficient(scheme: Scheme, cfg: ChannelConfig) -> float:
-    """ln of the power-law coefficient [(2s/Omega)^s / (s Gamma(s))]^k."""
-    shape, exponent, _ = _shape_exponent_gain(scheme, cfg)
-    per_factor = (
-        shape * math.log(2.0 * shape / fading_params(cfg.n).omega)
-        - math.log(shape)
-        - math.lgamma(shape)
-    )
-    return exponent * per_factor
+    return _law_of(scheme, cfg).diversity
 
 
 def outage_asymptotic(
@@ -249,17 +265,16 @@ def outage_asymptotic(
     decomposition.  The value is meaningful only for z << 1; it is returned
     unconditionally and the caller judges the regime.
     """
-    _, _, gain = _shape_exponent_gain(scheme, cfg)
-    z = query.gamma_o / (gain * cfg.mean_snr)
+    law = _law_of(scheme, cfg)
+    z = query.gamma_o / (law.gain * cfg.mean_snr)
     if scheme is Scheme.TAS_MRC:
         z_definition = "gamma_o / (n_r * mean_snr)"
     else:
         z_definition = "gamma_o / mean_snr"
-    d = diversity_order(scheme, cfg)
-    ln_coeff = _ln_asym_coefficient(scheme, cfg)
-    value = math.exp(ln_coeff + d * math.log(z)) if z > 0.0 else 0.0
+    value = math.exp(law.ln_coeff + law.diversity * math.log(z)) if z > 0.0 else 0.0
     return value, AsymptoticForm(
-        coefficient=math.exp(ln_coeff), diversity=d, z=z, z_definition=z_definition
+        coefficient=math.exp(law.ln_coeff), diversity=law.diversity, z=z,
+        z_definition=z_definition,
     )
 
 
@@ -270,16 +285,14 @@ def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:
     gives CG = G * C^(-1/d), with C the asymptotic coefficient and G the
     receive gain (n_r for TAS/MRC, 1 for TAS/SC).
     """
-    shape, _, gain = _shape_exponent_gain(scheme, cfg)
-    n = cfg.n
-    d = diversity_order(scheme, cfg)
-    ln_c = _ln_asym_coefficient(scheme, cfg)
+    law = _law_of(scheme, cfg)
+    shape, n = law.shape, cfg.n
     # Printed reading: G^(1/n) multiplies the denominator scale 2s/Omega.
     printed = (
         math.exp((math.lgamma(shape) + math.log(shape)) / shape)
-        / ((2.0 * shape / fading_params(n).omega) * gain ** (1.0 / n))
+        / (law.pre * law.gain ** (1.0 / n))
     ) ** n
-    extracted = gain * math.exp(-ln_c / d)
+    extracted = law.gain * math.exp(-law.ln_coeff / law.diversity)
     return CodingGain(printed=printed, extracted=extracted)
 
 
@@ -298,8 +311,11 @@ def required_snr(
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError(f"target outage must be in (0, 1), got {target_outage}")
-    shape, exponent, beta = _shape_exponent_scale(scheme, cfg.with_mean_snr(1.0))
-    x = float(special.gammaincinv(shape, target_outage ** (1.0 / exponent)))
+    law = _law_of(scheme, cfg)
+    # The scale at unit mean SNR; G * 1.0 == float(G), so this is the float
+    # _shape_exponent_scale gives at mean_snr = 1.
+    beta = cfg.omega_for(scheme) * (law.pre * float(law.gain) ** (-1.0 / cfg.n))
+    x = float(special.gammaincinv(law.shape, target_outage ** (1.0 / law.exponent)))
     try:
         snr = query.gamma_o * (beta / x) ** cfg.n
     except OverflowError:

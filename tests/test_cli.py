@@ -222,6 +222,31 @@ class TestOutageSweep:
         assert err.startswith("usage error:") and key in err
         assert out == ""
 
+    @pytest.mark.parametrize("snr_db,message", [
+        (5, "must be a list or a string"),
+        (["a"], "must be numbers"),
+        ([True], "must be numbers"),
+        ([], "is empty"),
+        ([0, 4000], "no finite positive linear SNR"),
+        ("-4000", "no finite positive linear SNR"),
+    ])
+    def test_bad_snr_grid_is_usage_error(self, capsys, tmp_path, snr_db, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"snr_db": snr_db, "trials": 0}))
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and message in err
+        assert out == ""
+
+    def test_snr_grid_list_keeps_its_header_bytes(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"snr_db": [0, 5.5], "trials": 0}))
+        code, out, _ = run(capsys, "outage-sweep", "--n", "2", "--config", str(config))
+        assert code == cli.EXIT_OK
+        assert "# snr_grid_db=[0, 5.5]\n" in out
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [r["snr_db"] for r in rows] == ["0", "5.5", "0", "5.5"]
+
     def test_config_file_cannot_name_the_config_option(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"config_path": str(config)}))

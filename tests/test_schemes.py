@@ -1,10 +1,13 @@
 """Post-processing SNR analytics: distributions, outage, asymptotics, gains."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 from scipy import special
 
+from nrayleigh import schemes
 from nrayleigh.fading import fading_params
 from nrayleigh.schemes import (
     ChannelConfig,
@@ -726,3 +729,71 @@ class TestAnalyticBytes:
                 if list(map(repr, got)) != list(map(repr, pinned)):
                     changed.append(((scheme, n, n_t, n_r, omega), got))
         assert changed == []
+
+
+def all_outputs(scheme, c):
+    """Every scalar analytic output for one channel, as reprs."""
+    q = OutageQuery(threshold=1.0)
+    value, form = outage_asymptotic(scheme, q, c)
+    gain = coding_gain(scheme, c)
+    return tuple(map(repr, (
+        postproc_cdf(scheme, 0.1, c), outage(scheme, q, c), value, form.coefficient,
+        form.diversity, form.z, diversity_order(scheme, c), gain.printed,
+        gain.extracted, required_snr(scheme, 1e-3, q, c),
+    )))
+
+
+class TestLawCache:
+    """Each channel's law is built once per process and never changes a value."""
+
+    def test_warm_cache_gives_fresh_values(self):
+        cases = [
+            (scheme, cfg(n=n, n_t=n_t, n_r=n_r, mean_snr=mean_snr, omega=omega))
+            for scheme in Scheme
+            for n in range(1, 9)
+            for n_t in range(1, 5)
+            for n_r in range(1, 5)
+            for mean_snr in (0.5, 10.0, 3.0e4)
+            for omega in (None, 1.0, 1.3)
+        ]
+        fresh = []
+        for scheme, c in cases:
+            schemes._law.cache_clear()
+            fresh.append(all_outputs(scheme, c))
+        schemes._law.cache_clear()
+        order = list(range(len(cases)))
+        random.Random(5).shuffle(order)
+        changed = [i for i in order if all_outputs(*cases[i]) != fresh[i]]
+        assert changed == []
+
+    def test_checks_still_raise_with_a_cached_law(self):
+        diversity_order(Scheme.TAS_MRC, cfg(n=2, n_t=2, n_r=3))
+        assert schemes._law.cache_info().currsize >= 1
+        with pytest.raises(ValueError):
+            cfg(n=0)
+        with pytest.raises(ValueError):
+            cfg(n=2.5)
+        with pytest.raises(ValueError):
+            fading_params(0)
+
+    def test_each_law_is_built_once(self, monkeypatch):
+        built = Counter()
+
+        def counting_fading_params(n):
+            built[n] += 1
+            return fading_params(n)
+
+        monkeypatch.setattr(schemes, "fading_params", counting_fading_params)
+        schemes._law.cache_clear()
+        channels = [(2, 2, 3), (5, 4, 4)]
+        q = OutageQuery(rate=2.0)
+        for n, n_t, n_r in channels:
+            for scheme in Scheme:
+                for k in range(1401):
+                    c = cfg(n=n, n_t=n_t, n_r=n_r, mean_snr=10.0 ** ((-100 + k) / 20.0))
+                    outage(scheme, q, c)
+                    outage_asymptotic(scheme, q, c)
+                for k in range(50):
+                    required_snr(scheme, 10.0 ** (-1 - k / 5.0), q, cfg(n=n, n_t=n_t, n_r=n_r))
+        # One law per (scheme, n, n_t, n_r): both schemes for each channel.
+        assert built == Counter({2: 2, 5: 2})
