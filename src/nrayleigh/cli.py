@@ -141,18 +141,6 @@ def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
     return grid
 
 
-def _schemes_for(value: str) -> list[Scheme]:
-    mapping = {
-        "tas-mrc": [Scheme.TAS_MRC],
-        "tas-sc": [Scheme.TAS_SC],
-        "both": [Scheme.TAS_MRC, Scheme.TAS_SC],
-    }
-    try:
-        return mapping[value]
-    except KeyError:
-        raise click.UsageError(f"unknown scheme {value!r}") from None
-
-
 def _resolve(flags: dict, path: str | None) -> dict:
     """Overlay the JSON config file at ``path`` on ``flags``: a file value
     replaces only a parameter at its default, so an explicit flag wins even
@@ -263,7 +251,8 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
 
 
 @cli.command("outage-sweep")
-@click.option("--scheme", default="both", help="tas-mrc, tas-sc or both.")
+@click.option("--scheme", type=click.Choice(["tas-mrc", "tas-sc", "both"]), default="both",
+              help="Selection scheme, or both.")
 @click.option("--n", "n_list", default="2,3,4,5", help="Cascade orders, e.g. 2,3,4,5.")
 @click.option("--nt", type=int, default=2, help="Transmit antennas.")
 @click.option("--nr", type=int, default=3, help="Receive antennas.")
@@ -288,7 +277,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     else:
         query = OutageQuery(threshold=opts["gamma_o"] if opts["gamma_o"] is not None else 1.0)
     gamma_o = query.gamma_o
-    scheme_list = _schemes_for(opts["scheme"])
+    scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
     orders = _parse_n_list(opts["n_list"])
     grid_db = _parse_snr_grid(opts["snr_db"])
     trials = opts["trials"]
@@ -351,7 +340,8 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
 
 
 @cli.command("af-sweep")
-@click.option("--scheme", default="both", help="tas-mrc, tas-sc or both.")
+@click.option("--scheme", type=click.Choice(["tas-mrc", "tas-sc", "both"]), default="both",
+              help="Selection scheme, or both.")
 @click.option("--n", "n_list", default="2,3,4,5,6", help="Cascade orders, e.g. 2,3,4,5,6.")
 @click.option("--nt", type=int, default=2, help="Transmit antennas.")
 @click.option("--nr", type=int, default=2, help="Receive antennas.")
@@ -367,7 +357,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
 def cmd_af_sweep(config_path: str | None, **flags) -> None:
     """Amount-of-fading table: closed form, bound, quadrature oracle, Monte-Carlo."""
     opts = _resolve(flags, config_path)
-    scheme_list = _schemes_for(opts["scheme"])
+    scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
     orders = _parse_n_list(opts["n_list"])
     trials = opts["trials"]
 

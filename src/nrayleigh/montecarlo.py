@@ -1,15 +1,15 @@
 """Seeded Monte-Carlo engine for cascaded-Rayleigh MIMO antenna selection.
 
-Stream layout v2: every uniform variate has a fixed absolute position in
-one Philox counter stream keyed by the master seed.  Selection depends
-only on coefficient powers, so each trial takes D = n_t * n_r * n draws,
-one magnitude per cascade hop.  Trials are addressed in blocks of
-B = ``_chunk_trials(cfg)`` = min(65536, max(1, 2^21 // D)) trials, a
-function of the channel alone; block b holds the draws [b*B*D, (b+1)*B*D)
-and within it slot j (transmit-major, then receive, then hop) owns the B
-positions starting at b*B*D + j*B, one per trial.  The block size is
-therefore part of the layout: changing ``_CHUNK_DRAWS`` changes every
-Monte-Carlo number.
+Stream layout v3: every uniform variate has a fixed absolute position in
+one PCG64 stream seeded with the master seed, reached with ``advance``.
+Selection depends only on coefficient powers, so each trial takes
+D = n_t * n_r * n draws, one magnitude per cascade hop.  Trials are
+addressed in blocks of B = ``_chunk_trials(cfg)`` =
+min(65536, max(1, 2^21 // D)) trials, a function of the channel alone;
+block b holds the draws [b*B*D, (b+1)*B*D) and within it slot j
+(transmit-major, then receive, then hop) owns the B positions starting at
+b*B*D + j*B, one per trial.  The block size is therefore part of the
+layout: changing ``_CHUNK_DRAWS`` changes every Monte-Carlo number.
 
 One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
@@ -53,9 +53,12 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # A block holds at most this many trials and this many stream draws.
 _CHUNK_TRIALS = 65536
 _CHUNK_DRAWS = 2**21
-# A positioned read costs about as much as 2500 draws, so a block that
-# leaves at least this many trials unread reads only its slot-row heads.
-_SLOT_READ_MIN_UNREAD = 4096
+# On a 2-core x86-64 host with numpy 2.4, a positioned read costs about as
+# much as 4000-4700 draws, and reading only the slot-row heads breaks even
+# at about 5000 unread trials (4x4, n = 8) to 6000-10000 (2x3, n = 5), so
+# a block that leaves at least this many trials unread reads only its
+# slot-row heads.
+_SLOT_READ_MIN_UNREAD = 6144
 
 
 @dataclass(frozen=True)
@@ -105,17 +108,12 @@ def _uniforms(master_seed: int, start_draw: int, out: np.ndarray) -> np.ndarray:
     at absolute stream positions [start_draw, start_draw + out.size) and
     return it.
 
-    Philox advances in blocks of four 64-bit outputs, so the stream is
-    positioned at the enclosing block boundary and the in-block remainder
-    is discarded.  ``Generator.random`` maps each 64-bit word w to
-    (w >> 11) * 2^-53 in one pass.
+    PCG64 seeded with the master seed jumps to ``start_draw`` with
+    ``advance``, which counts 64-bit outputs, and ``Generator.random``
+    maps each word w to (w >> 11) * 2^-53 in one pass.
     """
-    bitgen = np.random.Philox(master_seed)
-    counter, rem = divmod(start_draw, 4)
-    if counter:
-        bitgen.advance(counter)
-    if rem:
-        bitgen.random_raw(rem)
+    bitgen = np.random.PCG64(master_seed)
+    bitgen.advance(start_draw)
     np.random.Generator(bitgen).random(out=out)
     return out
 

@@ -112,7 +112,7 @@ class OutageQuery:
     """Outage threshold, given directly or via a target rate R (bits/s/Hz).
 
     Exactly one of ``threshold`` / ``rate`` must be provided; a rate R maps
-    to the linear SNR threshold 2^R - 1.
+    to the linear SNR threshold 2^R - 1, which must be finite.
     """
 
     threshold: float | None = None
@@ -125,6 +125,15 @@ class OutageQuery:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.rate is not None and not (self.rate > 0.0):
             raise ValueError(f"rate must be positive, got {self.rate}")
+        try:
+            finite = math.isfinite(self.gamma_o)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"the outage threshold must be finite, got threshold={self.threshold}, "
+                f"rate={self.rate}"
+            )
 
     @property
     def gamma_o(self) -> float:
@@ -263,7 +272,8 @@ def outage_asymptotic(
 
     Returns the value together with its (coefficient, diversity, z)
     decomposition.  The value is meaningful only for z << 1; it is returned
-    unconditionally and the caller judges the regime.
+    unconditionally (inf where it exceeds the float range) and the caller
+    judges the regime.
     """
     law = _law_of(scheme, cfg)
     z = query.gamma_o / (law.gain * cfg.mean_snr)
@@ -271,7 +281,10 @@ def outage_asymptotic(
         z_definition = "gamma_o / (n_r * mean_snr)"
     else:
         z_definition = "gamma_o / mean_snr"
-    value = math.exp(law.ln_coeff + law.diversity * math.log(z)) if z > 0.0 else 0.0
+    try:
+        value = math.exp(law.ln_coeff + law.diversity * math.log(z)) if z > 0.0 else 0.0
+    except OverflowError:
+        value = math.inf
     return value, AsymptoticForm(
         coefficient=math.exp(law.ln_coeff), diversity=law.diversity, z=z,
         z_definition=z_definition,

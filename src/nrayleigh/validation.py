@@ -166,7 +166,8 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
                         "n_r": 3,
                         "snr_db": db,
                         "analytic": ana,
-                        "asymptotic": asym,
+                        # Past 1 the power law is no probability.
+                        "asymptotic": asym if asym <= 1.0 else None,
                         "empirical": est.value,
                         "ci_low": est.ci95_low,
                         "ci_high": est.ci95_high,

@@ -227,6 +227,17 @@ def check_c02(entry):
                 f"{key} at {p['snr_db']} dB: analytic {p['analytic']!r} vs "
                 f"gammainc reference {expected!r}"
             )
+            # The uncalibrated power law [x^s / Gamma(s+1)]^k, reported only
+            # where it is a probability.
+            power_law = model(p["scheme"], p["n"], p["n_t"], p["n_r"])
+            x = power_law.x(10.0 ** (p["snr_db"] / 10.0))
+            asymptotic = math.exp(
+                power_law.k * (power_law.s * math.log(x) - special.gammaln(power_law.s + 1.0))
+            )
+            if asymptotic > 1.0:
+                assert p["asymptotic"] is None, (key, p)
+            else:
+                assert _close(p["asymptotic"], asymptotic, POWER_LAW_REL_TOL), (key, p)
             binding = lo <= p["analytic"] <= hi
             rel = abs(p["empirical"] - p["analytic"]) / p["analytic"]
             ok = (not binding) or rel <= details["rel_tol"] or (
@@ -528,6 +539,7 @@ def test_summary_accounting(report):
 
 TAMPERED = [
     ("c02", ("details", "curves", "tas-mrc,n=3", "points", 4, "analytic")),
+    ("c02", ("details", "curves", "tas-sc,n=2", "points", -1, "asymptotic")),
     ("c03", ("details", "levels_db", 2)),
     ("c04", ("details", "combos", 7, "fitted_slope")),
     ("c05", ("details", "rows", 4, "ratio")),

@@ -147,6 +147,25 @@ class TestOutageSweep:
         assert rows[0]["p_out_asymptotic"] is None
         assert rows[1]["p_out_asymptotic"] == pytest.approx(kept, rel=1e-12)
 
+    def test_power_law_past_the_float_range_is_left_empty(self, capsys):
+        # At gamma_o = 1e300 the power law exceeds the largest float.
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", "0",
+                             "--gamma-o", "1e300", "--snr-db", "0")
+        assert code == cli.EXIT_OK and err == ""
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [r["scheme"] for r in rows] == ["tas-mrc", "tas-sc"]
+        assert all(r["p_out_asymptotic"] == "" for r in rows)
+
+    @pytest.mark.parametrize("flags", [
+        ("--rate", "2000"), ("--rate", "1024"), ("--rate", "inf"), ("--gamma-o", "inf"),
+    ])
+    def test_infinite_threshold_is_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", "0",
+                             "--snr-db", "0", *flags)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "finite" in err
+        assert out == ""
+
     def test_rate_and_threshold_conflict(self, capsys):
         code, _, _ = run(
             capsys, "outage-sweep", "--rate", "1", "--gamma-o", "1", "--trials", "0"
@@ -211,6 +230,8 @@ class TestOutageSweep:
         ("af-sweep", {"nt": True, "trials": 0}, "nt"),
         ("af-sweep", {"scheme": ["tas-mrc"], "trials": 0}, "scheme"),
         ("validate", {"omega": None}, "omega"),
+        ("af-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
+        ("outage-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(
         self, capsys, tmp_path, command, file_values, key
@@ -415,8 +436,10 @@ class TestValidate:
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
-        code, _, _ = run(capsys, "outage-sweep", "--scheme", "bogus", "--trials", "0")
-        assert code == cli.EXIT_USAGE
+        for command in ("outage-sweep", "af-sweep"):
+            code, _, err = run(capsys, command, "--scheme", "bogus", "--trials", "0")
+            assert code == cli.EXIT_USAGE
+            assert err.startswith("usage error:") and "bogus" in err
 
     def test_numeric_error_is_three(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -480,7 +503,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_VALIDATION
         assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
-            "6be6669785e765eb91a29200ef22518af2a42b66dab83abd2fa928a19c9d98f9"
+            "ac303ae0cf0074bd6e393d7698f00c0921f14a4063dc8b369d215577705de7a5"
         )
 
     def test_outage_sweep_json(self, capsys):
@@ -490,7 +513,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f50c97c3ffae620e2d517215f5e2395c4b0eefc6c5cf7dc7ec84101a5a378f64"
+            "c4fcdea442d3b4e831c649d9ed2a080ae84cb78e7695c70f075e1505ec7de3e4"
         )
 
     def test_deep_cascade_sweep_csv(self, capsys):
@@ -504,7 +527,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f3b76372d53de8465a94d28cc163ded0ce99639ff74d32beb4f47ee8dda912ab"
+            "5495ee936d383b83216becb4af1d6631fec3b5ee6c6cdd4d2a56f2ab3afaeecb"
         )
 
     def test_params_table(self, capsys):

@@ -33,14 +33,14 @@ def uniforms(seed, start_draw, count):
 
 
 def rebuild(c, seed, trials):
-    """Selection statistics of trials [0, trials) rebuilt from raw Philox
-    output by stream layout v2: block b of B trials holds draws
+    """Selection statistics of trials [0, trials) rebuilt from raw PCG64
+    output by stream layout v3: block b of B trials holds draws
     [b*B*D, (b+1)*B*D), slot j (transmit, receive, hop) owns the B
     positions from b*B*D + j*B, and a final partial block is generated in
     full and truncated."""
     width = _chunk_trials(c)
     blocks = -(-trials // width)
-    raw = np.random.Philox(seed).random_raw(blocks * width * draws_per_trial(c))
+    raw = np.random.PCG64(seed).random_raw(blocks * width * draws_per_trial(c))
     u = ((raw >> np.uint64(11)) * 2.0**-53).reshape(blocks, c.n_t, c.n_r, c.n, width)
     powers = np.prod(-np.log1p(-u), axis=3)
     return {
@@ -68,12 +68,11 @@ def outage_point(scheme, c, gamma_o, settings):
 
 
 class TestUniformStream:
-    """The counter-addressed uniform stream behind every trial."""
+    """The position-addressed uniform stream behind every trial."""
 
     def test_position_slicing(self):
-        # The stream is counter-addressed: reading from position p must
-        # reproduce the tail of a longer read from position 0, for
-        # positions that hit every block-alignment case.
+        # The stream is position-addressed: reading from position p must
+        # reproduce the tail of a longer read from position 0.
         full = uniforms(12345, 0, 1000)
         for pos in (1, 2, 3, 4, 5, 37, 511, 997):
             tail = uniforms(12345, pos, 1000 - pos)
@@ -92,8 +91,8 @@ class TestUniformStream:
         assert not np.array_equal(u[:50_000], uniforms(8, 0, 50_000))
 
     def test_validation(self):
-        # The master seed is the 64-bit Philox key: seeds outside it are
-        # refused, and the largest one keys a stream.
+        # The master seed must fit in 64 bits: seeds outside are refused,
+        # and the largest one seeds a stream.
         with pytest.raises(ValueError):
             SimSettings(trials=1, master_seed=-1)
         with pytest.raises(ValueError):
@@ -104,13 +103,16 @@ class TestUniformStream:
 
     @pytest.mark.parametrize("seed", [1, 2**64 - 1])
     @pytest.mark.parametrize("start", [0, 3, 5 * 2**21 + 1])
-    def test_doubles_are_top_53_bits_of_philox_words(self, seed, start):
+    def test_doubles_are_top_53_bits_of_pcg64_words(self, seed, start):
         # Position p holds (w >> 11) * 2^-53 for the p-th 64-bit word w of
-        # Philox keyed by the seed.
-        bitgen = np.random.Philox(seed)
-        counter, rem = divmod(start, 4)
-        bitgen.advance(counter)
-        words = bitgen.random_raw(rem + 1000)[rem:]
+        # PCG64 seeded with the master seed.  The words before `start` are
+        # generated and discarded, in pieces, rather than skipped with
+        # `advance`, so this does not share the kernel's positioning.
+        bitgen = np.random.PCG64(seed)
+        skipped = 0
+        while skipped < start:
+            skipped += bitgen.random_raw(min(start - skipped, 2**20)).size
+        words = bitgen.random_raw(1000)
         expected = (words >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(uniforms(seed, start, 1000), expected)
 
@@ -147,12 +149,11 @@ class TestChannelCoefficient:
             draws
         )
 
-    def test_stream_layout_v2(self, monkeypatch):
+    def test_stream_layout_v3(self, monkeypatch):
         # The kernel equals the from-scratch rebuild for full blocks and a
         # truncated final block, first at the default 65536-trial blocks,
         # then at 997-trial blocks of D = 9 draws: those hold 8973 draws,
-        # so blocks 1, 2 and 3 start 1, 2 and 3 draws into a 4-draw
-        # Philox block.
+        # so blocks 1 and 3 start at odd positions.
         def check(c, seed, blocks):
             width = _chunk_trials(c)
             reference = rebuild(c, seed, 4 * width)
@@ -192,18 +193,21 @@ class TestChannelCoefficient:
                     assert np.array_equal(selected[s], reference[s][first:first + count])
 
         # 65536-trial blocks: slot heads, then both sides of the threshold.
+        edge = 65536 - montecarlo._SLOT_READ_MIN_UNREAD
         for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
-            check(c, 1, [(0, 1), (0, 199), (1, 64), (1, 61440), (1, 61441), (1, 65536)])
-        # Every order, so both sign paths: 6001-trial blocks make slot rows
-        # start inside a 4-draw Philox block; 1905 trials leave exactly
-        # 4096 unread, 1906 leave 4095.
+            check(c, 1, [(0, 1), (0, 199), (1, 64), (1, edge), (1, edge + 1), (1, 65536)])
+        # Every order, so both sign paths, at 8001-trial blocks: every other
+        # slot row starts at an odd position, `edge` trials leave exactly
+        # _SLOT_READ_MIN_UNREAD unread and `edge + 1` leave one fewer.
+        edge = 8001 - montecarlo._SLOT_READ_MIN_UNREAD
+        assert edge > 0
         for n in range(1, 9):
             c = cfg(n=n, n_t=2, n_r=2)
-            monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 6001 * draws_per_trial(c))
-            assert _chunk_trials(c) == 6001
-            check(c, 3, [(0, 6001), (1, 1905), (1, 1906), (2, 7)])
+            monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 8001 * draws_per_trial(c))
+            assert _chunk_trials(c) == 8001
+            check(c, 3, [(0, 8001), (1, edge), (1, edge + 1), (2, 7)])
         # 997-trial blocks of D = 9 draws, with the threshold lowered so
-        # that their unaligned slot rows are also read one at a time.
+        # that their slot rows are also read one at a time.
         c = cfg(n=3, n_t=1, n_r=3)
         monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 997 * draws_per_trial(c))
         monkeypatch.setattr(montecarlo, "_SLOT_READ_MIN_UNREAD", 500)
@@ -218,7 +222,7 @@ class TestChannelCoefficient:
         c = cfg(n=4)
         width, d = _chunk_trials(c), draws_per_trial(c)
         assert width == 65536
-        _chunk_selected(c, 2, 1, count)  # warm up numpy and Philox
+        _chunk_selected(c, 2, 1, count)  # warm up numpy and PCG64
         tracemalloc.start()
         try:
             _chunk_selected(c, 2, 1, count)
@@ -228,15 +232,15 @@ class TestChannelCoefficient:
         assert peak <= 8 * width * (d + 2) + 64 * 1024
 
 class TestLayoutPin:
-    """Frozen outputs of stream layout v2 at seed 2017.
+    """Frozen outputs of stream layout v3 at seed 2017.
 
     The rebuild tests above define the layout and the kernel together, so
     a change to both would pass them; these literals fail on any change
-    to the stream layout, the block size or the reductions.  The 1x5,
-    n = 7 channel has D = 35, so its 59918-trial blocks are draw-capped
-    and block 1 starts 2 draws into a Philox counter.  The moments are
-    compared as exact floats, so a numpy whose log1p rounds differently
-    fails them too.
+    to the stream layout, the block size or the reductions.  They were
+    generated from ``rebuild``, not from the kernel.  The 1x5, n = 7
+    channel has D = 35, so its 59918-trial blocks are draw-capped and
+    block 1 starts at draw 2097130.  The moments are compared as exact
+    floats, so a numpy whose log1p rounds differently fails them too.
     """
 
     GRID = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0]
@@ -244,20 +248,20 @@ class TestLayoutPin:
     #   (mean, second moment, AF, AF standard error))}
     FROZEN = {
         (3, 2, 3, 140_000): {
-            Scheme.TAS_MRC: ([14, 588, 5136, 18298, 46970, 97961], (
-                4.76803708109006, 56.33601115474552,
-                1.4780316283913901, 0.031174846569813664)),
-            Scheme.TAS_SC: ([43, 1712, 10813, 30427, 63380, 108308], (
-                3.9061637938677367, 43.96813463520897,
-                1.8816228577929568, 0.044949288248945264)),
+            Scheme.TAS_MRC: ([10, 527, 5046, 18255, 47087, 97845], (
+                4.779043884345537, 56.772162395670584,
+                1.4857268265618462, 0.026897429714743053)),
+            Scheme.TAS_SC: ([30, 1688, 10742, 30563, 63228, 108290], (
+                3.9124113982409554, 44.08881278639189,
+                1.880310936469943, 0.03855375623427753)),
         },
         (7, 1, 5, 130_000): {
-            Scheme.TAS_MRC: ([5709, 22690, 44568, 64789, 84842, 106661], (
-                5.041551482557939, 834.3580169756278,
-                31.82645844386804, 8.664435815962419)),
-            Scheme.TAS_SC: ([9840, 31777, 54732, 74036, 91667, 110071], (
-                4.511872578256827, 813.5547118889519,
-                38.96438302225274, 10.736254417655426)),
+            Scheme.TAS_MRC: ([5549, 22750, 44456, 64563, 84655, 106335], (
+                5.096608678615477, 680.3328631967262,
+                25.191409516994597, 3.598623119945777)),
+            Scheme.TAS_SC: ([9896, 31760, 54590, 73645, 91610, 109804], (
+                4.568752125972852, 657.182822214909,
+                30.48408022184743, 4.412767258556289)),
         },
     }
 
@@ -342,8 +346,8 @@ class TestDeterminism:
     def test_chunk_size_invariance(self, monkeypatch):
         # The block size is part of the layout, so the counts of every
         # block size equal the counts of the from-scratch rebuild at that
-        # size: 997-trial blocks of D = 9 or 18 draws start inside a 4-draw
-        # Philox block, and 30000 trials end in a truncated block.
+        # size: 997-trial blocks of D = 9 draws (odd-numbered ones start at
+        # odd positions), and 30000 trials end in a truncated block.
         grid = np.logspace(-1.0, 1.0, 9)
         settings = SimSettings(trials=30_000, master_seed=9)
         for c in (cfg(n=3), cfg(n=3, n_t=1, n_r=3)):
@@ -382,7 +386,8 @@ class TestDeterminism:
     def test_chunk_holds_at_most_2_21_draws(self, monkeypatch):
         # Every D <= 32 keeps 65536-trial blocks, 4x4 at n = 5..8 is
         # draw-capped, and 16x16, n = 8 (D = 2048) holds 1024 trials; the
-        # final block leaves 1023 < 4096 trials unread, so it is read whole.
+        # final block leaves 1023 < _SLOT_READ_MIN_UNREAD trials unread, so
+        # it is read whole.
         assert _chunk_trials(cfg(n=8, n_t=2, n_r=2)) == 65536
         assert _chunk_trials(cfg(n=5, n_t=2, n_r=3)) == 65536
         assert _chunk_trials(cfg(n=3, n_t=1, n_r=11)) < 65536

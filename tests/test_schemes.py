@@ -72,6 +72,15 @@ class TestOutageQuery:
         with pytest.raises(ValueError):
             OutageQuery(threshold=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rate": 2000.0}, {"rate": 1024.0}, {"rate": math.inf}, {"threshold": math.inf},
+    ])
+    def test_threshold_must_be_finite(self, kwargs):
+        # 2^1024 - 1 is past the largest float; 2^1023.9 - 1 is not.
+        with pytest.raises(ValueError, match="finite"):
+            OutageQuery(**kwargs)
+        assert math.isfinite(OutageQuery(rate=1023.9).gamma_o)
+
 
 class TestPostprocCdf:
     def test_zero_snr(self):
@@ -180,6 +189,14 @@ class TestAsymptotics:
         _, form = outage_asymptotic(Scheme.TAS_SC, OutageQuery(threshold=1.0), cfg())
         assert form.z == pytest.approx(0.1, rel=1e-15)
         assert "n_r" not in form.z_definition
+
+    def test_power_law_past_the_float_range_is_inf(self):
+        # ln C + d ln z is above ln(max float) at gamma_o = 1e300, 0 dB.
+        q = OutageQuery(threshold=1e300)
+        for scheme in Scheme:
+            value, form = outage_asymptotic(scheme, q, cfg(mean_snr=1.0))
+            assert value == math.inf
+            assert math.log(form.coefficient) + form.diversity * math.log(form.z) > 710.0
 
     def test_power_law_slope_is_exact(self):
         q = OutageQuery(threshold=1.0)
