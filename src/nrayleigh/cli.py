@@ -89,12 +89,13 @@ def _parse_n_list(value) -> list[int]:
     return items
 
 
-def _parse_snr_grid(value) -> list[float]:
+def _parse_snr_grid(value, gamma_o: float) -> list[float]:
     """Mean-SNR grid in dB from a flag ("start:stop:step" or one value) or a
     config-file list of numbers.
 
     List values are kept as given, so the rows print them as written.  Each
-    point must give a finite, positive linear SNR 10^(dB/10).
+    point must give a finite, positive linear SNR 10^(dB/10) and a positive
+    threshold gamma_o / 10^(dB/10) at unit mean SNR.
     """
     if isinstance(value, str):
         try:
@@ -124,6 +125,11 @@ def _parse_snr_grid(value) -> list[float]:
             linear = math.inf
         if not (0.0 < linear < math.inf):
             raise click.UsageError(f"SNR grid point {db!r} dB has no finite positive linear SNR")
+        if not (gamma_o / linear > 0.0):
+            raise click.UsageError(
+                f"SNR grid point {db!r} dB gives threshold {gamma_o!r} / 10^(dB/10) = 0, "
+                "not a positive float"
+            )
     return grid
 
 
@@ -279,7 +285,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     gamma_o = query.gamma_o
     scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
     orders = _parse_n_list(opts["n_list"])
-    grid_db = _parse_snr_grid(opts["snr_db"])
+    grid_db = _parse_snr_grid(opts["snr_db"], gamma_o)
     trials = opts["trials"]
 
     rows: list[dict] = []

@@ -69,6 +69,8 @@ _AF_BOUND_MAX_CASCADE = 8
 _AF_BOUND_MAX_ANTENNAS = 16
 # Largest order-statistics exponent the alternating moment sum is validated for.
 _MOMENT_SUM_MAX_EXPONENT = 64
+# Relative tolerance each quadrature of ``moment_oracle`` asks of QUADPACK.
+_ORACLE_REL_TOL = 1e-10
 
 
 class NonPhysicalMomentError(ArithmeticError):
@@ -238,9 +240,7 @@ def af_siso(n: int) -> float:
     return af_simo(n, 1)
 
 
-def moment_oracle(
-    l: int, scheme: Scheme, cfg: ChannelConfig, rel_tol: float = 1e-10
-) -> float:
+def moment_oracle(l: int, scheme: Scheme, cfg: ChannelConfig) -> float:
     """l-th moment of the exact model CDF by adaptive quadrature.
 
     Uses E[g^l] = l * int_0^inf g^(l-1) (1 - F(g)) dg with the substitution
@@ -266,10 +266,10 @@ def moment_oracle(
     # Split at the bulk scale of the integrand so QUADPACK sees the knee.
     u_mid = (shape + nl) / beta
     head, head_err = integrate.quad(
-        integrand, 0.0, u_mid, epsabs=0.0, epsrel=rel_tol, limit=500
+        integrand, 0.0, u_mid, epsabs=0.0, epsrel=_ORACLE_REL_TOL, limit=500
     )
     tail, tail_err = integrate.quad(
-        integrand, u_mid, math.inf, epsabs=0.0, epsrel=rel_tol, limit=500
+        integrand, u_mid, math.inf, epsabs=0.0, epsrel=_ORACLE_REL_TOL, limit=500
     )
     value = l * cfg.n * (head + tail)
     if not math.isfinite(value) or value <= 0.0:

@@ -134,6 +134,8 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
 
     Binding wherever the analytic outage is inside the comparison band:
     relative error within 20% or analytic value inside the empirical 95% CI.
+    A curve with no binding point fails, so the criterion cannot pass
+    vacuously.
     """
     gamma_o = config.gamma_o
     query = OutageQuery(threshold=gamma_o)
@@ -186,7 +188,10 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
     return CriterionResult(
         cid="c02",
         name="outage curves vs Monte-Carlo (2x3, calibrated)",
-        passed=all(r["pass"] for c in per_curve.values() for r in c["points"]),
+        passed=all(
+            all(r["pass"] for r in c["points"]) and any(r["binding"] for r in c["points"])
+            for c in per_curve.values()
+        ),
         details={"band": list(_MC_MATCH_BAND), "rel_tol": _MC_MATCH_REL_TOL,
                  "curves": per_curve},
     )

@@ -255,6 +255,8 @@ def check_c02(entry):
                     f"{p['snr_db']} dB: relative error {rel:.3f}, analytic "
                     f"{p['analytic']:.4g} outside CI [{p['ci_low']:.4g}, {p['ci_high']:.4g}]"
                 )
+        # A curve with no binding point fails the criterion.
+        all_ok = all_ok and binding_points > 0
         assert binding_points > 0, f"{key} has no point inside the band"
         assert curve["worst_binding_rel_error"] == worst, key
     for n in (2, 3, 4, 5):
@@ -267,7 +269,8 @@ def check_c02(entry):
                 f"{p_mrc['empirical']} exceeds TAS/SC {p_sc['empirical']} on shared draws"
             )
     assert entry["passed"] == all_ok, (
-        f"verdict {entry['passed']} disagrees with the 20%/CI rule on the rows ({all_ok})"
+        f"verdict {entry['passed']} disagrees with the 20%/CI and binding-point rule "
+        f"on the rows ({all_ok})"
     )
 
 

@@ -166,6 +166,16 @@ class TestOutageSweep:
         assert err.startswith("usage error:") and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("trials", ["0", "10"])
+    def test_threshold_that_underflows_is_usage_error(self, capsys, trials):
+        # 1e-300 / 10^30 is 0.0 in floating point.
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", trials,
+                             "--snr-db", "300", "--gamma-o", "1e-300")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "not a positive float" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_rate_and_threshold_conflict(self, capsys):
         code, _, _ = run(
             capsys, "outage-sweep", "--rate", "1", "--gamma-o", "1", "--trials", "0"
@@ -411,6 +421,48 @@ class TestValidate:
         # 10 log10(5) per cascade step, far outside any tolerance.
         assert by_id["c03"]["details"]["gaps_db"][0] > 8.0
 
+    def test_c02_without_binding_points_fails(self, capsys, tmp_path):
+        # At gamma_o = 1e300 every analytic outage is 1.0, outside the
+        # band, so no point binds and c02 cannot pass on its points alone.
+        report_file = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "validate", "--trials", "2000", "--determinism-trials", "100",
+            "--gamma-o", "1e300", "--out", str(report_file),
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "FAIL c02" in err
+        c02 = json.loads(report_file.read_text())["criteria"][1]
+        assert c02["id"] == "c02" and not c02["passed"]
+        points = [p for c in c02["details"]["curves"].values() for p in c["points"]]
+        assert len(points) == 128
+        assert all(p["pass"] and not p["binding"] for p in points)
+
+    def test_c02_equals_outage_sweep_at_its_defaults(self, capsys, tmp_path):
+        # Both build the 2x3, n = 2..5, 0:30:2 dB, gamma_o = 1 calibrated
+        # table from the same draws.
+        report_file = tmp_path / "report.json"
+        run(capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
+            "--seed", "3", "--out", str(report_file))
+        curves = json.loads(report_file.read_text())["criteria"][1]["details"]["curves"]
+        expected = {
+            (p["scheme"], p["n"], p["snr_db"]): (
+                p["analytic"], p["asymptotic"], p["empirical"], p["ci_low"], p["ci_high"]
+            )
+            for c in curves.values() for p in c["points"]
+        }
+        code, out, _ = run(capsys, "outage-sweep", "--trials", "20000", "--seed", "3",
+                           "--format", "json")
+        assert code == cli.EXIT_OK
+        got = {
+            (r["scheme"], r["n"], r["snr_db"]): (
+                r["p_out_analytic"], r["p_out_asymptotic"], r["p_out_mc"],
+                r["ci_low"], r["ci_high"]
+            )
+            for r in json.loads(out)["rows"]
+        }
+        assert len(expected) == 128
+        assert got == expected
+
     def test_seed_and_omega_config_keys(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
@@ -519,8 +571,7 @@ class TestOutputBytes:
     def test_deep_cascade_sweep_csv(self, capsys):
         # 4x4 blocks hold 26214/21845/18724/16384 trials at n = 5..8, so
         # 30000 trials leave 22428, 13690, 7448 and 2768 trials of the
-        # final block unread: both sides of the kernel's choice between
-        # per-slot reads and one block read.
+        # final block unread.
         code, out, _ = run(
             capsys, "outage-sweep", "--n", "5,6,7,8", "--nt", "4", "--nr", "4",
             "--snr-db", "0:40:10", "--trials", "30000", "--seed", "1",

@@ -12,7 +12,7 @@ from nrayleigh.montecarlo import (
     SimSettings,
     _chunk_selected,
     _chunk_trials,
-    _uniforms,
+    _read_rows,
     empirical_cdf_pair,
     estimate_moments_af,
 )
@@ -29,7 +29,7 @@ def draws_per_trial(c):
 
 
 def uniforms(seed, start_draw, count):
-    return _uniforms(seed, start_draw, np.empty(count))
+    return _read_rows(seed, start_draw, count, np.empty((1, count)))[0]
 
 
 def rebuild(c, seed, trials):
@@ -50,15 +50,16 @@ def rebuild(c, seed, trials):
 
 
 def record_reads(monkeypatch):
-    """(start_draw, count) of every stream read the engine makes."""
+    """(start_draw, stride, rows, width) of every stream read the engine
+    makes."""
     reads = []
-    original = montecarlo._uniforms
+    original = montecarlo._read_rows
 
-    def spy(master_seed, start_draw, out):
-        reads.append((start_draw, out.size))
-        return original(master_seed, start_draw, out)
+    def spy(master_seed, start_draw, stride, out):
+        reads.append((start_draw, stride, *out.shape))
+        return original(master_seed, start_draw, stride, out)
 
-    monkeypatch.setattr(montecarlo, "_uniforms", spy)
+    monkeypatch.setattr(montecarlo, "_read_rows", spy)
     return reads
 
 
@@ -170,11 +171,9 @@ class TestChannelCoefficient:
         check(c, 5, [(0, 997), (1, 997), (2, 500), (3, 1)])
 
     def test_draw_budget(self, monkeypatch):
-        # A block reads only the draws its trials use.  One that leaves
-        # fewer than _SLOT_READ_MIN_UNREAD trials unread reads the whole
-        # block [b*B*D, (b+1)*B*D) once; any other reads the first `count`
-        # positions of each slot row j, from (b*D + j)*B.  Either way it
-        # reproduces the rebuild of those trials.
+        # A block reads only the draws its trials use, in one call: the
+        # first `count` positions of each slot row j, from (b*D + j)*B,
+        # D*count draws in all.  It reproduces the rebuild of those trials.
         reads = record_reads(monkeypatch)
 
         def check(c, seed, blocks):
@@ -184,44 +183,39 @@ class TestChannelCoefficient:
             for block, count in blocks:
                 reads.clear()
                 selected = _chunk_selected(c, seed, block, count)
-                if width - count >= montecarlo._SLOT_READ_MIN_UNREAD:
-                    assert reads == [((block * d + j) * width, count) for j in range(d)]
-                else:
-                    assert reads == [(block * width * d, width * d)]
+                assert reads == [(block * width * d, width, d, count)]
                 first = block * width
                 for s in Scheme:
                     assert np.array_equal(selected[s], reference[s][first:first + count])
 
-        # 65536-trial blocks: slot heads, then both sides of the threshold.
-        edge = 65536 - montecarlo._SLOT_READ_MIN_UNREAD
+        # 65536-trial blocks: 1, B - 1 and B trials, and 59392 and 59393,
+        # which leave 6144 and 6143 trials unread.
         for c in (cfg(n=3, n_t=1, n_r=3), cfg(n=4)):
-            check(c, 1, [(0, 1), (0, 199), (1, 64), (1, edge), (1, edge + 1), (1, 65536)])
+            check(c, 1, [(0, 1), (0, 199), (1, 64), (1, 59392), (1, 59393),
+                         (1, 65535), (1, 65536)])
         # Every order, so both sign paths, at 8001-trial blocks: every other
-        # slot row starts at an odd position, `edge` trials leave exactly
-        # _SLOT_READ_MIN_UNREAD unread and `edge + 1` leave one fewer.
-        edge = 8001 - montecarlo._SLOT_READ_MIN_UNREAD
-        assert edge > 0
+        # slot row starts at an odd position, and 1857 and 1858 trials leave
+        # 6144 and 6143 unread.
         for n in range(1, 9):
             c = cfg(n=n, n_t=2, n_r=2)
             monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 8001 * draws_per_trial(c))
             assert _chunk_trials(c) == 8001
-            check(c, 3, [(0, 8001), (1, edge), (1, edge + 1), (2, 7)])
-        # 997-trial blocks of D = 9 draws, with the threshold lowered so
-        # that their slot rows are also read one at a time.
+            check(c, 3, [(0, 8001), (1, 1), (1, 1857), (1, 1858), (1, 8000), (2, 7)])
+        # 997-trial blocks of D = 9 draws: 8973-draw blocks, so blocks 1
+        # and 3 start at odd positions.
         c = cfg(n=3, n_t=1, n_r=3)
         monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 997 * draws_per_trial(c))
-        monkeypatch.setattr(montecarlo, "_SLOT_READ_MIN_UNREAD", 500)
         assert _chunk_trials(c) == 997
-        check(c, 5, [(0, 997), (1, 1), (1, 497), (1, 498), (2, 500)])
+        check(c, 5, [(0, 997), (1, 1), (1, 497), (1, 996), (2, 500)])
 
-    @pytest.mark.parametrize("count", [65536, 54464, 4])
+    @pytest.mark.parametrize("count", [65536, 61440, 54464, 4])
     def test_peak_memory_is_one_block(self, count):
-        # One call holds at most the B*D block doubles and the two B-trial
-        # results, plus numpy's reduction buffers; per-slot reads fill one
-        # (D, count) buffer instead of joining D separate rows.
+        # One call holds at most the D*count doubles its trials use and the
+        # two count-trial results, plus numpy's reduction buffers: a
+        # partial block never holds the draws of its unread trials.
         c = cfg(n=4)
-        width, d = _chunk_trials(c), draws_per_trial(c)
-        assert width == 65536
+        d = draws_per_trial(c)
+        assert _chunk_trials(c) == 65536
         _chunk_selected(c, 2, 1, count)  # warm up numpy and PCG64
         tracemalloc.start()
         try:
@@ -229,7 +223,7 @@ class TestChannelCoefficient:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * width * (d + 2) + 64 * 1024
+        assert peak <= 8 * count * (d + 2) + 64 * 1024
 
 class TestLayoutPin:
     """Frozen outputs of stream layout v3 at seed 2017.
@@ -386,8 +380,7 @@ class TestDeterminism:
     def test_chunk_holds_at_most_2_21_draws(self, monkeypatch):
         # Every D <= 32 keeps 65536-trial blocks, 4x4 at n = 5..8 is
         # draw-capped, and 16x16, n = 8 (D = 2048) holds 1024 trials; the
-        # final block leaves 1023 < _SLOT_READ_MIN_UNREAD trials unread, so
-        # it is read whole.
+        # final block reads one trial, one position from each slot row.
         assert _chunk_trials(cfg(n=8, n_t=2, n_r=2)) == 65536
         assert _chunk_trials(cfg(n=5, n_t=2, n_r=3)) == 65536
         assert _chunk_trials(cfg(n=3, n_t=1, n_r=11)) < 65536
@@ -397,8 +390,8 @@ class TestDeterminism:
         c = cfg(n=8, n_t=16, n_r=16)
         reads = record_reads(monkeypatch)
         empirical_cdf_pair(c, SimSettings(trials=1025, master_seed=1), [1.0])
-        assert reads == [(0, 1024 * 2048), (1024 * 2048, 1024 * 2048)]
-        assert max(count for _, count in reads) <= 2**21
+        assert reads == [(0, 1024, 2048, 1024), (1024 * 2048, 1024, 2048, 1)]
+        assert max(rows * width for _, _, rows, width in reads) <= 2**21
 
     def test_seed_changes_results(self):
         c = cfg()  # P(selected power <= 1) ~ 5%: ample events either way
