@@ -53,6 +53,9 @@ _AF_COLUMNS = [
 # Parameters whose config-file value may also be a JSON list; their
 # commands parse them.
 _LIST_PARAMS = ("n_list", "snr_db")
+# Far above the point count of any figure's grid (-10:60:0.5 has 141), and
+# low enough that a mistyped grid cannot exhaust memory.
+_MAX_GRID_POINTS = 10_000
 
 
 class ValidationFailure(Exception):
@@ -89,13 +92,12 @@ def _parse_n_list(value) -> list[int]:
     return items
 
 
-def _parse_snr_grid(value, gamma_o: float) -> list[float]:
+def _parse_snr_grid(value) -> list[float]:
     """Mean-SNR grid in dB from a flag ("start:stop:step" or one value) or a
-    config-file list of numbers.
+    config-file list of numbers, of at most ``_MAX_GRID_POINTS`` points.
 
-    List values are kept as given, so the rows print them as written.  Each
-    point must give a finite, positive linear SNR 10^(dB/10) and a positive
-    threshold gamma_o / 10^(dB/10) at unit mean SNR.
+    List values are kept as given, so the rows print them as written.  The
+    rules on each point's threshold are ``validation.outage_curves``'s.
     """
     if isinstance(value, str):
         try:
@@ -118,32 +120,20 @@ def _parse_snr_grid(value, gamma_o: float) -> list[float]:
         grid = value
     else:
         raise click.UsageError(f"SNR grid must be a list or a string, got {value!r}")
-    for db in grid:
-        try:
-            linear = 10.0 ** (db / 10.0)
-        except OverflowError:
-            linear = math.inf
-        if not (0.0 < linear < math.inf):
-            raise click.UsageError(f"SNR grid point {db!r} dB has no finite positive linear SNR")
-        if not (gamma_o / linear > 0.0):
-            raise click.UsageError(
-                f"SNR grid point {db!r} dB gives threshold {gamma_o!r} / 10^(dB/10) = 0, "
-                "not a positive float"
-            )
+    if len(grid) > _MAX_GRID_POINTS:
+        raise click.UsageError(f"SNR grid has more than {_MAX_GRID_POINTS} points")
     return grid
 
 
 def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
+    """start + k*step up to stop, stopping one point past the grid cap."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise click.UsageError("SNR grid start, stop and step must be finite")
     if not (start < stop) or not (step > 0):
         raise click.UsageError("SNR grid requires start < stop and step > 0")
     grid = []
-    k = 0
-    while True:
-        point = start + k * step
-        if point > stop + 1e-9:
-            break
+    while len(grid) <= _MAX_GRID_POINTS and (point := start + len(grid) * step) <= stop + 1e-9:
         grid.append(point)
-        k += 1
     return grid
 
 
@@ -285,34 +275,20 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     gamma_o = query.gamma_o
     scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
     orders = _parse_n_list(opts["n_list"])
-    grid_db = _parse_snr_grid(opts["snr_db"], gamma_o)
+    grid_db = _parse_snr_grid(opts["snr_db"])
     trials = opts["trials"]
+    settings = None
+    if trials != 0:
+        settings = SimSettings(trials=trials, master_seed=opts["seed"], workers=opts["workers"])
 
     rows: list[dict] = []
     for n in orders:
-        estimates = None
-        points = sorted((gamma_o / 10.0 ** (db / 10.0), db) for db in grid_db)
-        if trials > 0:
-            settings = SimSettings(
-                trials=trials, master_seed=opts["seed"], workers=opts["workers"]
-            )
-            sim_cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
-            estimates = montecarlo.empirical_cdf_pair(
-                sim_cfg, settings, [t for t, _ in points]
-            )
-        for scheme in scheme_list:
-            for idx, (threshold, db) in enumerate(points):
-                mean_snr = gamma_o / threshold
-                cfg = ChannelConfig(
-                    n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=mean_snr,
-                    calibration_omega=opts["omega"],
-                )
-                analytic = schemes.outage(scheme, query, cfg)
-                asymptotic, _ = schemes.outage_asymptotic(scheme, query, cfg)
-                if asymptotic > 1.0:
-                    # The power law holds only for z << 1; past 1 it is no
-                    # probability, so the cell is left empty.
-                    asymptotic = None
+        curves = validation.outage_curves(
+            n, opts["nt"], opts["nr"], query, grid_db,
+            {scheme: opts["omega"] for scheme in scheme_list}, settings,
+        )
+        for scheme, curve in curves.items():
+            for db, analytic, asymptotic, est in curve:
                 row = {
                     "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
                     "snr_db": db, "gamma_o": gamma_o, "p_out_analytic": analytic,
@@ -320,8 +296,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                     "ci_low": None, "ci_high": None, "trials": trials,
                     "seed": opts["seed"], "low_confidence": None,
                 }
-                if estimates is not None:
-                    est = estimates[scheme][idx]
+                if est is not None:
                     row.update(
                         p_out_mc=est.value,
                         ci_low=est.ci95_low,
@@ -374,6 +349,10 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         for n in orders
     }
 
+    settings = None
+    if trials != 0:
+        settings = SimSettings(trials=trials, master_seed=opts["seed"], workers=opts["workers"])
+
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
@@ -382,10 +361,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
             n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0, calibration_omega=1.0
         )
         estimates = None
-        if trials > 0:
-            settings = SimSettings(
-                trials=trials, master_seed=opts["seed"], workers=opts["workers"]
-            )
+        if settings is not None:
             estimates = montecarlo.estimate_moments_af(cfg, settings)
         for scheme in scheme_list:
             try:

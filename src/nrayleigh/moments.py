@@ -11,13 +11,6 @@ which yields, per scheme, the alternating sum implemented by
 ``moment_tas_mrc`` / ``moment_tas_sc``.  The b coefficients are empirical
 weights fitted per cascade order (``CAPTION_COEFFS``).
 
-The corresponding expressions as printed in the source material carry a
-single b and a single 1/Gamma(s) across all k; that variant is kept as
-``moment_tas_mrc_as_printed`` / ``moment_tas_sc_as_printed`` for reference.
-It is numerically non-physical for TAS/MRC beyond n = 3 (the k = 2 term of
-the alternating sum outgrows the k = 1 term and the "moment" goes
-negative), which is why the bound-derived form above is the primary one.
-
 ``moment_oracle`` integrates the exact model CDF numerically and is the
 ground truth the closed forms are judged against.
 """
@@ -49,9 +42,7 @@ __all__ = [
     "default_weights",
     "moment_oracle",
     "moment_tas_mrc",
-    "moment_tas_mrc_as_printed",
     "moment_tas_sc",
-    "moment_tas_sc_as_printed",
 ]
 
 # Weighting coefficients (b1 for TAS/MRC, b2 for TAS/SC) fitted per cascade
@@ -74,20 +65,21 @@ _ORACLE_REL_TOL = 1e-10
 
 
 class NonPhysicalMomentError(ArithmeticError):
-    """The alternating moment sum produced a nonpositive value."""
+    """The alternating moment sum produced a nonpositive value, or a term
+    past the float range."""
 
 
 @dataclass(frozen=True)
 class WeightingCoefficients:
-    """Moment weighting coefficients, both > 1 by construction of the bound."""
+    """Moment weighting coefficients, finite and > 1 by construction of the bound."""
 
     b1: float
     b2: float
 
     def __post_init__(self) -> None:
-        if not (self.b1 > 1.0) or not (self.b2 > 1.0):
+        if not (1.0 < self.b1 < math.inf) or not (1.0 < self.b2 < math.inf):
             raise ValueError(
-                f"weighting coefficients must exceed 1, got b1={self.b1}, b2={self.b2}"
+                f"weighting coefficients must be finite and exceed 1, got {self.b1}, {self.b2}"
             )
 
 
@@ -103,22 +95,13 @@ def default_weights(n: int) -> WeightingCoefficients:
     return WeightingCoefficients(b1=b1, b2=b2)
 
 
-def _moment_sum(
-    l: int,
-    shape: float,
-    exponent: int,
-    beta: float,
-    n: int,
-    b: float,
-    per_term_weights: bool,
-) -> float:
+def _moment_sum(l: int, shape: float, exponent: int, beta: float, n: int, b: float) -> float:
     """Alternating moment sum over the order-statistics expansion.
 
     Each term uses the exact bracket identity
     a_k G(a_k + nl) - G(a_k + nl + 1) = -nl G(a_k + nl), a_k = k(shape - 1),
-    so no subtractive cancellation occurs inside a term.  With
-    ``per_term_weights`` the k-th term carries b^k / Gamma(shape)^k (the
-    bound-derived form); without it, b / Gamma(shape) (the printed form).
+    so no subtractive cancellation occurs inside a term, and the k-th term
+    carries b^k / Gamma(shape)^k from the bound on Q(shape, u)^k.
     """
     if l != int(l) or int(l) < 1:
         raise ValueError(f"moment order must be an integer >= 1, got {l}")
@@ -135,12 +118,12 @@ def _moment_sum(
             + math.lgamma(a_k + nl)
             - (a_k + nl) * math.log(k)
             - nl * math.log(beta)
+            + k * (math.log(b) - math.lgamma(shape))
         )
-        if per_term_weights:
-            ln_mag += k * (math.log(b) - math.lgamma(shape))
-        else:
-            ln_mag += math.log(b) - math.lgamma(shape)
-        total += (-1.0) ** (k + 1) * math.exp(ln_mag)
+        try:
+            total += (-1.0) ** (k + 1) * math.exp(ln_mag)
+        except OverflowError:
+            raise NonPhysicalMomentError(f"moment sum term k={k} overflows, b={b}") from None
     if not (total > 0.0):
         raise NonPhysicalMomentError(
             f"moment sum is nonpositive ({total}) for shape={shape}, "
@@ -149,40 +132,20 @@ def _moment_sum(
     return total
 
 
-def _scheme_moment(
-    l: int, scheme: Scheme, cfg: ChannelConfig, b: float, per_term_weights: bool
-) -> float:
+def _scheme_moment(l: int, scheme: Scheme, cfg: ChannelConfig, b: float) -> float:
     # The moment model carries no calibration weight.
     shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
-    return _moment_sum(l, shape, exponent, beta, cfg.n, b, per_term_weights)
+    return _moment_sum(l, shape, exponent, beta, cfg.n, b)
 
 
 def moment_tas_mrc(l: int, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
     """Approximate l-th moment of the TAS/MRC post-processing SNR."""
-    return _scheme_moment(l, Scheme.TAS_MRC, cfg, w.b1, per_term_weights=True)
+    return _scheme_moment(l, Scheme.TAS_MRC, cfg, w.b1)
 
 
 def moment_tas_sc(l: int, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
     """Approximate l-th moment of the TAS/SC post-processing SNR."""
-    return _scheme_moment(l, Scheme.TAS_SC, cfg, w.b2, per_term_weights=True)
-
-
-def moment_tas_mrc_as_printed(
-    l: int, cfg: ChannelConfig, w: WeightingCoefficients
-) -> float:
-    """TAS/MRC moment with a single b1/Gamma(a) across all expansion terms.
-
-    Reference variant only: goes non-physical (raises) for n >= 4 at two
-    transmit antennas because the k = 2 term dominates.
-    """
-    return _scheme_moment(l, Scheme.TAS_MRC, cfg, w.b1, per_term_weights=False)
-
-
-def moment_tas_sc_as_printed(
-    l: int, cfg: ChannelConfig, w: WeightingCoefficients
-) -> float:
-    """TAS/SC moment with a single b2/Gamma(m) across all expansion terms."""
-    return _scheme_moment(l, Scheme.TAS_SC, cfg, w.b2, per_term_weights=False)
+    return _scheme_moment(l, Scheme.TAS_SC, cfg, w.b2)
 
 
 def amount_of_fading(

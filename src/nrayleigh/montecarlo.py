@@ -5,7 +5,7 @@ one PCG64 stream seeded with the master seed, reached with ``advance``.
 Selection depends only on coefficient powers, so each trial takes
 D = n_t * n_r * n draws, one magnitude per cascade hop.  Trials are
 addressed in blocks of B = ``_chunk_trials(cfg)`` =
-min(65536, max(1, 2^21 // D)) trials, a function of the channel alone;
+min(65536, 2^21 // D) trials, a function of the channel alone;
 block b holds the draws [b*B*D, (b+1)*B*D) and within it slot j
 (transmit-major, then receive, then hop) owns the B positions starting at
 b*B*D + j*B, one per trial.  The block size is therefore part of the
@@ -14,13 +14,14 @@ layout: changing ``_CHUNK_DRAWS`` changes every Monte-Carlo number.
 One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
 counts (``empirical_cdf_pair``) or power sums (``estimate_moments_af``).
-A block reads at most 2^21 draws, which bounds chunk memory for any
-(n, n_t, n_r).  Because every position is addressed, a final partial
-block reads only the first ``count`` positions of each slot row and
-skips the rest with ``advance``.  Block partials are combined in trial
-order, so every estimate is a pure function of (cfg, trials, master_seed)
-- independent of the worker count - and TAS/MRC and TAS/SC share channel
-realizations exactly.
+A block reads at most 2^21 draws, which bounds chunk memory for every
+accepted channel: one with D > 2^21, whose one trial would not fit in a
+block, is refused before any draw.  Because every position is addressed,
+a final partial block reads only the first ``count`` positions of each
+slot row and skips the rest with ``advance``.  Block partials are combined
+in trial order, so every estimate is a pure function of (cfg, trials,
+master_seed) - independent of the worker count - and TAS/MRC and TAS/SC
+share channel realizations exactly.
 
 Channel convention: each hop is a zero-mean circular complex Gaussian with
 unit power, so every coefficient power is a product of n unit-mean
@@ -127,7 +128,10 @@ def _draws_per_trial(cfg: ChannelConfig) -> int:
 
 
 def _chunk_trials(cfg: ChannelConfig) -> int:
-    return min(_CHUNK_TRIALS, max(1, _CHUNK_DRAWS // _draws_per_trial(cfg)))
+    d = _draws_per_trial(cfg)
+    if d > _CHUNK_DRAWS:
+        raise ValueError(f"a trial of {d} draws does not fit in a {_CHUNK_DRAWS}-draw block")
+    return min(_CHUNK_TRIALS, _CHUNK_DRAWS // d)
 
 
 def _chunk_selected(

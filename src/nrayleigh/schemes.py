@@ -87,10 +87,9 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if not (self.mean_snr > 0.0) or not math.isfinite(self.mean_snr):
             raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr}")
-        if self.calibration_omega is not None and not (self.calibration_omega > 0.0):
-            raise ValueError(
-                f"calibration_omega must be positive, got {self.calibration_omega}"
-            )
+        omega = self.calibration_omega
+        if omega is not None and not (0.0 < omega < math.inf):
+            raise ValueError(f"calibration_omega must be positive and finite, got {omega}")
 
     @property
     def total_antennas(self) -> int:
@@ -112,7 +111,8 @@ class OutageQuery:
     """Outage threshold, given directly or via a target rate R (bits/s/Hz).
 
     Exactly one of ``threshold`` / ``rate`` must be provided; a rate R maps
-    to the linear SNR threshold 2^R - 1, which must be finite.
+    to the linear SNR threshold 2^R - 1, which must be finite and positive
+    (below R ~ 1.6e-16 it rounds to 0).
     """
 
     threshold: float | None = None
@@ -126,13 +126,13 @@ class OutageQuery:
         if self.rate is not None and not (self.rate > 0.0):
             raise ValueError(f"rate must be positive, got {self.rate}")
         try:
-            finite = math.isfinite(self.gamma_o)
+            gamma_o = self.gamma_o
         except OverflowError:
-            finite = False
-        if not finite:
+            gamma_o = math.inf
+        if not (0.0 < gamma_o < math.inf):
             raise ValueError(
-                f"the outage threshold must be finite, got threshold={self.threshold}, "
-                f"rate={self.rate}"
+                f"the outage threshold must be finite and positive, got "
+                f"threshold={self.threshold}, rate={self.rate}"
             )
 
     @property

@@ -38,6 +38,7 @@ __all__ = [
     "CriterionResult",
     "ValidationConfig",
     "build_report",
+    "outage_curves",
     "report_to_json",
 ]
 
@@ -129,6 +130,62 @@ def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> CriterionR
     )
 
 
+def outage_curves(
+    n: int, n_t: int, n_r: int, query: OutageQuery, grid_db, omegas: dict,
+    settings: SimSettings | None,
+) -> dict[Scheme, list[tuple]]:
+    """One (snr_db, analytic, asymptotic, estimate) per point of a mean-SNR
+    grid in dB, in ascending threshold order, for each scheme in ``omegas``
+    (scheme -> calibration weight, None for the default).
+
+    Point dB has the threshold gamma_o / 10^(dB/10) at unit mean SNR, which
+    must be a positive float and differ from every other point's.  The
+    selection statistic is scale free, so one shared-stream simulation per
+    channel serves every point and both schemes; ``settings`` None gives
+    estimates of None.  A power law above 1 is no probability: None.
+    """
+    gamma_o = query.gamma_o
+    points = []
+    for db in grid_db:
+        try:
+            linear = 10.0 ** (db / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not (0.0 < linear < math.inf):
+            raise ValueError(
+                f"SNR grid point {db!r} dB has no finite positive linear SNR (gamma_o {gamma_o!r})"
+            )
+        threshold = gamma_o / linear
+        if not (0.0 < threshold < math.inf):
+            raise ValueError(
+                f"SNR grid point {db!r} dB gives threshold {gamma_o!r} / 10^(dB/10) = "
+                f"{threshold!r}, not a positive float"
+            )
+        points.append((threshold, db))
+    points.sort()
+    for (low, db), (high, _) in zip(points, points[1:]):
+        if low == high:
+            raise ValueError(
+                f"SNR grid point {db!r} dB repeats threshold {low!r} at gamma_o {gamma_o!r}; "
+                "thresholds must be distinct"
+            )
+    cdfs = None
+    if settings is not None:
+        cdfs = montecarlo.empirical_cdf_pair(
+            _cfg(n, n_t, n_r, 1.0), settings, [t for t, _ in points]
+        )
+    curves = {scheme: [] for scheme in omegas}
+    for scheme, omega in omegas.items():
+        for idx, (threshold, db) in enumerate(points):
+            cfg = _cfg(n, n_t, n_r, gamma_o / threshold, omega)
+            asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
+            est = None if cdfs is None else cdfs[scheme][idx]
+            curves[scheme].append(
+                (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None, est)
+            )
+    return curves
+
+
 def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult:
     """Analytic outage curves against the channel simulator, per scheme and n.
 
@@ -137,24 +194,14 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
     A curve with no binding point fails, so the criterion cannot pass
     vacuously.
     """
-    gamma_o = config.gamma_o
-    query = OutageQuery(threshold=gamma_o)
-    # Descending SNR gives ascending selection-statistic thresholds.
-    points = sorted((gamma_o / 10.0 ** (db / 10.0), db) for db in _SNR_GRID_DB)
+    query = OutageQuery(threshold=config.gamma_o)
+    omegas = {scheme: config.omega(scheme) for scheme in Scheme}
     per_curve = {}
     for n in (2, 3, 4, 5):
-        # One shared-stream pass per n: the selection statistic is scale
-        # free, so P(out at mean snr g) = P(selected power <= gamma_o/g).
-        cdfs = montecarlo.empirical_cdf_pair(
-            _cfg(n, 2, 3, 1.0), config.settings(), [t for t, _ in points]
-        )
-        for scheme in Scheme:
+        curves = outage_curves(n, 2, 3, query, _SNR_GRID_DB, omegas, config.settings())
+        for scheme, curve in curves.items():
             records = []
-            for est, (threshold, db) in zip(cdfs[scheme], points):
-                # The power law never reads the calibration.
-                cfg = _cfg(n, 2, 3, gamma_o / threshold, config.omega(scheme))
-                ana = schemes.outage(scheme, query, cfg)
-                asym, _ = schemes.outage_asymptotic(scheme, query, cfg)
+            for db, ana, asym, est in curve:
                 in_band = _MC_MATCH_BAND[0] <= ana <= _MC_MATCH_BAND[1]
                 rel = abs(est.value - ana) / ana if ana > 0 else math.inf
                 ok = (not in_band) or rel <= _MC_MATCH_REL_TOL or (
@@ -168,8 +215,7 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
                         "n_r": 3,
                         "snr_db": db,
                         "analytic": ana,
-                        # Past 1 the power law is no probability.
-                        "asymptotic": asym if asym <= 1.0 else None,
+                        "asymptotic": asym,
                         "empirical": est.value,
                         "ci_low": est.ci95_low,
                         "ci_high": est.ci95_high,

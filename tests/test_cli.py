@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 
+import click
 import pytest
 
 from nrayleigh import cli, montecarlo
@@ -260,6 +261,8 @@ class TestOutageSweep:
         ([], "is empty"),
         ([0, 4000], "no finite positive linear SNR"),
         ("-4000", "no finite positive linear SNR"),
+        ([0, 0], "thresholds must be distinct"),
+        ("0:10000:1", "more than 10000 points"),
     ])
     def test_bad_snr_grid_is_usage_error(self, capsys, tmp_path, snr_db, message):
         config = tmp_path / "cfg.json"
@@ -268,6 +271,11 @@ class TestOutageSweep:
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and message in err
         assert out == ""
+
+    def test_grid_cap_keeps_every_point_up_to_it(self):
+        # 0:9999:1 holds exactly the cap's 10000 points, each start + k*step.
+        assert cli._parse_snr_grid("0:9999:1") == [float(k) for k in range(10_000)]
+        assert cli._parse_snr_grid("-10:60:0.5") == [-10.0 + k * 0.5 for k in range(141)]
 
     def test_snr_grid_list_keeps_its_header_bytes(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -541,8 +549,135 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
 
 
+class TestRobustness:
+    """Bad flag and config values end in a documented exit code, never in a
+    traceback.  Each option is set, one at a time, to every value of the
+    pool for its type on a cheap base invocation; positive extremes of the
+    integer options are left out, because --trials and --workers would do
+    that much work."""
+
+    BASE = {
+        "params": {"--n": "2"},
+        "outage-sweep": {"--n": "2", "--snr-db": "0:10:10", "--trials": "100"},
+        "af-sweep": {"--n": "2", "--trials": "100"},
+        "validate": {"--trials": "100", "--determinism-trials": "100"},
+    }
+    INT_VALUES = ["abc", "", "1.5", "nan", "0", "-1", str(-(2**63) - 1)]
+    FLOAT_VALUES = ["abc", "", "nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "5e-324"]
+    STRING_VALUES = {
+        "n_list": ["", ",", "abc", "0", "-1", "9", "1.5", "nan", "2,,3"],
+        "snr_db": ["", "abc", "a:b:c", "nan", "inf", "-inf", "1e308", "-4000", "0:10",
+                   "10:0:1", "0:10:0", "0:10:-1", "0:inf:1", "-inf:0:1", "0:1e300:1"],
+    }
+    CONFIG_VALUES = [None, "abc", "", [], {}, True, float("inf"), float("nan"), -1, 1.5, 1e308]
+
+    @staticmethod
+    def check(capsys, argv):
+        code, _, err = run(capsys, *argv)
+        ok = code in (0, 1, 2, 3) and "Traceback" not in err
+        if code == cli.EXIT_USAGE:
+            ok = ok and err.startswith(("usage error:", "error:"))
+        return None if ok else (argv, code, err[-300:])
+
+    def flag_values(self, param, tmp_path):
+        if isinstance(param.type, click.Choice):
+            return ["bogus", ""]
+        if param.type is click.INT:
+            return self.INT_VALUES
+        if param.type is click.FLOAT:
+            return self.FLOAT_VALUES
+        if param.name in self.STRING_VALUES:
+            return self.STRING_VALUES[param.name]
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{")
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        # --out and --config: a missing directory, a directory, no path.
+        paths = [str(tmp_path / "missing" / "x"), str(tmp_path), ""]
+        return paths + ([str(bad_json), str(listed)] if param.name == "config_path" else [])
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_bad_flag_values_exit_with_a_documented_code(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        failures = []
+        for param in cli.cli.commands[command].params:
+            flag = param.opts[0]
+            for value in self.flag_values(param, tmp_path):
+                argv = {**self.BASE[command], flag: value}
+                failures.append(self.check(
+                    capsys, [command, *(item for pair in argv.items() for item in pair)]
+                ))
+        assert [f for f in failures if f] == []
+
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_bad_config_values_exit_with_a_documented_code(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        failures = []
+        for param in cli.cli.commands[command].params:
+            if param.name == "config_path":
+                continue
+            # The file value takes effect only where no flag is given.
+            base = {k: v for k, v in self.BASE[command].items() if k != param.opts[0]}
+            for index, value in enumerate(self.CONFIG_VALUES):
+                config = tmp_path / f"{param.name}-{index}.json"
+                config.write_text(json.dumps({param.name: value}))
+                argv = [command, *(item for pair in base.items() for item in pair)]
+                failures.append(self.check(capsys, [*argv, "--config", str(config)]))
+        assert [f for f in failures if f] == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "-1"], "trials must be"),
+        (["af-sweep", "--n", "2", "--trials", "-1"], "trials must be"),
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--omega", "inf"],
+         "calibration_omega must be positive and finite"),
+        (["validate", "--trials", "100", "--determinism-trials", "100", "--omega", "inf"],
+         "calibration_omega must be positive and finite"),
+        (["af-sweep", "--n", "2", "--trials", "0", "--b1", "inf"],
+         "must be finite and exceed 1"),
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--rate", "1e-300"],
+         "finite and positive"),
+        (["validate", "--trials", "100", "--determinism-trials", "100", "--gamma-o", "5e-324"],
+         "not a positive float"),
+        (["validate", "--trials", "100", "--determinism-trials", "100", "--gamma-o", "1e-323"],
+         "not a positive float"),
+        (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:inf:1"], "must be finite"),
+        (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "-inf:0:1"], "must be finite"),
+        (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:1e300:1"],
+         "more than 10000 points"),
+        (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:10:inf"], "must be finite"),
+        (["outage-sweep", "--n", "2", "--trials", "0", "--gamma-o", "1e308", "--snr-db", "-300"],
+         "= inf, not a positive float"),
+    ])
+    def test_out_of_domain_value_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "100"])
+    def test_repeated_grid_point_is_usage_error(self, capsys, tmp_path, trials):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"snr_db": [0, 0]}))
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", trials,
+                             "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "thresholds must be distinct" in err
+        assert out == ""
+
+    def test_moment_term_past_the_float_range_leaves_af_closed_empty(self, capsys):
+        code, out, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0",
+                             "--b1", "1e308", "--b2", "1e308")
+        assert code == cli.EXIT_OK and err == ""
+        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
+        assert [r["af_closed"] for r in rows] == ["", ""]
+
+
 class TestOutputBytes:
-    """sha256 of two small outputs, pinned so that any change to a report
+    """sha256 of small outputs, pinned so that any change to a report
     or table byte shows.  The digests hold for the numpy/scipy builds the
     project is tested with (numpy 2.4, scipy 1.17, x86-64); another build
     may move a float's last digit, so check such a diff before re-pinning."""
@@ -579,6 +714,13 @@ class TestOutputBytes:
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "5495ee936d383b83216becb4af1d6631fec3b5ee6c6cdd4d2a56f2ab3afaeecb"
+        )
+
+    def test_af_sweep_csv(self, capsys):
+        code, out, _ = run(capsys, "af-sweep", "--trials", "20000", "--seed", "3")
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee4e496087e0c38dfdd18abdff061edd5b31278e2111aae49b13f269c2379cc0"
         )
 
     def test_params_table(self, capsys):

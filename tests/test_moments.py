@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy import special
 
 from nrayleigh.fading import fading_params
 from nrayleigh.moments import (
@@ -16,9 +17,7 @@ from nrayleigh.moments import (
     default_weights,
     moment_oracle,
     moment_tas_mrc,
-    moment_tas_mrc_as_printed,
     moment_tas_sc,
-    moment_tas_sc_as_printed,
 )
 from nrayleigh.schemes import ChannelConfig, Scheme
 
@@ -38,6 +37,32 @@ def cfg(n=2, n_t=2, n_r=2, mean_snr=10.0):
                          calibration_omega=1.0)
 
 
+def printed_moment(l, scheme, c, b):
+    """The l-th moment sum as printed, from the stdlib and scipy only: one
+    b / Gamma(s) multiplies every expansion term k = 1..K,
+
+        sum_k (-1)^(k+1) C(K, k) b nl Gamma(a_k + nl) / (Gamma(s) k^(a_k+nl) beta^nl)
+
+    with a_k = k(s - 1) and the uncalibrated scale beta = (2s/Omega)
+    (G mean_snr)^(-1/n); TAS/MRC has s = m n_r, K = n_t, G = n_r and
+    TAS/SC s = m, K = n_t n_r, G = 1.
+    """
+    fp = fading_params(c.n)
+    if scheme is Scheme.TAS_MRC:
+        s, big_k, gain = fp.m * c.n_r, c.n_t, c.n_r
+    else:
+        s, big_k, gain = fp.m, c.n_t * c.n_r, 1
+    beta = 2.0 * s / fp.omega * (gain * c.mean_snr) ** (-1.0 / c.n)
+    nl = c.n * l
+    return sum(
+        (-1) ** (k + 1) * special.binom(big_k, k) * b * nl * math.exp(
+            special.gammaln(k * (s - 1.0) + nl) - special.gammaln(s)
+            - (k * (s - 1.0) + nl) * math.log(k) - nl * math.log(beta)
+        )
+        for k in range(1, big_k + 1)
+    )
+
+
 class TestWeights:
     def test_caption_table(self):
         assert default_weights(2) == WeightingCoefficients(2.3, 1.5)
@@ -48,8 +73,9 @@ class TestWeights:
             default_weights(7)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            WeightingCoefficients(b1=1.0, b2=1.5)
+        for b1, b2 in ((1.0, 1.5), (math.inf, 1.5), (1.5, math.inf), (math.nan, 1.5)):
+            with pytest.raises(ValueError):
+                WeightingCoefficients(b1=b1, b2=b2)
 
 
 class TestBracketIdentity:
@@ -105,28 +131,39 @@ class TestMomentFormulas:
             oracle = moment_oracle(1, scheme, cfg())
             assert abs(value - oracle) / oracle <= 0.25
 
+    # README "Known deviations" 3: the shipped bound-derived form against
+    # the printed sum.
     def test_printed_form_matches_bound_form_for_single_term(self):
         # With N = 1 there is exactly one expansion term, so the printed
         # and bound-derived forms coincide.
         w = WeightingCoefficients(b1=2.0, b2=2.0)
         c = cfg(n=3, n_t=1, n_r=1)
-        assert moment_tas_sc_as_printed(1, c, w) == pytest.approx(
+        assert printed_moment(1, Scheme.TAS_SC, c, w.b2) == pytest.approx(
             moment_tas_sc(1, c, w), rel=1e-12
         )
 
     def test_printed_form_goes_nonphysical_for_mrc(self):
         # As printed (single 1/Gamma(a) across terms), the k = 2 term
-        # outgrows the k = 1 term for larger cascades and the alternating
-        # sum turns negative; the implementation must signal, not return it.
-        w = default_weights(5)
-        with pytest.raises(NonPhysicalMomentError):
-            moment_tas_mrc_as_printed(1, cfg(n=5), w)
+        # outgrows the k = 1 term and the alternating sum turns negative:
+        # at 2x2 from n = 4 on, at 2x3 already at n = 2.  The shipped form
+        # stays positive there.
+        for n, n_r in ((4, 2), (5, 2), (6, 2), (2, 3)):
+            w = default_weights(n)
+            c = cfg(n=n, n_r=n_r)
+            assert printed_moment(1, Scheme.TAS_MRC, c, w.b1) <= 0.0, (n, n_r)
+            assert moment_tas_mrc(1, c, w) > 0.0, (n, n_r)
 
     def test_printed_form_reasonable_at_small_cascade(self):
-        w = default_weights(2)
-        value = moment_tas_mrc_as_printed(1, cfg(n=2), w)
+        # The printed TAS/MRC first moments at 2x2 with the fitted b1, as
+        # the library's printed variant gave them before it was deleted.
+        printed = {
+            n: printed_moment(1, Scheme.TAS_MRC, cfg(n=n), default_weights(n).b1)
+            for n in (2, 3)
+        }
+        assert printed[2] == pytest.approx(27.591729553946877, rel=1e-12)
+        assert printed[3] == pytest.approx(9.199670677025622, rel=1e-12)
         oracle = moment_oracle(1, Scheme.TAS_MRC, cfg(n=2))
-        assert abs(value - oracle) / oracle <= 0.20
+        assert abs(printed[2] - oracle) / oracle <= 0.20
 
     def test_nonphysical_guard_on_shipped_form(self):
         # Extreme weights let a higher-order expansion term dominate with a

@@ -393,6 +393,30 @@ class TestDeterminism:
         assert reads == [(0, 1024, 2048, 1024), (1024 * 2048, 1024, 2048, 1)]
         assert max(rows * width for _, _, rows, width in reads) <= 2**21
 
+    def test_trial_of_exactly_2_21_draws_is_a_one_trial_block(self):
+        # 1024x1024 at n = 2: D = 2^21.
+        assert _chunk_trials(cfg(n=2, n_t=1024, n_r=1024)) == 1
+
+    def test_channel_above_the_draw_cap_is_refused_before_any_draw(self, monkeypatch):
+        # 1024x683 at n = 3: D = 2 098 176 > 2^21, so not even one trial
+        # fits in a block.  Both views refuse it before reading the stream
+        # or allocating a block.
+        c = cfg(n=3, n_t=1024, n_r=683)
+        assert draws_per_trial(c) == 2_098_176
+        reads = record_reads(monkeypatch)
+        settings = SimSettings(trials=10, master_seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not fit in a 2097152-draw block"):
+                empirical_cdf_pair(c, settings, [1.0])
+            with pytest.raises(ValueError, match="does not fit in a 2097152-draw block"):
+                estimate_moments_af(c, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reads == []
+        assert peak < 2**16
+
     def test_seed_changes_results(self):
         c = cfg()  # P(selected power <= 1) ~ 5%: ample events either way
         a = outage_point(Scheme.TAS_MRC, c, 10.0, SimSettings(trials=20_000, master_seed=1))

@@ -49,6 +49,7 @@ class TestChannelConfig:
         [
             {"n": 0}, {"n_t": 0}, {"n_r": 0},
             {"mean_snr": 0.0}, {"mean_snr": -1.0}, {"omega": 0.0},
+            {"omega": math.inf}, {"omega": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -74,9 +75,11 @@ class TestOutageQuery:
 
     @pytest.mark.parametrize("kwargs", [
         {"rate": 2000.0}, {"rate": 1024.0}, {"rate": math.inf}, {"threshold": math.inf},
+        {"rate": 1e-300}, {"rate": 1e-16},
     ])
     def test_threshold_must_be_finite(self, kwargs):
-        # 2^1024 - 1 is past the largest float; 2^1023.9 - 1 is not.
+        # 2^1024 - 1 is past the largest float; 2^1023.9 - 1 is not.  Below
+        # R ~ 1.6e-16, 2^R - 1 rounds to 0.
         with pytest.raises(ValueError, match="finite"):
             OutageQuery(**kwargs)
         assert math.isfinite(OutageQuery(rate=1023.9).gamma_o)

@@ -178,4 +178,4 @@ class TestBinomial:
             math.comb(-1, 0)
         # The moment expansion is validated for exponents up to 64 only.
         with pytest.raises(ValueError, match="n <= 64"):
-            _moment_sum(1, 1.6467, 65, 1.0, 2, 1.5, per_term_weights=True)
+            _moment_sum(1, 1.6467, 65, 1.0, 2, 1.5)
