@@ -12,16 +12,14 @@ from .moments import (
     af_siso,
     amount_of_fading,
     default_weights,
+    moment,
     moment_oracle,
-    moment_tas_mrc,
-    moment_tas_sc,
 )
 from .montecarlo import (
     EmpiricalEstimate,
-    MomentsAfEstimate,
     SimSettings,
     empirical_cdf_pair,
-    estimate_moments_af,
+    estimate_af,
 )
 from .schemes import (
     AsymptoticForm,
@@ -48,7 +46,6 @@ __all__ = [
     "ConvergenceError",
     "EmpiricalEstimate",
     "FadingParams",
-    "MomentsAfEstimate",
     "NonPhysicalMomentError",
     "OutageQuery",
     "Scheme",
@@ -62,11 +59,10 @@ __all__ = [
     "default_weights",
     "diversity_order",
     "empirical_cdf_pair",
-    "estimate_moments_af",
+    "estimate_af",
     "fading_params",
+    "moment",
     "moment_oracle",
-    "moment_tas_mrc",
-    "moment_tas_sc",
     "outage",
     "outage_asymptotic",
     "postproc_cdf",

@@ -27,7 +27,7 @@ import click
 from click.core import ParameterSource
 
 from . import montecarlo, moments, schemes, validation
-from .fading import MAX_VALIDATED_CASCADE, fading_params, validate_cascade_order
+from .fading import MAX_VALIDATED_CASCADE, fading_params, positive_int
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
 from .validation import ValidationConfig
@@ -80,8 +80,8 @@ def _parse_n_list(value) -> list[int]:
     if not items:
         raise click.UsageError("cascade-order list is empty")
     try:
-        items = [validate_cascade_order(n) for n in items]
-    except (TypeError, ValueError):
+        items = [positive_int("cascade order", n) for n in items]
+    except ValueError:
         raise click.UsageError(f"cascade orders must be integers >= 1, got {value!r}") from None
     for n in items:
         if n > MAX_VALIDATED_CASCADE:
@@ -362,7 +362,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         )
         estimates = None
         if settings is not None:
-            estimates = montecarlo.estimate_moments_af(cfg, settings)
+            estimates = montecarlo.estimate_af(cfg, settings)
         for scheme in scheme_list:
             try:
                 af_closed = moments.amount_of_fading(scheme, cfg, w)
@@ -380,7 +380,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 "af_oracle": af_oracle, "af_mc": None, "ci_low": None, "ci_high": None,
             }
             if estimates is not None:
-                est = estimates[scheme].af
+                est = estimates[scheme]
                 row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
             rows.append(row)
     rows.sort(key=lambda r: (r["scheme"], r["n"]))

@@ -7,9 +7,9 @@ bounding each regularized upper-gamma power with
 
     Q(s, u)^k  ~  b^k * u^(k(s-1)) * exp(-k u) / Gamma(s)^k,   b > 1,
 
-which yields, per scheme, the alternating sum implemented by
-``moment_tas_mrc`` / ``moment_tas_sc``.  The b coefficients are empirical
-weights fitted per cascade order (``CAPTION_COEFFS``).
+which yields, per scheme, the alternating sum implemented by ``moment``.
+The b coefficients (b1 for TAS/MRC, b2 for TAS/SC) are empirical weights
+fitted per cascade order (``CAPTION_COEFFS``).
 
 ``moment_oracle`` integrates the exact model CDF numerically and is the
 ground truth the closed forms are judged against.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from scipy import integrate
 
-from .fading import fading_params
+from .fading import fading_params, positive_int
 from .schemes import (
     ChannelConfig,
     ConvergenceError,
@@ -40,9 +40,8 @@ __all__ = [
     "af_siso",
     "amount_of_fading",
     "default_weights",
+    "moment",
     "moment_oracle",
-    "moment_tas_mrc",
-    "moment_tas_sc",
 ]
 
 # Weighting coefficients (b1 for TAS/MRC, b2 for TAS/SC) fitted per cascade
@@ -86,7 +85,7 @@ class WeightingCoefficients:
 def default_weights(n: int) -> WeightingCoefficients:
     """Fitted (b1, b2) for cascade order n in {2..6}."""
     try:
-        b1, b2 = CAPTION_COEFFS[int(n)]
+        b1, b2 = CAPTION_COEFFS[positive_int("cascade order", n)]
     except KeyError:
         raise ValueError(
             f"no fitted weighting coefficients for cascade order n={n}; "
@@ -103,11 +102,12 @@ def _moment_sum(l: int, shape: float, exponent: int, beta: float, n: int, b: flo
     so no subtractive cancellation occurs inside a term, and the k-th term
     carries b^k / Gamma(shape)^k from the bound on Q(shape, u)^k.
     """
-    if l != int(l) or int(l) < 1:
-        raise ValueError(f"moment order must be an integer >= 1, got {l}")
-    l = int(l)
     if exponent > _MOMENT_SUM_MAX_EXPONENT:
-        raise ValueError(f"binomial is validated for n <= 64, got n={exponent}")
+        raise ValueError(
+            f"the moment sum is validated for an order-statistics exponent "
+            f"(n_t for TAS/MRC, n_t*n_r for TAS/SC) <= {_MOMENT_SUM_MAX_EXPONENT}, "
+            f"got {exponent}"
+        )
     nl = n * l
     total = 0.0
     for k in range(1, exponent + 1):
@@ -132,20 +132,14 @@ def _moment_sum(l: int, shape: float, exponent: int, beta: float, n: int, b: flo
     return total
 
 
-def _scheme_moment(l: int, scheme: Scheme, cfg: ChannelConfig, b: float) -> float:
+def moment(l: int, scheme: Scheme, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
+    """Approximate l-th moment of the scheme's post-processing SNR, weighted
+    by b1 for TAS/MRC and b2 for TAS/SC."""
+    l = positive_int("moment order", l)
+    b = w.b1 if scheme is Scheme.TAS_MRC else w.b2
     # The moment model carries no calibration weight.
     shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
     return _moment_sum(l, shape, exponent, beta, cfg.n, b)
-
-
-def moment_tas_mrc(l: int, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
-    """Approximate l-th moment of the TAS/MRC post-processing SNR."""
-    return _scheme_moment(l, Scheme.TAS_MRC, cfg, w.b1)
-
-
-def moment_tas_sc(l: int, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
-    """Approximate l-th moment of the TAS/SC post-processing SNR."""
-    return _scheme_moment(l, Scheme.TAS_SC, cfg, w.b2)
 
 
 def amount_of_fading(
@@ -156,10 +150,7 @@ def amount_of_fading(
     Independent of the mean SNR: the scale cancels exactly between the
     numerator and the squared mean.
     """
-    if scheme is Scheme.TAS_MRC:
-        m1, m2 = moment_tas_mrc(1, cfg, w), moment_tas_mrc(2, cfg, w)
-    else:
-        m1, m2 = moment_tas_sc(1, cfg, w), moment_tas_sc(2, cfg, w)
+    m1, m2 = moment(1, scheme, cfg, w), moment(2, scheme, cfg, w)
     return m2 / (m1 * m1) - 1.0
 
 
@@ -190,9 +181,7 @@ def af_bound_tas_mrc(cfg: ChannelConfig) -> float:
 
 def af_simo(n: int, n_r: int) -> float:
     """AF of a single-transmit, n_r-receive MRC link: gamma-ratio form."""
-    if n_r != int(n_r) or int(n_r) < 1:
-        raise ValueError(f"n_r must be an integer >= 1, got {n_r}")
-    a = fading_params(n).m * int(n_r)
+    a = fading_params(n).m * positive_int("n_r", n_r)
     return math.exp(
         math.lgamma(a) + math.lgamma(a + 2.0 * n) - 2.0 * math.lgamma(a + n)
     ) - 1.0
@@ -214,9 +203,7 @@ def moment_oracle(l: int, scheme: Scheme, cfg: ChannelConfig) -> float:
     This is the ground truth for the moments of the approximate-CDF model
     (uncalibrated), against which the closed forms are judged.
     """
-    if l != int(l) or int(l) < 1:
-        raise ValueError(f"moment order must be an integer >= 1, got {l}")
-    l = int(l)
+    l = positive_int("moment order", l)
     shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
     nl = cfg.n * l
 

@@ -13,7 +13,7 @@ layout: changing ``_CHUNK_DRAWS`` changes every Monte-Carlo number.
 
 One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
-counts (``empirical_cdf_pair``) or power sums (``estimate_moments_af``).
+counts (``empirical_cdf_pair``) or power sums (``estimate_af``).
 A block reads at most 2^21 draws, which bounds chunk memory for every
 accepted channel: one with D > 2^21, whose one trial would not fit in a
 block, is refused before any draw.  Because every position is addressed,
@@ -37,14 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fading import positive_int
 from .schemes import ChannelConfig, Scheme
 
 __all__ = [
     "EmpiricalEstimate",
-    "MomentsAfEstimate",
     "SimSettings",
     "empirical_cdf_pair",
-    "estimate_moments_af",
+    "estimate_af",
 ]
 
 _U64_MAX = 2**64
@@ -68,12 +68,11 @@ class SimSettings:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (0 <= self.master_seed < _U64_MAX):
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for name in ("trials", "workers"):
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
+        seed = self.master_seed
+        if type(seed) is not int or not (0 <= seed < _U64_MAX):
+            raise ValueError(f"master_seed must be an int that fits in 64 bits, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,9 @@ class EmpiricalEstimate:
 
     value: float
     std_error: float
-    trials: int
     ci95_low: float
     ci95_high: float
     low_confidence: bool = False
-
-
-@dataclass(frozen=True)
-class MomentsAfEstimate:
-    """First two raw moments and the plug-in amount of fading."""
-
-    mean: EmpiricalEstimate
-    second_moment: EmpiricalEstimate
-    af: EmpiricalEstimate
 
 
 def _read_rows(
@@ -184,16 +173,13 @@ def _map_chunks(cfg: ChannelConfig, settings: SimSettings, reduce) -> list:
         return list(pool.map(run, blocks))
 
 
-def _estimate(
-    value: float, se: float, trials: int, events: int | None = None
-) -> EmpiricalEstimate:
+def _estimate(value: float, se: float, events: int | None = None) -> EmpiricalEstimate:
     """value +- z95 * se; a counted proportion with fewer than
     ``_LOW_EVENT_THRESHOLD`` events is flagged low-confidence, not
     suppressed."""
     return EmpiricalEstimate(
         value=value,
         std_error=se,
-        trials=trials,
         ci95_low=value - _Z95 * se,
         ci95_high=value + _Z95 * se,
         low_confidence=events is not None and events < _LOW_EVENT_THRESHOLD,
@@ -223,17 +209,15 @@ def empirical_cdf_pair(
 
     def proportion(events: int) -> EmpiricalEstimate:
         p = events / trials
-        return _estimate(p, math.sqrt(p * (1.0 - p) / trials), trials, events)
+        return _estimate(p, math.sqrt(p * (1.0 - p) / trials), events)
 
     counts = sum(_map_chunks(cfg, settings, crossings))
     return {s: [proportion(c) for c in row.tolist()] for s, row in zip(Scheme, counts)}
 
 
-def estimate_moments_af(
-    cfg: ChannelConfig, settings: SimSettings
-) -> dict[Scheme, MomentsAfEstimate]:
-    """Sample mean, second raw moment and plug-in AF of both schemes'
-    selected SNR, from one pass over shared channel realizations.
+def estimate_af(cfg: ChannelConfig, settings: SimSettings) -> dict[Scheme, EmpiricalEstimate]:
+    """Plug-in AF of both schemes' selected SNR, from one pass over shared
+    channel realizations; it is scale-free, so the mean SNR drops out.
 
     The AF standard error is first-order (delta-method) propagation from
     the covariance of the first two sample moments, which needs raw sample
@@ -252,8 +236,7 @@ def estimate_moments_af(
     for part in _map_chunks(cfg, settings, power_sums):
         totals += part
     trials = settings.trials
-    g = cfg.mean_snr
-    result: dict[Scheme, MomentsAfEstimate] = {}
+    result: dict[Scheme, EmpiricalEstimate] = {}
     for s, sums in zip(Scheme, totals.tolist()):
         m1, m2, m3, m4 = (t / trials for t in sums)
         var_m1 = max(m2 - m1 * m1, 0.0) / trials
@@ -265,9 +248,5 @@ def estimate_moments_af(
         var_af = max(
             d_m1 * d_m1 * var_m1 + 2.0 * d_m1 * d_m2 * cov_m12 + d_m2 * d_m2 * var_m2, 0.0
         )
-        result[s] = MomentsAfEstimate(
-            mean=_estimate(g * m1, g * math.sqrt(var_m1), trials),
-            second_moment=_estimate(g * g * m2, g * g * math.sqrt(var_m2), trials),
-            af=_estimate(af, math.sqrt(var_af), trials),
-        )
+        result[s] = _estimate(af, math.sqrt(var_af))
     return result

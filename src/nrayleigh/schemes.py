@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from scipy import special
 
-from .fading import fading_params, validate_cascade_order
+from .fading import fading_params, positive_int
 
 __all__ = [
     "AsymptoticForm",
@@ -81,10 +81,12 @@ class ChannelConfig:
     calibration_omega: float | None = None
 
     def __post_init__(self) -> None:
-        validate_cascade_order(self.n)
-        for name, value in (("n_t", self.n_t), ("n_r", self.n_r)):
-            if value != int(value) or int(value) < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        # Counts are stored as ints.  Valid int arguments, the common case of
+        # a config built per analytic point, skip the rule and the setattr.
+        n, n_t, n_r = self.n, self.n_t, self.n_r
+        if not (type(n) is type(n_t) is type(n_r) is int and n >= 1 and n_t >= 1 and n_r >= 1):
+            for name, label in (("n", "cascade order"), ("n_t", "n_t"), ("n_r", "n_r")):
+                object.__setattr__(self, name, positive_int(label, getattr(self, name)))
         if not (self.mean_snr > 0.0) or not math.isfinite(self.mean_snr):
             raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr}")
         omega = self.calibration_omega
@@ -94,7 +96,7 @@ class ChannelConfig:
     @property
     def total_antennas(self) -> int:
         """N = n_t * n_r."""
-        return int(self.n_t) * int(self.n_r)
+        return self.n_t * self.n_r
 
     def omega_for(self, scheme: Scheme) -> float:
         """Calibration weight in effect for the given scheme."""
@@ -204,7 +206,7 @@ def _law(scheme: Scheme, n: int, n_t: int, n_r: int) -> _Law:
 
 
 def _law_of(scheme: Scheme, cfg: ChannelConfig) -> _Law:
-    return _law(scheme, int(cfg.n), int(cfg.n_t), int(cfg.n_r))
+    return _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
 
 
 def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, float]:

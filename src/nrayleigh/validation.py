@@ -416,7 +416,7 @@ def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
     for n in (2, 3, 4, 5, 6):
         w = moments.default_weights(n)
         cfg = _cfg(n, 2, 2, 10.0, 1.0)
-        estimates = montecarlo.estimate_moments_af(cfg, config.settings())
+        estimates = montecarlo.estimate_af(cfg, config.settings())
         row = {"n": n, "b1": w.b1, "b2": w.b2}
         for scheme, tag in ((mrc, "mrc"), (sc, "sc")):
             try:
@@ -424,7 +424,7 @@ def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
             except moments.NonPhysicalMomentError as exc:
                 af = None
                 issues.append(f"closed AF non-physical at n={n} {scheme.value}: {exc}")
-            est = estimates[scheme].af
+            est = estimates[scheme]
             closed[scheme].append(af)
             mc[scheme].append(est)
             row[f"af_closed_{tag}"] = af
@@ -472,11 +472,8 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> CriterionResult:
         w = moments.default_weights(n)
         cfg = _cfg(n, 2, 2, 10.0, 1.0)
         for scheme in Scheme:
-            closed_form = (
-                moments.moment_tas_mrc if scheme is Scheme.TAS_MRC else moments.moment_tas_sc
-            )
             for order in (1, 2):
-                value = closed_form(order, cfg, w)
+                value = moments.moment(order, scheme, cfg, w)
                 oracle = moments.moment_oracle(order, scheme, cfg)
                 rel = abs(value - oracle) / oracle
                 ok = rel <= _MOMENT_REL_TOL

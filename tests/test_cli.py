@@ -64,7 +64,7 @@ class TestOutageSweep:
         # At 1077 trials 10 / 1077 * 1077 < 10 in floating point, so a rule
         # recomputed from the proportion would wrongly flag 10 events.
         trials = 1077
-        nine, ten = (montecarlo._estimate(e / trials, 0.0, trials, e) for e in (9, 10))
+        nine, ten = (montecarlo._estimate(e / trials, 0.0, e) for e in (9, 10))
         # Thresholds ascend, so 10 dB (threshold 0.1) comes first.
         monkeypatch.setattr(
             cli.montecarlo, "empirical_cdf_pair",
@@ -656,6 +656,18 @@ class TestRobustness:
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("orders", ["[Infinity]", "[1e400]", "[true]", "[2, 2.5]"])
+    def test_cascade_order_that_is_not_a_whole_number_is_usage_error(
+        self, capsys, tmp_path, orders
+    ):
+        # Infinity and 1e400 parse to float inf, and true is a bool, not 1.
+        config = tmp_path / "cfg.json"
+        config.write_text('{"n_list": %s, "trials": 0}' % orders)
+        code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: cascade orders must be integers >= 1")
         assert out == ""
 
     @pytest.mark.parametrize("trials", ["0", "100"])

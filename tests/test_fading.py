@@ -33,7 +33,7 @@ class TestFadingParams:
         assert all(p.m > 1.0 for p in params)
         assert all(p.omega > 1.12 for p in params)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, float("inf"), float("nan")])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             fading_params(bad)

@@ -15,9 +15,8 @@ from nrayleigh.moments import (
     af_siso,
     amount_of_fading,
     default_weights,
+    moment,
     moment_oracle,
-    moment_tas_mrc,
-    moment_tas_sc,
 )
 from nrayleigh.schemes import ChannelConfig, Scheme
 
@@ -71,6 +70,10 @@ class TestWeights:
     def test_no_extrapolation(self):
         with pytest.raises(ValueError, match="coefficients"):
             default_weights(7)
+        # A non-whole order is refused, not truncated to n = 2's row.
+        for bad in (2.5, True, math.inf):
+            with pytest.raises(ValueError, match="cascade order must be an integer"):
+                default_weights(bad)
 
     def test_bounds(self):
         for b1, b2 in ((1.0, 1.5), (math.inf, 1.5), (1.5, math.inf), (math.nan, 1.5)):
@@ -100,11 +103,11 @@ class TestMomentFormulas:
     @pytest.mark.parametrize("factor", [2.0, 10.0])
     def test_scale_law(self, l, factor):
         w = default_weights(2)
-        base_mrc = moment_tas_mrc(l, cfg(mean_snr=5.0), w)
-        scaled_mrc = moment_tas_mrc(l, cfg(mean_snr=5.0 * factor), w)
+        base_mrc = moment(l, Scheme.TAS_MRC, cfg(mean_snr=5.0), w)
+        scaled_mrc = moment(l, Scheme.TAS_MRC, cfg(mean_snr=5.0 * factor), w)
         assert scaled_mrc == pytest.approx(base_mrc * factor**l, rel=1e-12)
-        base_sc = moment_tas_sc(l, cfg(mean_snr=5.0), w)
-        scaled_sc = moment_tas_sc(l, cfg(mean_snr=5.0 * factor), w)
+        base_sc = moment(l, Scheme.TAS_SC, cfg(mean_snr=5.0), w)
+        scaled_sc = moment(l, Scheme.TAS_SC, cfg(mean_snr=5.0 * factor), w)
         assert scaled_sc == pytest.approx(base_sc * factor**l, rel=1e-12)
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -118,7 +121,7 @@ class TestMomentFormulas:
         m = fading_params(n).m
         nl = n * l
         expected_ratio = w.b2 * nl / (m + nl - 1.0)
-        formula = moment_tas_sc(l, c, w)
+        formula = moment(l, Scheme.TAS_SC, c, w)
         oracle = moment_oracle(l, Scheme.TAS_SC, c)
         assert formula / oracle == pytest.approx(expected_ratio, rel=1e-7)
 
@@ -126,8 +129,8 @@ class TestMomentFormulas:
         # First moments at the fitted coefficients stay well inside the
         # loose comparison band.
         w = default_weights(2)
-        for scheme, fn in ((Scheme.TAS_MRC, moment_tas_mrc), (Scheme.TAS_SC, moment_tas_sc)):
-            value = fn(1, cfg(), w)
+        for scheme in Scheme:
+            value = moment(1, scheme, cfg(), w)
             oracle = moment_oracle(1, scheme, cfg())
             assert abs(value - oracle) / oracle <= 0.25
 
@@ -139,7 +142,7 @@ class TestMomentFormulas:
         w = WeightingCoefficients(b1=2.0, b2=2.0)
         c = cfg(n=3, n_t=1, n_r=1)
         assert printed_moment(1, Scheme.TAS_SC, c, w.b2) == pytest.approx(
-            moment_tas_sc(1, c, w), rel=1e-12
+            moment(1, Scheme.TAS_SC, c, w), rel=1e-12
         )
 
     def test_printed_form_goes_nonphysical_for_mrc(self):
@@ -151,7 +154,7 @@ class TestMomentFormulas:
             w = default_weights(n)
             c = cfg(n=n, n_r=n_r)
             assert printed_moment(1, Scheme.TAS_MRC, c, w.b1) <= 0.0, (n, n_r)
-            assert moment_tas_mrc(1, c, w) > 0.0, (n, n_r)
+            assert moment(1, Scheme.TAS_MRC, c, w) > 0.0, (n, n_r)
 
     def test_printed_form_reasonable_at_small_cascade(self):
         # The printed TAS/MRC first moments at 2x2 with the fitted b1, as
@@ -169,11 +172,11 @@ class TestMomentFormulas:
         # Extreme weights let a higher-order expansion term dominate with a
         # negative sign; the sum must signal rather than return it.
         with pytest.raises(NonPhysicalMomentError):
-            moment_tas_sc(1, cfg(), WeightingCoefficients(b1=2.0, b2=20.0))
+            moment(1, Scheme.TAS_SC, cfg(), WeightingCoefficients(b1=2.0, b2=20.0))
 
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
-            moment_tas_mrc(0, cfg(), default_weights(2))
+            moment(0, Scheme.TAS_MRC, cfg(), default_weights(2))
 
 
 class TestAmountOfFading:

@@ -14,7 +14,7 @@ from nrayleigh.montecarlo import (
     _chunk_trials,
     _read_rows,
     empirical_cdf_pair,
-    estimate_moments_af,
+    estimate_af,
 )
 from nrayleigh.schemes import ChannelConfig, Scheme
 
@@ -124,22 +124,18 @@ class TestChannelCoefficient:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_unit_mean_power(self, n):
         draws = 20_000
-        est = estimate_moments_af(
-            cfg(n=n, n_t=1, n_r=1, mean_snr=1.0), SimSettings(trials=draws, master_seed=2024)
-        )[Scheme.TAS_SC]
+        p = _chunk_selected(cfg(n=n, n_t=1, n_r=1), 2024, 0, draws)[Scheme.TAS_SC]
         # var(|h|^2) = 2^n - 1 for a product of n unit-mean exponentials.
         sigma = math.sqrt((2.0**n - 1.0) / draws)
-        assert abs(est.mean.value - 1.0) <= 3.0 * sigma
+        assert abs(p.mean() - 1.0) <= 3.0 * sigma
 
     def test_double_cascade_fourth_moment(self):
         # E[|h|^4] = E[X^2] E[Y^2] = 4 for two independent exponentials.
         draws = 20_000
-        est = estimate_moments_af(
-            cfg(n=2, n_t=1, n_r=1, mean_snr=1.0), SimSettings(trials=draws, master_seed=55)
-        )[Scheme.TAS_SC]
+        p = _chunk_selected(cfg(n=2, n_t=1, n_r=1), 55, 0, draws)[Scheme.TAS_SC]
         # var(X^2 Y^2) = E[X^4]E[Y^4] - 16 = 560.
         sigma = math.sqrt(560.0 / draws)
-        assert abs(est.second_moment.value - 4.0) <= 3.0 * sigma
+        assert abs((p * p).mean() - 4.0) <= 3.0 * sigma
 
     def test_exponential_base_case(self):
         # n = 1: squared magnitude is a standard exponential.
@@ -265,13 +261,22 @@ class TestLayoutPin:
         c = cfg(n=n, n_t=n_t, n_r=n_r, mean_snr=1.0)
         settings = SimSettings(trials=trials, master_seed=2017)
         pair = empirical_cdf_pair(c, settings, self.GRID)
-        both = estimate_moments_af(c, settings)
+        af = estimate_af(c, settings)
+        # The first two moments from the blocks' power sums, added in
+        # trial order as the AF view adds them.
+        width = _chunk_trials(c)
+        sums = {s: [0.0, 0.0] for s in Scheme}
+        for block in range(-(-trials // width)):
+            count = min(width, trials - block * width)
+            selected = _chunk_selected(c, settings.master_seed, block, count)
+            for s in Scheme:
+                sums[s][0] += selected[s].sum()
+                sums[s][1] += (selected[s] * selected[s]).sum()
         for s in Scheme:
             counts, moments = self.FROZEN[key][s]
             assert [e.value for e in pair[s]] == [k / trials for k in counts]
-            est = both[s]
-            assert (est.mean.value, est.second_moment.value, est.af.value,
-                    est.af.std_error) == moments
+            assert (sums[s][0] / trials, sums[s][1] / trials, af[s].value,
+                    af[s].std_error) == moments
 
 
 class TestExactChannel:
@@ -362,7 +367,7 @@ class TestDeterminism:
         c = cfg(n=2)
         monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", 2048 * draws_per_trial(c))
         results = [
-            estimate_moments_af(c, SimSettings(trials=30_000, master_seed=4, workers=workers))
+            estimate_af(c, SimSettings(trials=30_000, master_seed=4, workers=workers))
             for workers in (1, 2, 5)
         ]
         assert results[0] == results[1] == results[2]
@@ -372,7 +377,7 @@ class TestDeterminism:
         c = cfg(n=8, n_t=4, n_r=4)
         assert _chunk_trials(c) == 16384
         results = [
-            estimate_moments_af(c, SimSettings(trials=40_000, master_seed=4, workers=workers))
+            estimate_af(c, SimSettings(trials=40_000, master_seed=4, workers=workers))
             for workers in (1, 2, 5)
         ]
         assert results[0] == results[1] == results[2]
@@ -410,7 +415,7 @@ class TestDeterminism:
             with pytest.raises(ValueError, match="does not fit in a 2097152-draw block"):
                 empirical_cdf_pair(c, settings, [1.0])
             with pytest.raises(ValueError, match="does not fit in a 2097152-draw block"):
-                estimate_moments_af(c, settings)
+                estimate_af(c, settings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,31 +531,31 @@ class TestIndependentCrossCheck:
 class TestMomentsAf:
     def test_af_invariant_to_mean_snr(self):
         settings = SimSettings(trials=20_000, master_seed=31)
-        low = estimate_moments_af(cfg(mean_snr=1.0), settings)
-        high = estimate_moments_af(cfg(mean_snr=100.0), settings)
+        low = estimate_af(cfg(mean_snr=1.0), settings)
+        high = estimate_af(cfg(mean_snr=100.0), settings)
         for s in Scheme:
-            assert low[s].af == high[s].af  # bitwise: the selection statistic is scale-free
+            assert low[s] == high[s]  # bitwise: the selection statistic is scale-free
 
     def test_siso_single_cascade_af(self):
         # True AF of an exponential SNR is exactly 1; the closed-form model
         # value 1/m = 0.9648 sits about 3.5% below it.
         c = cfg(n=1, n_t=1, n_r=1)
-        both = estimate_moments_af(c, SimSettings(trials=200_000, master_seed=12))
-        est = both[Scheme.TAS_SC].af
-        assert both[Scheme.TAS_MRC].af == est
+        both = estimate_af(c, SimSettings(trials=200_000, master_seed=12))
+        est = both[Scheme.TAS_SC]
+        assert both[Scheme.TAS_MRC] == est
         assert abs(est.value - 1.0) <= 4.0 * est.std_error
         assert abs(est.value - 0.964785335262904) <= 0.05
 
     def test_mean_matches_selected_average(self):
         c = cfg(n=2, n_t=2, n_r=2)
         settings = SimSettings(trials=50_000, master_seed=44)
-        both = estimate_moments_af(c, settings)
+        both = estimate_af(c, settings)
         selected = _chunk_selected(c, 44, 0, 50_000)
         for s in Scheme:
+            x = selected[s]
             est = both[s]
-            assert est.mean.value == pytest.approx(c.mean_snr * selected[s].mean(), rel=1e-12)
-            assert est.mean.ci95_low <= est.mean.value <= est.mean.ci95_high
-            assert est.second_moment.value >= est.mean.value**2
+            assert est.value == pytest.approx((x * x).mean() / x.mean() ** 2 - 1.0, rel=1e-12)
+            assert est.ci95_low <= est.value <= est.ci95_high
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -559,3 +564,19 @@ class TestMomentsAf:
             SimSettings(trials=1, master_seed=2**64)
         with pytest.raises(ValueError):
             SimSettings(trials=1, workers=0)
+        # Counts are whole numbers and the seed an int: none of these may
+        # reach the engine.
+        for kwargs in ({"trials": 1.5}, {"trials": True}, {"trials": math.inf},
+                       {"workers": True}, {"master_seed": 1.5}, {"master_seed": True}):
+            with pytest.raises(ValueError, match="must be an int"):
+                SimSettings(**kwargs)
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        settings = SimSettings(trials=2000.0, master_seed=5, workers=2.0)
+        assert (type(settings.trials), type(settings.workers)) == (int, int)
+        c = ChannelConfig(n=2.0, n_t=np.int64(2), n_r=3.0, mean_snr=10.0,
+                          calibration_omega=1.0)
+        assert (c.n, c.n_t, c.n_r) == (2, 2, 3)
+        assert {type(v) for v in (c.n, c.n_t, c.n_r)} == {int}
+        expected = empirical_cdf_pair(cfg(n=2), SimSettings(trials=2000, master_seed=5), [10.0])
+        assert empirical_cdf_pair(c, settings, [10.0]) == expected

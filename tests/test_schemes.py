@@ -50,6 +50,7 @@ class TestChannelConfig:
             {"n": 0}, {"n_t": 0}, {"n_r": 0},
             {"mean_snr": 0.0}, {"mean_snr": -1.0}, {"omega": 0.0},
             {"omega": math.inf}, {"omega": math.nan},
+            {"n": 2.5}, {"n": True}, {"n": math.inf}, {"n_t": True}, {"n_r": math.nan},
         ],
     )
     def test_validation(self, kwargs):
