@@ -13,15 +13,23 @@ layout: changing ``_CHUNK_DRAWS`` changes every Monte-Carlo number.
 
 One kernel simulates a block and returns both schemes' selection
 statistics from the same draws; the two public views reduce them to CDF
-counts (``empirical_cdf_pair``) or power sums (``estimate_af``).
-A block reads at most 2^21 draws, which bounds chunk memory for every
-accepted channel: one with D > 2^21, whose one trial would not fit in a
-block, is refused before any draw.  Because every position is addressed,
-a final partial block reads only the first ``count`` positions of each
-slot row and skips the rest with ``advance``.  Block partials are combined
-in trial order, so every estimate is a pure function of (cfg, trials,
-master_seed) - independent of the worker count - and TAS/MRC and TAS/SC
-share channel realizations exactly.
+counts (``empirical_cdf_pair``) or power sums (``estimate_af``).  The
+kernel seeds PCG64 once per block and walks the block one channel
+coefficient (t, r) at a time: the coefficient's n hop rows of ``count``
+trials go into one reused (n, count) buffer, and its power is folded
+into running TAS/SC and TAS/MRC maxima and a receive sum in r order, so
+at most (n + 3) * count doubles are live per block and worker (<= 5.5 MiB
+for n <= 8).  Every float is formed by the same operations, in the same
+order, as from the whole (D, count) block held at once, so the walk is
+not part of the layout and leaves every output byte as it is.  The
+2^21-draw cap defines B, not memory; a channel with D > 2^21, whose one
+trial would not fit in a block, is refused before any draw.  Because
+every position is addressed, a final partial block reads only the first
+``count`` positions of each slot row and skips the rest with
+``advance``.  Block partials are combined in trial order, so every
+estimate is a pure function of (cfg, trials, master_seed) - independent
+of the worker count - and TAS/MRC and TAS/SC share channel realizations
+exactly.
 
 Channel convention: each hop is a zero-mean circular complex Gaussian with
 unit power, so every coefficient power is a product of n unit-mean
@@ -32,6 +40,7 @@ SNR.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -88,28 +97,31 @@ class EmpiricalEstimate:
 
 def _read_rows(
     master_seed: int, start_draw: int, stride: int, out: np.ndarray
-) -> np.ndarray:
-    """Fill row j of the float64 array ``out`` with the doubles at absolute
-    stream positions [start_draw + j*stride, start_draw + j*stride + width)
-    and return it, where width = ``out.shape[1]`` <= ``stride``.
+) -> Iterator[np.ndarray]:
+    """Fill the float64 array ``out`` with successive stride-spaced rows of
+    the stream, yielding it after each fill: fill i sets row j to the
+    doubles at absolute positions [p, p + width), p = start_draw +
+    (i*rows + j)*stride, where (rows, width) = ``out.shape`` and width <=
+    ``stride``.
 
-    PCG64 seeded with the master seed jumps to ``start_draw`` with
-    ``advance``, which counts 64-bit outputs, and ``Generator.random``
-    maps each word w to (w >> 11) * 2^-53.  Rows that sit next to each
-    other in the stream are filled in one pass; otherwise each row's
-    unread tail is skipped with ``advance``.
+    PCG64 is seeded with the master seed once, jumps to ``start_draw``
+    with ``advance``, which counts 64-bit outputs, and ``Generator.random``
+    maps each word w to (w >> 11) * 2^-53.  When width == stride the rows
+    sit next to each other in the stream and a fill is one call;
+    otherwise each row's unread tail is skipped with ``advance``.
     """
     bitgen = np.random.PCG64(master_seed)
     bitgen.advance(start_draw)
     rng = np.random.Generator(bitgen)
     width = out.shape[1]
-    # One call for a full block: row by row measured 0.6-5.5% slower.
-    if width == stride:
-        return rng.random(out=out)
-    for row in out:
-        rng.random(out=row)
-        bitgen.advance(stride - width)
-    return out
+    while True:
+        if width == stride:
+            rng.random(out=out)
+        else:
+            for row in out:
+                rng.random(out=row)
+                bitgen.advance(stride - width)
+        yield out
 
 
 def _draws_per_trial(cfg: ChannelConfig) -> int:
@@ -133,28 +145,48 @@ def _chunk_selected(
     TAS/SC: the single largest coefficient power.  Each hop power is a
     unit-mean exponential, -log1p(-u), of its uniform.  Hops are >= 2^-53
     or exactly 0, so a product of at most 8 cannot underflow.
+
+    The block is processed one coefficient (t, r) at a time, in slot
+    order: its n hop rows are read into one reused (n, count) buffer and
+    the power is folded into running maxima and the receive sum of
+    transmit antenna t.  At most (n + 3)*count doubles are live; a 1x1
+    channel returns views of the buffer itself.
     """
     width = _chunk_trials(cfg)
-    d = _draws_per_trial(cfg)
-    u = _read_rows(master_seed, block * width * d, width, np.empty((d, count)))
-    hops = u.reshape(cfg.n_t, cfg.n_r, cfg.n, count)
-    np.negative(hops, out=hops)
-    np.log1p(hops, out=hops)
-    # hops hold log1p(-u) <= 0, so their product carries the sign (-1)^n;
-    # negating it for odd n gives the same bits as multiplying -log1p(-u),
-    # since IEEE rounding is symmetric in sign.  powers and combined are
-    # views into hops, updated in place, so TAS/SC must be taken before the
-    # receive sum overwrites powers[:, 0].
-    powers = hops[:, :, 0]
-    for k in range(1, cfg.n):
-        powers *= hops[:, :, k]
-    if cfg.n % 2:
-        np.negative(powers, out=powers)
-    tas_sc = powers.max(axis=(0, 1))
-    combined = powers[:, 0]
-    for r in range(1, cfg.n_r):
-        combined += powers[:, r]
-    return {Scheme.TAS_MRC: combined.max(axis=0), Scheme.TAS_SC: tas_sc}
+    hops = np.empty((cfg.n, count))
+    power = hops[0]
+    fills = _read_rows(master_seed, block * width * _draws_per_trial(cfg), width, hops)
+    # The buffer is refilled for the next coefficient, so a running result
+    # that starts as the power must own a copy unless this is the only one.
+    refilled = cfg.n_t * cfg.n_r > 1
+    tas_sc = tas_mrc = None
+    for _ in range(cfg.n_t):
+        received = None
+        for _ in range(cfg.n_r):
+            next(fills)
+            np.negative(hops, out=hops)
+            np.log1p(hops, out=hops)
+            # hops hold log1p(-u) <= 0, so their product carries the sign
+            # (-1)^n; negating it for odd n gives the same bits as
+            # multiplying -log1p(-u), since IEEE rounding is symmetric in
+            # sign.
+            for k in range(1, cfg.n):
+                power *= hops[k]
+            if cfg.n % 2:
+                np.negative(power, out=power)
+            if tas_sc is None:
+                tas_sc = power.copy() if refilled else power
+            else:
+                np.maximum(tas_sc, power, out=tas_sc)
+            if received is None:
+                received = power.copy() if refilled else power
+            else:
+                received += power
+        if tas_mrc is None:
+            tas_mrc = received
+        else:
+            np.maximum(tas_mrc, received, out=tas_mrc)
+    return {Scheme.TAS_MRC: tas_mrc, Scheme.TAS_SC: tas_sc}
 
 
 def _map_chunks(cfg: ChannelConfig, settings: SimSettings, reduce) -> list:
@@ -166,7 +198,8 @@ def _map_chunks(cfg: ChannelConfig, settings: SimSettings, reduce) -> list:
         return reduce(_chunk_selected(cfg, settings.master_seed, block, count))
 
     blocks = range(-(-settings.trials // width))
-    # Serial: a one-worker pool took deep-cascade peak RSS from ~99 to ~115 MB.
+    # Serial: a one-worker pool took deep-cascade peak RSS from ~85.3 to
+    # ~87.7 MB and its wall time up ~6% (6 pairs, 2-core x86-64 host).
     if settings.workers == 1:
         return [run(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=settings.workers) as pool:
@@ -196,8 +229,8 @@ def empirical_cdf_pair(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly ascending")
+    if np.isnan(grid).any() or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly ascending, with no NaN")
     thresholds = grid / cfg.mean_snr
 
     def crossings(selected: dict[Scheme, np.ndarray]) -> np.ndarray:

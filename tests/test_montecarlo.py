@@ -29,7 +29,7 @@ def draws_per_trial(c):
 
 
 def uniforms(seed, start_draw, count):
-    return _read_rows(seed, start_draw, count, np.empty((1, count)))[0]
+    return next(_read_rows(seed, start_draw, count, np.empty((1, count))))[0]
 
 
 def rebuild(c, seed, trials):
@@ -50,17 +50,38 @@ def rebuild(c, seed, trials):
 
 
 def record_reads(monkeypatch):
-    """(start_draw, stride, rows, width) of every stream read the engine
-    makes."""
+    """The stream positions every PCG64 seeding is used to read: one list
+    per seeding, of the [start, stop) position runs that its fills cover,
+    in read order."""
     reads = []
+    pcg64 = np.random.PCG64
     original = montecarlo._read_rows
 
-    def spy(master_seed, start_draw, stride, out):
-        reads.append((start_draw, stride, *out.shape))
-        return original(master_seed, start_draw, stride, out)
+    def seeding(seed):
+        reads.append([])
+        return pcg64(seed)
 
+    def spy(master_seed, start_draw, stride, out):
+        rows, width = out.shape
+        for fill, filled in enumerate(original(master_seed, start_draw, stride, out)):
+            first = start_draw + fill * rows * stride
+            reads[-1].extend(
+                (first + j * stride, first + j * stride + width) for j in range(rows)
+            )
+            yield filled
+
+    monkeypatch.setattr(np.random, "PCG64", seeding)
     monkeypatch.setattr(montecarlo, "_read_rows", spy)
     return reads
+
+
+def block_runs(c, block, count):
+    """The position runs of the first ``count`` trials of block ``block``
+    in stream order: the first ``count`` positions of each slot row j,
+    from (b*D + j)*B."""
+    width = _chunk_trials(c)
+    d = draws_per_trial(c)
+    return [((block * d + j) * width, (block * d + j) * width + count) for j in range(d)]
 
 
 def outage_point(scheme, c, gamma_o, settings):
@@ -167,9 +188,10 @@ class TestChannelCoefficient:
         check(c, 5, [(0, 997), (1, 997), (2, 500), (3, 1)])
 
     def test_draw_budget(self, monkeypatch):
-        # A block reads only the draws its trials use, in one call: the
-        # first `count` positions of each slot row j, from (b*D + j)*B,
-        # D*count draws in all.  It reproduces the rebuild of those trials.
+        # A block seeds PCG64 once and reads only the draws its trials use,
+        # each once and in stream order: the first `count` positions of
+        # each slot row j, from (b*D + j)*B, D*count draws in all.  It
+        # reproduces the rebuild of those trials.
         reads = record_reads(monkeypatch)
 
         def check(c, seed, blocks):
@@ -179,7 +201,8 @@ class TestChannelCoefficient:
             for block, count in blocks:
                 reads.clear()
                 selected = _chunk_selected(c, seed, block, count)
-                assert reads == [(block * width * d, width, d, count)]
+                assert reads == [block_runs(c, block, count)]
+                assert sum(stop - start for start, stop in reads[0]) == d * count
                 first = block * width
                 for s in Scheme:
                     assert np.array_equal(selected[s], reference[s][first:first + count])
@@ -204,14 +227,22 @@ class TestChannelCoefficient:
         assert _chunk_trials(c) == 997
         check(c, 5, [(0, 997), (1, 1), (1, 497), (1, 996), (2, 500)])
 
-    @pytest.mark.parametrize("count", [65536, 61440, 54464, 4])
-    def test_peak_memory_is_one_block(self, count):
-        # One call holds at most the D*count doubles its trials use and the
-        # two count-trial results, plus numpy's reduction buffers: a
-        # partial block never holds the draws of its unread trials.
-        c = cfg(n=4)
+    @pytest.mark.parametrize(
+        "c, width, count",
+        [pytest.param(cfg(n=4), 65536, count, id=str(count))
+         for count in (65536, 61440, 54464, 4)]
+        + [pytest.param(cfg(n=8, n_t=4, n_r=4), 16384, 16384, id="4x4-n8-16384"),
+           pytest.param(cfg(n=1, n_t=1, n_r=1), 65536, 65536, id="1x1-n1-65536")],
+    )
+    def test_peak_memory_is_one_block(self, c, width, count):
+        # One call holds one coefficient's n hop rows of count trials and
+        # at most three count-trial running results (TAS/SC max, receive
+        # sum, TAS/MRC max), never the draws of other coefficients or of
+        # unread trials; a 1x1 channel holds its n rows alone.  No shape
+        # holds more than the D*count draws and two results of the whole
+        # block either.
         d = draws_per_trial(c)
-        assert _chunk_trials(c) == 65536
+        assert _chunk_trials(c) == width
         _chunk_selected(c, 2, 1, count)  # warm up numpy and PCG64
         tracemalloc.start()
         try:
@@ -219,7 +250,7 @@ class TestChannelCoefficient:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * count * (d + 2) + 64 * 1024
+        assert peak <= 8 * count * min(c.n + 3, d + 2) + 64 * 1024
 
 class TestLayoutPin:
     """Frozen outputs of stream layout v3 at seed 2017.
@@ -395,8 +426,8 @@ class TestDeterminism:
         c = cfg(n=8, n_t=16, n_r=16)
         reads = record_reads(monkeypatch)
         empirical_cdf_pair(c, SimSettings(trials=1025, master_seed=1), [1.0])
-        assert reads == [(0, 1024, 2048, 1024), (1024 * 2048, 1024, 2048, 1)]
-        assert max(rows * width for _, _, rows, width in reads) <= 2**21
+        assert reads == [block_runs(c, 0, 1024), block_runs(c, 1, 1)]
+        assert max(sum(stop - start for start, stop in runs) for runs in reads) <= 2**21
 
     def test_trial_of_exactly_2_21_draws_is_a_one_trial_block(self):
         # 1024x1024 at n = 2: D = 2^21.
@@ -495,11 +526,13 @@ class TestEmpiricalCdf:
             assert e_mrc.value <= e_sc.value
 
     def test_grid_validation(self):
+        # Empty, 2-d, not strictly ascending or NaN anywhere are refused: a
+        # NaN point would otherwise count every trial as P(SNR <= NaN) = 1.
         settings = SimSettings(trials=1_000, master_seed=1)
-        with pytest.raises(ValueError):
-            empirical_cdf_pair(cfg(), settings, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            empirical_cdf_pair(cfg(), settings, [])
+        for grid in ([], [[0.5, 1.0]], [2.0, 1.0], [1.0, 1.0], [math.nan],
+                     [0.5, math.nan], [math.nan, 0.5]):
+            with pytest.raises(ValueError, match="grid must be"):
+                empirical_cdf_pair(cfg(), settings, grid)
 
 
 class TestIndependentCrossCheck:
