@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
 from scipy import special
 
 from .fading import fading_params, positive_int
@@ -216,17 +217,32 @@ def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, in
     return law.shape, law.exponent, cfg.omega_for(scheme) * scale
 
 
-def _ln_reg_lower_gamma(a: float, x: float) -> float:
+def _ln_reg_lower_gamma(a: float, x: float | np.ndarray) -> float | list[float]:
     """ln P(a, x), accurate in both tails; ``-inf`` where P underflows.
 
     For x < a + 1, P is the small side and ``log(P)`` keeps its relative
     accuracy down to 1e-308; otherwise Q = 1 - P is the small side and
     ``log1p(-Q)`` keeps it for P near 1.
+
+    For a float array ``x`` a list comes back: each side takes one
+    ``gammainc`` or ``gammaincc`` pass and the logs come from ``math``
+    element by element, so every element equals the scalar result bit for
+    bit, whatever CPU features numpy dispatches to.
     """
-    if not (0.0 < a < math.inf) or not (x >= 0.0):
+    many = isinstance(x, np.ndarray)
+    if not (0.0 < a < math.inf) or not ((x >= 0.0).all() if many else x >= 0.0):
         raise ValueError(
             f"incomplete gamma requires finite a > 0 and x >= 0, got a={a}, x={x}"
         )
+    if many:
+        lower = x < a + 1.0
+        side = np.empty_like(x)
+        side[lower] = special.gammainc(a, x[lower])
+        side[~lower] = special.gammaincc(a, x[~lower])
+        return [
+            (math.log(v) if v > 0.0 else -math.inf) if is_lower else math.log1p(-v)
+            for v, is_lower in zip(side.tolist(), lower.tolist())
+        ]
     if x < a + 1.0:
         p = float(special.gammainc(a, x))
         return math.log(p) if p > 0.0 else -math.inf

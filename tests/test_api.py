@@ -3,6 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import nrayleigh
 
@@ -40,3 +44,22 @@ def test_every_exported_name_resolves_and_is_defined_where_it_is_listed():
         assert not hasattr(nrayleigh, name), name
         for module_name in MODULES:
             assert not hasattr(importlib.import_module(f"nrayleigh.{module_name}"), name)
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # Every command pays for what ``import nrayleigh.cli`` loads; the moment
+    # oracle is built on scipy.special alone, and scipy.integrate would add
+    # ~0.3 s of start-up with scipy.optimize, scipy.linalg and scipy.sparse.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(nrayleigh.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, nrayleigh, nrayleigh.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'])))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

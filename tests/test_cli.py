@@ -702,7 +702,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_VALIDATION
         assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
-            "ac303ae0cf0074bd6e393d7698f00c0921f14a4063dc8b369d215577705de7a5"
+            "5c34fb6d0ddba7e8b2efeac3a9526b328e8698254a4c0a14026801739f81eacf"
         )
 
     def test_outage_sweep_json(self, capsys):
@@ -732,7 +732,7 @@ class TestOutputBytes:
         code, out, _ = run(capsys, "af-sweep", "--trials", "20000", "--seed", "3")
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ee4e496087e0c38dfdd18abdff061edd5b31278e2111aae49b13f269c2379cc0"
+            "05b3ce0e3bed738deb8524720842cff31742cc6c01975787018de1a38376e487"
         )
 
     def test_params_table(self, capsys):

@@ -1,10 +1,16 @@
 """Closed-form moments, amount of fading and their quadrature oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from scipy import special
+from scipy import integrate, special
 
+import nrayleigh
+from nrayleigh import moments
 from nrayleigh.fading import fading_params
 from nrayleigh.moments import (
     CAPTION_COEFFS,
@@ -18,7 +24,7 @@ from nrayleigh.moments import (
     moment,
     moment_oracle,
 )
-from nrayleigh.schemes import ChannelConfig, Scheme
+from nrayleigh.schemes import ChannelConfig, ConvergenceError, Scheme
 
 # mpmath, dps=50 (direct gamma-recurrence arithmetic)
 AF_SISO_1 = 0.964785335262904
@@ -36,22 +42,28 @@ def cfg(n=2, n_t=2, n_r=2, mean_snr=10.0):
                          calibration_omega=1.0)
 
 
-def printed_moment(l, scheme, c, b):
-    """The l-th moment sum as printed, from the stdlib and scipy only: one
-    b / Gamma(s) multiplies every expansion term k = 1..K,
-
-        sum_k (-1)^(k+1) C(K, k) b nl Gamma(a_k + nl) / (Gamma(s) k^(a_k+nl) beta^nl)
-
-    with a_k = k(s - 1) and the uncalibrated scale beta = (2s/Omega)
-    (G mean_snr)^(-1/n); TAS/MRC has s = m n_r, K = n_t, G = n_r and
-    TAS/SC s = m, K = n_t n_r, G = 1.
-    """
+def model(scheme, c):
+    """(s, K, beta) of the uncalibrated model CDF P(s, beta g^(1/n))^K, from
+    the stdlib and scipy only: beta = (2s/Omega) (G mean_snr)^(-1/n), with
+    s = m n_r, K = n_t, G = n_r for TAS/MRC and s = m, K = n_t n_r, G = 1
+    for TAS/SC."""
     fp = fading_params(c.n)
     if scheme is Scheme.TAS_MRC:
         s, big_k, gain = fp.m * c.n_r, c.n_t, c.n_r
     else:
         s, big_k, gain = fp.m, c.n_t * c.n_r, 1
-    beta = 2.0 * s / fp.omega * (gain * c.mean_snr) ** (-1.0 / c.n)
+    return s, big_k, 2.0 * s / fp.omega * (gain * c.mean_snr) ** (-1.0 / c.n)
+
+
+def printed_moment(l, scheme, c, b):
+    """The l-th moment sum as printed: one b / Gamma(s) multiplies every
+    expansion term k = 1..K,
+
+        sum_k (-1)^(k+1) C(K, k) b nl Gamma(a_k + nl) / (Gamma(s) k^(a_k+nl) beta^nl)
+
+    with a_k = k(s - 1) and (s, K, beta) from ``model``.
+    """
+    s, big_k, beta = model(scheme, c)
     nl = c.n * l
     return sum(
         (-1) ** (k + 1) * special.binom(big_k, k) * b * nl * math.exp(
@@ -60,6 +72,32 @@ def printed_moment(l, scheme, c, b):
         )
         for k in range(1, big_k + 1)
     )
+
+
+def quadpack_moment(l, scheme, c):
+    """E[g^l] = l n beta^(-nl) int_0^inf t^(nl-1) (1 - P(s, t)^K) dt by
+    QUADPACK, with 1 - P^K taken from ``gammaincc`` alone."""
+    s, big_k, beta = model(scheme, c)
+    nl = c.n * l
+
+    def integrand(t):
+        return t ** (nl - 1) * -math.expm1(big_k * special.log1p(-special.gammaincc(s, t)))
+
+    knee = s + nl
+    total = sum(
+        integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in ((0.0, knee), (knee, math.inf))
+    )
+    return l * c.n * total / beta ** nl
+
+
+def subprocess_env(**extra):
+    """The environment for a child interpreter that imports this nrayleigh."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(nrayleigh.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 class TestWeights:
@@ -316,3 +354,61 @@ class TestMomentOracle:
         assert moment_oracle(1, Scheme.TAS_MRC, calibrated) == pytest.approx(
             moment_oracle(1, Scheme.TAS_MRC, base), rel=1e-10
         )
+
+    def test_matches_quadpack_on_the_grid(self):
+        # 160 cases: n = 1..8, five antenna layouts, both schemes, l = 1, 2.
+        far = []
+        for n in range(1, 9):
+            for n_t, n_r in ((1, 1), (2, 2), (2, 3), (4, 4), (1, 4)):
+                c = cfg(n=n, n_t=n_t, n_r=n_r)
+                for scheme in Scheme:
+                    for l in (1, 2):
+                        value, reference = moment_oracle(l, scheme, c), quadpack_moment(l, scheme, c)
+                        if not abs(value - reference) <= 1e-10 * reference:
+                            far.append((n, n_t, n_r, scheme.value, l, value, reference))
+        assert far == []
+
+    def test_gap_between_steps_raises(self, monkeypatch):
+        # At step 1/2 the sums at steps 1/2 and 1 part by far more than 1e-6.
+        monkeypatch.setattr(moments, "_DE_STEP", 0.5)
+        with pytest.raises(ConvergenceError, match="error too large"):
+            moment_oracle(1, Scheme.TAS_MRC, cfg())
+
+    def test_non_finite_value_raises(self, monkeypatch):
+        monkeypatch.setattr(moments, "_ln_reg_lower_gamma", lambda a, x: [math.nan] * len(x))
+        with pytest.raises(ConvergenceError, match="gave nan"):
+            moment_oracle(1, Scheme.TAS_MRC, cfg())
+
+    def test_overflow_raises(self):
+        # The 20th moment at n = 8 exceeds the float range.
+        with pytest.raises(ConvergenceError, match="gave inf"):
+            moment_oracle(20, Scheme.TAS_MRC, cfg(n=8))
+
+    def test_bytes_do_not_depend_on_numpy_dispatch(self):
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:
+            __cpu_features__ = {}
+        if not __cpu_features__.get("AVX512_SKX"):
+            pytest.skip("numpy dispatches no AVX-512 kernels on this CPU (AVX512_SKX off), "
+                        "so there is no second dispatch level to compare")
+        # A last-bit change in a few nodes seldom moves the rounded sum, so
+        # the whole grid is compared.
+        probe = (
+            "from nrayleigh import ChannelConfig, Scheme, moment_oracle\n"
+            "for n in range(1, 9):\n"
+            "    for n_t, n_r in ((1, 1), (2, 2), (2, 3), (4, 4), (1, 4)):\n"
+            "        for scheme in Scheme:\n"
+            "            for l in (1, 2):\n"
+            "                c = ChannelConfig(n, n_t, n_r, 10.0)\n"
+            "                print(repr(moment_oracle(l, scheme, c)))\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", probe], env=subprocess_env(**extra),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})
+        ]
+        assert len(outputs[0].split()) == 160
+        assert outputs[0] == outputs[1]

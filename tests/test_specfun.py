@@ -15,6 +15,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -140,6 +141,17 @@ class TestRegLowerGamma:
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             _ln_reg_lower_gamma(a, x)
+
+    @pytest.mark.parametrize("a", [0.5, 4.9401, 25.0])
+    def test_array_equals_scalar_bit_for_bit(self, a):
+        # Both branches, the boundary x = a + 1 and P underflowing to 0.
+        xs = [0.0, 1e-300, 1e-3, 0.5 * a, a, a + 1.0, a + 1.5, 3 * a + 5.0, 800.0]
+        assert _ln_reg_lower_gamma(a, np.array(xs)) == [_ln_reg_lower_gamma(a, x) for x in xs]
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_array_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            _ln_reg_lower_gamma(2.0, np.array([1.0, bad]))
 
     def test_generator_reproduces_frozen_table(self):
         # The frozen table is the only independent evidence behind c01:
