@@ -1,71 +1,19 @@
 """Outage, diversity and amount-of-fading analytics for TAS/MRC and TAS/SC
 antenna selection over cascaded (n*) Rayleigh fading channels, validated by
-a seeded Monte-Carlo channel simulator."""
+a seeded Monte-Carlo channel simulator.
 
-from .fading import FadingParams, fading_params
-from .moments import (
-    CAPTION_COEFFS,
-    NonPhysicalMomentError,
-    WeightingCoefficients,
-    af_bound_tas_mrc,
-    af_simo,
-    af_siso,
-    amount_of_fading,
-    default_weights,
-    moment,
-    moment_oracle,
-)
-from .montecarlo import (
-    EmpiricalEstimate,
-    SimSettings,
-    empirical_cdf_pair,
-    estimate_af,
-)
-from .schemes import (
-    AsymptoticForm,
-    ChannelConfig,
-    CodingGain,
-    ConvergenceError,
-    OutageQuery,
-    Scheme,
-    coding_gain,
-    diversity_order,
-    outage,
-    outage_asymptotic,
-    postproc_cdf,
-    required_snr,
-)
+The public names are those of each library module's ``__all__``."""
+
+from . import fading, moments, montecarlo, schemes
+from .fading import *
+from .moments import *
+from .montecarlo import *
+from .schemes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticForm",
-    "CAPTION_COEFFS",
-    "ChannelConfig",
-    "CodingGain",
-    "ConvergenceError",
-    "EmpiricalEstimate",
-    "FadingParams",
-    "NonPhysicalMomentError",
-    "OutageQuery",
-    "Scheme",
-    "SimSettings",
-    "WeightingCoefficients",
-    "af_bound_tas_mrc",
-    "af_simo",
-    "af_siso",
-    "amount_of_fading",
-    "coding_gain",
-    "default_weights",
-    "diversity_order",
-    "empirical_cdf_pair",
-    "estimate_af",
-    "fading_params",
-    "moment",
-    "moment_oracle",
-    "outage",
-    "outage_asymptotic",
-    "postproc_cdf",
-    "required_snr",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += fading.__all__
+__all__ += moments.__all__
+__all__ += montecarlo.__all__
+__all__ += schemes.__all__

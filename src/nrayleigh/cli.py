@@ -177,6 +177,15 @@ def _resolve(flags: dict, path: str | None) -> dict:
     return flags
 
 
+def _sweep_settings(opts: dict) -> SimSettings | None:
+    """A sweep's Monte-Carlo settings, None at --trials 0 (analytics only);
+    ``SimSettings`` checks the seed and worker count at every trial count."""
+    settings = SimSettings(
+        trials=opts["trials"] or 1, master_seed=opts["seed"], workers=opts["workers"]
+    )
+    return settings if opts["trials"] != 0 else None
+
+
 def _fmt(value) -> str:
     """Round-trip formatting: shortest representation that parses back."""
     if value is None or value == "":
@@ -277,9 +286,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     orders = _parse_n_list(opts["n_list"])
     grid_db = _parse_snr_grid(opts["snr_db"])
     trials = opts["trials"]
-    settings = None
-    if trials != 0:
-        settings = SimSettings(trials=trials, master_seed=opts["seed"], workers=opts["workers"])
+    settings = _sweep_settings(opts)
 
     rows: list[dict] = []
     for n in orders:
@@ -349,9 +356,7 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         for n in orders
     }
 
-    settings = None
-    if trials != 0:
-        settings = SimSettings(trials=trials, master_seed=opts["seed"], workers=opts["workers"])
+    settings = _sweep_settings(opts)
 
     rows: list[dict] = []
     for n in orders:

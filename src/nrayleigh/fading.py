@@ -54,7 +54,6 @@ def positive_int(name: str, value) -> int:
 class FadingParams:
     """Severity parameters of an order-n cascaded Rayleigh channel."""
 
-    n: int
     m: float
     omega: float
 
@@ -64,4 +63,4 @@ def fading_params(n: int) -> FadingParams:
     n = positive_int("cascade order", n)
     m = _M_SLOPE * n + _M_OFFSET
     omega = _OMEGA_COEFF * float(n) ** _OMEGA_EXPONENT + _OMEGA_OFFSET
-    return FadingParams(n=n, m=m, omega=omega)
+    return FadingParams(m=m, omega=omega)

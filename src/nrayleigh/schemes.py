@@ -11,9 +11,9 @@ incomplete gamma over the stretched-gamma fit (m, Omega) of ``fading``:
     TAS/SC:  shape s = m,       exponent k = n_t * n_r,   receive gain G = 1
 
 where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
-1.0 for TAS/SC).  On top of the distributions this module provides outage
-probability, its small-threshold power-law form, diversity order, coding
-gain and the required-SNR solver.  Everything that depends only on
+1.0 for TAS/SC).  ``outage`` is F at the outage threshold; this module also
+provides its small-threshold power-law form, diversity order, coding gain
+and the required-SNR solver.  Everything that depends only on
 (scheme, n, n_t, n_r) is computed once per channel and memoised (``_law``);
 each call applies only its mean SNR and calibration weight.
 
@@ -47,7 +47,6 @@ __all__ = [
     "diversity_order",
     "outage",
     "outage_asymptotic",
-    "postproc_cdf",
     "required_snr",
 ]
 
@@ -249,27 +248,18 @@ def _ln_reg_lower_gamma(a: float, x: float | np.ndarray) -> float | list[float]:
     return math.log1p(-float(special.gammaincc(a, x)))
 
 
-def postproc_cdf(scheme: Scheme, gamma: float, cfg: ChannelConfig) -> float:
-    """CDF of the post-processing SNR after selection and combining.
+def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
+    """Outage probability: the CDF of the post-processing SNR after
+    selection and combining, at the threshold.
 
     Computed as exp(k * ln P) so that deep-outage values keep full relative
     accuracy.
     """
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"SNR must be nonnegative, got {gamma}")
-    if gamma == 0.0:
-        return 0.0
     shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
-    ln_p = _ln_reg_lower_gamma(shape, beta * gamma ** (1.0 / cfg.n))
+    ln_p = _ln_reg_lower_gamma(shape, beta * query.gamma_o ** (1.0 / cfg.n))
     if ln_p == -math.inf:
         return 0.0
     return math.exp(exponent * ln_p)
-
-
-def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
-    """Outage probability: post-processing SNR falls below the threshold."""
-    return postproc_cdf(scheme, query.gamma_o, cfg)
 
 
 def diversity_order(scheme: Scheme, cfg: ChannelConfig) -> float:

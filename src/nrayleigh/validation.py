@@ -1,7 +1,7 @@
 """Acceptance validation suite: every release gate as a runnable check.
 
-Each criterion c01-c10 is a function of a ``ValidationConfig`` returning a
-``CriterionResult`` with a pass flag and a details payload;
+Each criterion c01-c10 is a function of a ``ValidationConfig`` returning
+its report entry {"id", "name", "passed", "details"};
 ``build_report(config)`` runs them all and assembles a JSON-serializable
 report whose bytes depend only on the scenario configuration and the
 master seed - never on worker count or wall-clock - so that determinism
@@ -35,7 +35,6 @@ from .montecarlo import SimSettings
 from .schemes import ChannelConfig, OutageQuery, Scheme
 
 __all__ = [
-    "CriterionResult",
     "ValidationConfig",
     "build_report",
     "outage_curves",
@@ -64,14 +63,6 @@ _SC_OMEGA = schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC]
 
 
 @dataclass(frozen=True)
-class CriterionResult:
-    cid: str
-    name: str
-    passed: bool
-    details: dict
-
-
-@dataclass(frozen=True)
 class ValidationConfig:
     """Scenario knobs for the validation run.
 
@@ -85,6 +76,11 @@ class ValidationConfig:
     gamma_o: float = 1.0
     mrc_omega: float = schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC]
     determinism_trials: int = 120_000
+
+    def __post_init__(self) -> None:
+        # Both Monte-Carlo settings, the run's and c10's probe at
+        # determinism_trials, meet SimSettings's rule before any criterion runs.
+        replace(self.settings(), trials=self.determinism_trials)
 
     def settings(self) -> SimSettings:
         return SimSettings(
@@ -103,7 +99,7 @@ def _cfg(
     )
 
 
-def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> CriterionResult:
+def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> dict:
     """Incomplete gamma against the frozen 60-digit series oracle."""
     table = json.loads(
         resources.files("nrayleigh.data")
@@ -117,17 +113,17 @@ def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> CriterionR
     elapsed = time.perf_counter() - start
     max_err = max(abs(v - e["p"]) for v, e in zip(values, entries))
     runtime_ok = elapsed < _GAMMA_TIME_BUDGET_S
-    return CriterionResult(
-        cid="c01",
-        name="incomplete-gamma accuracy vs 60-digit series oracle",
-        passed=max_err <= _GAMMA_ABS_TOL and runtime_ok,
-        details={
+    return {
+        "id": "c01",
+        "name": "incomplete-gamma accuracy vs 60-digit series oracle",
+        "passed": max_err <= _GAMMA_ABS_TOL and runtime_ok,
+        "details": {
             "points": len(entries),
             "max_abs_error": max_err,
             "abs_tol": _GAMMA_ABS_TOL,
             "runtime_under_budget": runtime_ok,
         },
-    )
+    }
 
 
 def outage_curves(
@@ -186,7 +182,7 @@ def outage_curves(
     return curves
 
 
-def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult:
+def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     """Analytic outage curves against the channel simulator, per scheme and n.
 
     Binding wherever the analytic outage is inside the comparison band:
@@ -231,19 +227,19 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> CriterionResult
                 ),
                 "points": records,
             }
-    return CriterionResult(
-        cid="c02",
-        name="outage curves vs Monte-Carlo (2x3, calibrated)",
-        passed=all(
+    return {
+        "id": "c02",
+        "name": "outage curves vs Monte-Carlo (2x3, calibrated)",
+        "passed": all(
             all(r["pass"] for r in c["points"]) and any(r["binding"] for r in c["points"])
             for c in per_curve.values()
         ),
-        details={"band": list(_MC_MATCH_BAND), "rel_tol": _MC_MATCH_REL_TOL,
-                 "curves": per_curve},
-    )
+        "details": {"band": list(_MC_MATCH_BAND), "rel_tol": _MC_MATCH_REL_TOL,
+                    "curves": per_curve},
+    }
 
 
-def _criterion_required_snr_gaps(config: ValidationConfig) -> CriterionResult:
+def _criterion_required_snr_gaps(config: ValidationConfig) -> dict:
     """Required-SNR spacing across cascade orders at outage 1e-4 (TAS/MRC 2x3).
 
     The gaps are threshold-invariant (required SNR scales linearly with the
@@ -263,11 +259,11 @@ def _criterion_required_snr_gaps(config: ValidationConfig) -> CriterionResult:
     gaps_ok = all(e <= _GAP_TOL_DB for e in gap_errors)
     level_errors = [abs(l - t) for l, t in zip(levels_db, _LEVEL_TARGETS_DB)]
     levels_ok = all(e <= _LEVEL_TOL_DB for e in level_errors)
-    return CriterionResult(
-        cid="c03",
-        name="required-SNR gaps across n at outage 1e-4 (TAS/MRC 2x3)",
-        passed=gaps_ok,
-        details={
+    return {
+        "id": "c03",
+        "name": "required-SNR gaps across n at outage 1e-4 (TAS/MRC 2x3)",
+        "passed": gaps_ok,
+        "details": {
             "levels_db": levels_db,
             "gaps_db": gaps,
             "gap_targets_db": list(_GAP_TARGETS_DB),
@@ -280,10 +276,10 @@ def _criterion_required_snr_gaps(config: ValidationConfig) -> CriterionResult:
             "absolute_level_tol_db": _LEVEL_TOL_DB,
             "absolute_levels_ok": levels_ok,
         },
-    )
+    }
 
 
-def _criterion_diversity_slope(config: ValidationConfig) -> CriterionResult:
+def _criterion_diversity_slope(config: ValidationConfig) -> dict:
     """Fitted log-log outage slope vs d = mN/n over the outage decade below 1e-6."""
     query = OutageQuery(threshold=config.gamma_o)
     combos = []
@@ -322,16 +318,16 @@ def _criterion_diversity_slope(config: ValidationConfig) -> CriterionResult:
                         "pass": ok,
                     }
                 )
-    return CriterionResult(
-        cid="c04",
-        name="diversity order from fitted outage slope",
-        passed=all(c["pass"] for c in combos),
-        details={"rel_tol": _SLOPE_REL_TOL,
-                 "asymptote_rel_tol": _ASYMPTOTE_SLOPE_REL_TOL, "combos": combos},
-    )
+    return {
+        "id": "c04",
+        "name": "diversity order from fitted outage slope",
+        "passed": all(c["pass"] for c in combos),
+        "details": {"rel_tol": _SLOPE_REL_TOL,
+                    "asymptote_rel_tol": _ASYMPTOTE_SLOPE_REL_TOL, "combos": combos},
+    }
 
 
-def _criterion_asymptote_consistency(config: ValidationConfig) -> CriterionResult:
+def _criterion_asymptote_consistency(config: ValidationConfig) -> dict:
     """Power-law/full-formula ratio at the SNR where the full formula is 1e-7."""
     query = OutageQuery(threshold=config.gamma_o)
     rows = []
@@ -348,15 +344,15 @@ def _criterion_asymptote_consistency(config: ValidationConfig) -> CriterionResul
                 {"scheme": scheme.value, "n": n, "snr_db": 10 * math.log10(g_star),
                  "ratio": ratio, "pass": ok}
             )
-    return CriterionResult(
-        cid="c05",
-        name="asymptote/full-formula ratio at outage 1e-7",
-        passed=all(r["pass"] for r in rows),
-        details={"band": list(_ASYMPTOTE_RATIO_BAND), "rows": rows},
-    )
+    return {
+        "id": "c05",
+        "name": "asymptote/full-formula ratio at outage 1e-7",
+        "passed": all(r["pass"] for r in rows),
+        "details": {"band": list(_ASYMPTOTE_RATIO_BAND), "rows": rows},
+    }
 
 
-def _criterion_af_anchors(config: ValidationConfig) -> CriterionResult:
+def _criterion_af_anchors(config: ValidationConfig) -> dict:
     """Closed-form AF anchor identities and trade-off approximations."""
     checks = []
 
@@ -398,15 +394,15 @@ def _criterion_af_anchors(config: ValidationConfig) -> CriterionResult:
         "rel_error": abs(moments.af_simo(2, 1) - (2.5**2 - 1.0)) / (2.5**2 - 1.0),
     }
     passed = all(c["pass"] for c in checks)
-    return CriterionResult(
-        cid="c06",
-        name="closed-form AF anchors (SISO/SIMO reductions)",
-        passed=passed,
-        details={"checks": checks, "excluded": excluded},
-    )
+    return {
+        "id": "c06",
+        "name": "closed-form AF anchors (SISO/SIMO reductions)",
+        "passed": passed,
+        "details": {"checks": checks, "excluded": excluded},
+    }
 
 
-def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
+def _criterion_af_profile(config: ValidationConfig) -> dict:
     """AF vs cascade order at 2x2: monotonicity, scheme ordering, bound side."""
     mrc, sc = Scheme.TAS_MRC, Scheme.TAS_SC
     closed = {mrc: [], sc: []}
@@ -450,11 +446,11 @@ def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
         for c_mrc, c_sc, e_mrc, e_sc in pairs
         if c_mrc is not None and c_sc is not None
     )
-    return CriterionResult(
-        cid="c07",
-        name="AF vs n profile at 2x2 (monotone, ordered, bound side)",
-        passed=increasing_ok and ordering_ok and bound_ok,
-        details={
+    return {
+        "id": "c07",
+        "name": "AF vs n profile at 2x2 (monotone, ordered, bound side)",
+        "passed": increasing_ok and ordering_ok and bound_ok,
+        "details": {
             "increasing_ok": increasing_ok,
             "ordering_ok": ordering_ok,
             "lower_bound_ok": bound_ok,
@@ -462,10 +458,10 @@ def _criterion_af_profile(config: ValidationConfig) -> CriterionResult:
             "issues": issues,
             "rows": rows,
         },
-    )
+    }
 
 
-def _criterion_moments_vs_oracle(config: ValidationConfig) -> CriterionResult:
+def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
     """Closed-form moments against quadrature of the exact model CDF."""
     rows = []
     for n in (2, 3, 4, 5, 6):
@@ -484,21 +480,21 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> CriterionResult:
                 )
     exceed = sum(not r["pass"] for r in rows)
     allowed = int(_MOMENT_FAIL_FRACTION * len(rows))
-    return CriterionResult(
-        cid="c08",
-        name="closed-form moments vs quadrature oracle (2x2)",
-        passed=exceed <= allowed,
-        details={
+    return {
+        "id": "c08",
+        "name": "closed-form moments vs quadrature oracle (2x2)",
+        "passed": exceed <= allowed,
+        "details": {
             "rel_tol": _MOMENT_REL_TOL,
             "points": len(rows),
             "points_exceeding": exceed,
             "allowed_exceeding": allowed,
             "rows": rows,
         },
-    )
+    }
 
 
-def _criterion_rayleigh_base_case(config: ValidationConfig) -> CriterionResult:
+def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
     settings = config.settings()
     cfg = _cfg(1, 1, 1, 1.0, 1.0)
@@ -513,31 +509,31 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> CriterionResult:
             {"gamma": float(g), "exact": exact, "empirical": est.value,
              "sigmas": abs(est.value - exact) / se if se > 0 else 0.0, "pass": ok}
         )
-    return CriterionResult(
-        cid="c09",
-        name="Monte-Carlo base case vs exact exponential CDF",
-        passed=all(r["pass"] for r in rows),
-        details={"sigma_budget": _BASE_CASE_SIGMAS, "rows": rows},
-    )
+    return {
+        "id": "c09",
+        "name": "Monte-Carlo base case vs exact exponential CDF",
+        "passed": all(r["pass"] for r in rows),
+        "details": {"sigma_budget": _BASE_CASE_SIGMAS, "rows": rows},
+    }
 
 
-def _criterion_determinism(config: ValidationConfig) -> CriterionResult:
+def _criterion_determinism(config: ValidationConfig) -> dict:
     """Report bytes must not depend on the worker count."""
     probes = []
     for workers in (1, 2):
         probe_config = replace(config, trials=config.determinism_trials, workers=workers)
         probes.append(report_to_json(_run(probe_config, _CRITERIA)))
     identical = probes[0] == probes[1]
-    return CriterionResult(
-        cid="c10",
-        name="byte-identical reports across worker counts",
-        passed=identical,
-        details={
+    return {
+        "id": "c10",
+        "name": "byte-identical reports across worker counts",
+        "passed": identical,
+        "details": {
             "probe_trials": config.determinism_trials,
             "worker_counts": [1, 2],
             "identical": identical,
         },
-    )
+    }
 
 
 _CRITERIA = (
@@ -565,7 +561,7 @@ def build_report(config: ValidationConfig) -> dict:
 
 def _run(config: ValidationConfig, criteria: tuple) -> dict:
     results = [criterion(config) for criterion in criteria]
-    passed = sum(1 for r in results if r.passed)
+    passed = sum(1 for r in results if r["passed"])
     return {
         "config": {
             "trials": config.trials,
@@ -579,10 +575,7 @@ def _run(config: ValidationConfig, criteria: tuple) -> dict:
             },
             "determinism_probe_trials": config.determinism_trials,
         },
-        "criteria": [
-            {"id": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
-            for r in results
-        ],
+        "criteria": results,
         "summary": {
             "criteria_total": len(results),
             "criteria_passed": passed,

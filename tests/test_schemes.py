@@ -18,7 +18,6 @@ from nrayleigh.schemes import (
     diversity_order,
     outage,
     outage_asymptotic,
-    postproc_cdf,
     required_snr,
 )
 
@@ -31,6 +30,11 @@ DB_PER_DOUBLING = 3.010299956639812
 def cfg(n=2, n_t=2, n_r=3, mean_snr=10.0, omega=None):
     return ChannelConfig(n=n, n_t=n_t, n_r=n_r, mean_snr=mean_snr,
                          calibration_omega=omega)
+
+
+def cdf(scheme, g, c):
+    """The post-processing SNR distribution at g: the outage at threshold g."""
+    return outage(scheme, OutageQuery(threshold=g), c)
 
 
 class TestChannelConfig:
@@ -87,9 +91,7 @@ class TestOutageQuery:
 
 
 class TestPostprocCdf:
-    def test_zero_snr(self):
-        for scheme in Scheme:
-            assert postproc_cdf(scheme, 0.0, cfg()) == 0.0
+    """The post-processing SNR distribution, reached through ``outage``."""
 
     def test_single_transmit_antenna_reduces_to_branch_cdf(self):
         # With one transmit antenna and unit calibration the TAS/MRC
@@ -100,7 +102,7 @@ class TestPostprocCdf:
         a = fp.m * c.n_r
         beta = (2.0 * a / fp.omega) * (c.n_r * c.mean_snr) ** (-1.0 / c.n)
         for g in (0.01, 0.5, 1.0, 4.0, 25.0):
-            assert postproc_cdf(Scheme.TAS_MRC, g, c) == pytest.approx(
+            assert cdf(Scheme.TAS_MRC, g, c) == pytest.approx(
                 float(special.gammainc(a, beta * g ** (1.0 / c.n))), rel=1e-12
             )
 
@@ -109,15 +111,15 @@ class TestPostprocCdf:
     def test_monotone_in_gamma(self, scheme, n):
         c = cfg(n=n)
         grid = [10 ** (i / 10 - 3) for i in range(61)]
-        values = [postproc_cdf(scheme, g, c) for g in grid]
+        values = [cdf(scheme, g, c) for g in grid]
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
-        assert postproc_cdf(scheme, 1e9, c) == pytest.approx(1.0, abs=1e-9)
+        assert cdf(scheme, 1e9, c) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nonincreasing_in_mean_snr(self, scheme):
         snrs = [0.5, 1.0, 3.0, 10.0, 50.0, 300.0]
-        values = [postproc_cdf(scheme, 2.0, cfg(mean_snr=s)) for s in snrs]
+        values = [cdf(scheme, 2.0, cfg(mean_snr=s)) for s in snrs]
         assert all(v2 <= v1 for v1, v2 in zip(values, values[1:]))
 
     @pytest.mark.parametrize("n_r", [2, 3])
@@ -126,8 +128,8 @@ class TestPostprocCdf:
         # this ordering survives at n = 2 below saturation.
         c_m = cfg(n=2, n_r=n_r, omega=1.0)
         for g in (0.001, 0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
-            p_mrc = postproc_cdf(Scheme.TAS_MRC, g, c_m)
-            p_sc = postproc_cdf(Scheme.TAS_SC, g, c_m)
+            p_mrc = cdf(Scheme.TAS_MRC, g, c_m)
+            p_sc = cdf(Scheme.TAS_SC, g, c_m)
             if p_sc <= 0.9:
                 assert p_mrc <= p_sc + 1e-15
 
@@ -140,8 +142,8 @@ class TestPostprocCdf:
         inverted = [
             g
             for g in (0.001, 0.01, 0.1, 1.0)
-            if postproc_cdf(Scheme.TAS_MRC, g, c_m)
-            > postproc_cdf(Scheme.TAS_SC, g, c_m)
+            if cdf(Scheme.TAS_MRC, g, c_m)
+            > cdf(Scheme.TAS_SC, g, c_m)
         ]
         assert inverted
 
@@ -149,8 +151,8 @@ class TestPostprocCdf:
         # Scaling threshold and mean SNR together leaves the CDF unchanged.
         for scheme in Scheme:
             for c_factor in (0.1, 2.0, 10.0):
-                base = postproc_cdf(scheme, 1.5, cfg(mean_snr=8.0))
-                scaled = postproc_cdf(scheme, 1.5 * c_factor, cfg(mean_snr=8.0 * c_factor))
+                base = cdf(scheme, 1.5, cfg(mean_snr=8.0))
+                scaled = cdf(scheme, 1.5 * c_factor, cfg(mean_snr=8.0 * c_factor))
                 assert scaled == pytest.approx(base, rel=1e-12)
 
 
@@ -162,9 +164,14 @@ class TestOutage:
         assert outage(Scheme.TAS_SC, big, cfg()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_cdf_at_threshold(self):
+        # P(s, beta * gamma_o^(1/n))^k with the channel's shape, exponent
+        # and calibrated scale.
         q = OutageQuery(threshold=2.5)
         for scheme in Scheme:
-            assert outage(scheme, q, cfg()) == postproc_cdf(scheme, 2.5, cfg())
+            s, k, beta = schemes._shape_exponent_scale(scheme, cfg())
+            assert outage(scheme, q, cfg()) == pytest.approx(
+                float(special.gammainc(s, beta * 2.5 ** 0.5)) ** k, rel=1e-12
+            )
 
 
 class TestAsymptotics:
@@ -321,7 +328,7 @@ class TestRequiredSnr:
 
 
 # Exact float outputs of the analytics at mean SNR 10 and gamma_o = 1.
-# Keyed (scheme, n, n_t, n_r, calibration): postproc_cdf at g = 0.1 and
+# Keyed (scheme, n, n_t, n_r, calibration): the outage at g = 0.1 and
 # g = 2, and required_snr at outage 1e-3, for n = 1..8 under the default,
 # unit and an explicit 1.3 calibration.
 PINNED_CDF_AND_SNR = {
@@ -730,8 +737,8 @@ class TestAnalyticBytes:
         for (scheme, n, n_t, n_r, omega), pinned in PINNED_CDF_AND_SNR.items():
             c = cfg(n=n, n_t=n_t, n_r=n_r, omega=omega)
             got = (
-                postproc_cdf(Scheme(scheme), 0.1, c),
-                postproc_cdf(Scheme(scheme), 2.0, c),
+                cdf(Scheme(scheme), 0.1, c),
+                cdf(Scheme(scheme), 2.0, c),
                 required_snr(Scheme(scheme), 1e-3, OutageQuery(threshold=1.0), c),
             )
             if list(map(repr, got)) != list(map(repr, pinned)):
@@ -758,7 +765,7 @@ def all_outputs(scheme, c):
     value, form = outage_asymptotic(scheme, q, c)
     gain = coding_gain(scheme, c)
     return tuple(map(repr, (
-        postproc_cdf(scheme, 0.1, c), outage(scheme, q, c), value, form.coefficient,
+        cdf(scheme, 0.1, c), outage(scheme, q, c), value, form.coefficient,
         form.diversity, form.z, diversity_order(scheme, c), gain.printed,
         gain.extracted, required_snr(scheme, 1e-3, q, c),
     )))
