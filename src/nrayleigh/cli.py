@@ -11,9 +11,9 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 (including a cascade order above the validated domain n <= 8),
 2 validation failure, 3 numerical non-convergence.
 
-Option defaults live in the ``click.option`` declarations (``validate``'s
-come from ``ValidationConfig``).  A JSON config file (``--config``, keys
-named like the option parameters) replaces defaults; explicit flags win.
+Option defaults live in the option declarations (``validate``'s come from
+``ValidationConfig``).  A JSON config file (``--config``, keys named like
+the option parameters) replaces defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -177,15 +177,6 @@ def _resolve(flags: dict, path: str | None) -> dict:
     return flags
 
 
-def _sweep_settings(opts: dict) -> SimSettings | None:
-    """A sweep's Monte-Carlo settings, None at --trials 0 (analytics only);
-    ``SimSettings`` checks the seed and worker count at every trial count."""
-    settings = SimSettings(
-        trials=opts["trials"] or 1, master_seed=opts["seed"], workers=opts["workers"]
-    )
-    return settings if opts["trials"] != 0 else None
-
-
 def _fmt(value) -> str:
     """Round-trip formatting: shortest representation that parses back."""
     if value is None or value == "":
@@ -197,10 +188,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_table(
-    columns: list[str], rows: list[dict], header_config: dict, fmt: str, out: str | None
-) -> None:
-    if fmt == "json":
+def _emit_table(columns: list[str], rows: list[dict], header_config: dict, opts: dict) -> None:
+    """Write a sweep's table as ``--format`` to ``--out``, its rows sorted by
+    scheme, cascade order and, in an outage table, mean SNR."""
+    rows.sort(key=lambda r: (r["scheme"], r["n"], r.get("snr_db", 0.0)))
+    if opts["fmt"] == "json":
         text = json.dumps(
             {"config": header_config, "rows": rows}, indent=2, sort_keys=True
         ) + "\n"
@@ -210,7 +202,7 @@ def _emit_table(
         for row in rows:
             lines.append(",".join(_fmt(row.get(col)) for col in columns))
         text = "\n".join(lines) + "\n"
-    _write_output(text, out)
+    _write_output(text, opts["out"])
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -255,26 +247,59 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
             )
 
 
-@cli.command("outage-sweep")
-@click.option("--scheme", type=click.Choice(["tas-mrc", "tas-sc", "both"]), default="both",
-              help="Selection scheme, or both.")
-@click.option("--n", "n_list", default="2,3,4,5", help="Cascade orders, e.g. 2,3,4,5.")
-@click.option("--nt", type=int, default=2, help="Transmit antennas.")
-@click.option("--nr", type=int, default=3, help="Receive antennas.")
-@click.option("--snr-db", default="0:30:2", help="Mean-SNR grid start:stop:step in dB.")
-@click.option("--rate", type=float, default=None, help="Target rate R; threshold 2^R-1.")
-@click.option("--gamma-o", type=float, default=None, help="Outage threshold (linear).")
-@click.option("--trials", type=int, default=1_000_000,
-              help="Monte-Carlo trials (0 = analytics only).")
-@click.option("--seed", type=int, default=1, help="Master seed.")
-@click.option("--omega", type=float, default=None, help="Calibration override for both schemes.")
-@click.option("--workers", type=int, default=1, help="Worker threads.")
-@click.option("--out", default=None, help="Output path (default: stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
+def _sweep_params(orders: str, nr: int, own: tuple, after_seed: tuple = ()) -> list[click.Option]:
+    """A sweep's parameters: the ones both sweeps share, with ``orders`` and
+    ``nr`` the defaults of --n and --nr, around the command's ``own``
+    options (after --nr) and ``after_seed`` (after --seed)."""
+    return [
+        click.Option(["--scheme"], type=click.Choice(["tas-mrc", "tas-sc", "both"]),
+                     default="both", help="Selection scheme, or both."),
+        click.Option(["--n", "n_list"], default=orders, help=f"Cascade orders, e.g. {orders}."),
+        click.Option(["--nt"], type=int, default=2, help="Transmit antennas."),
+        click.Option(["--nr"], type=int, default=nr, help="Receive antennas."),
+        *own,
+        click.Option(["--trials"], type=int, default=1_000_000,
+                     help="Monte-Carlo trials (0 = analytics only)."),
+        click.Option(["--seed"], type=int, default=1, help="Master seed."),
+        *after_seed,
+        click.Option(["--workers"], type=int, default=1, help="Worker threads."),
+        click.Option(["--out"], default=None, help="Output path (default: stdout)."),
+        click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
+        click.Option(["--config", "config_path"], default=None,
+                     help="JSON config file; flags override."),
+    ]
+
+
+def _sweep_setup(
+    config_path: str | None, flags: dict
+) -> tuple[dict, list[Scheme], list[int], SimSettings | None, dict]:
+    """(options, schemes, cascade orders, Monte-Carlo settings, header keys)
+    of a sweep; the settings are None at --trials 0 (analytics only), and
+    ``SimSettings`` checks the seed and worker count at every trial count."""
+    opts = _resolve(flags, config_path)
+    scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
+    orders = _parse_n_list(opts["n_list"])
+    settings = SimSettings(opts["trials"] or 1, opts["seed"], opts["workers"])
+    header = {
+        "command": click.get_current_context().command.name,
+        "schemes": ",".join(s.value for s in scheme_list),
+        "n_list": ",".join(str(n) for n in orders),
+        "n_t": opts["nt"], "n_r": opts["nr"], "trials": opts["trials"], "seed": opts["seed"],
+    }
+    return opts, scheme_list, orders, settings if opts["trials"] != 0 else None, header
+
+
+@cli.command("outage-sweep", params=_sweep_params("2,3,4,5", 3, (
+    click.Option(["--snr-db"], default="0:30:2", help="Mean-SNR grid start:stop:step in dB."),
+    click.Option(["--rate"], type=float, default=None, help="Target rate R; threshold 2^R-1."),
+    click.Option(["--gamma-o"], type=float, default=None, help="Outage threshold (linear)."),
+), after_seed=(
+    click.Option(["--omega"], type=float, default=None,
+                 help="Calibration override for both schemes."),
+)))
 def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     """Outage probability sweep: analytic, asymptotic and empirical columns."""
-    opts = _resolve(flags, config_path)
+    opts, scheme_list, orders, settings, header = _sweep_setup(config_path, flags)
     if opts["rate"] is not None and opts["gamma_o"] is not None:
         raise click.UsageError("provide at most one of --rate / --gamma-o")
     if opts["rate"] is not None:
@@ -282,11 +307,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     else:
         query = OutageQuery(threshold=opts["gamma_o"] if opts["gamma_o"] is not None else 1.0)
     gamma_o = query.gamma_o
-    scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
-    orders = _parse_n_list(opts["n_list"])
     grid_db = _parse_snr_grid(opts["snr_db"])
-    trials = opts["trials"]
-    settings = _sweep_settings(opts)
 
     rows: list[dict] = []
     for n in orders:
@@ -300,7 +321,7 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                     "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
                     "snr_db": db, "gamma_o": gamma_o, "p_out_analytic": analytic,
                     "p_out_asymptotic": asymptotic, "p_out_mc": None,
-                    "ci_low": None, "ci_high": None, "trials": trials,
+                    "ci_low": None, "ci_high": None, "trials": opts["trials"],
                     "seed": opts["seed"], "low_confidence": None,
                 }
                 if est is not None:
@@ -311,44 +332,21 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
                         low_confidence=est.low_confidence,
                     )
                 rows.append(row)
-    rows.sort(key=lambda r: (r["scheme"], r["n"], r["snr_db"]))
-    header_config = {
-        "command": "outage-sweep",
-        "schemes": ",".join(s.value for s in scheme_list),
-        "n_list": ",".join(str(n) for n in orders),
-        "n_t": opts["nt"], "n_r": opts["nr"], "gamma_o": gamma_o,
-        "omega_tas_mrc": opts["omega"] if opts["omega"] is not None
-        else schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC],
-        "omega_tas_sc": opts["omega"] if opts["omega"] is not None
-        else schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC],
-        "trials": trials, "seed": opts["seed"],
-        "snr_grid_db": opts["snr_db"],
-    }
-    _emit_table(_OUTAGE_COLUMNS, rows, header_config, opts["fmt"], opts["out"])
+    omega = opts["omega"]
+    header.update(gamma_o=gamma_o, snr_grid_db=opts["snr_db"], **{
+        f"omega_{s.name.lower()}": schemes.DEFAULT_CALIBRATION[s] if omega is None else omega
+        for s in Scheme
+    })
+    _emit_table(_OUTAGE_COLUMNS, rows, header, opts)
 
 
-@cli.command("af-sweep")
-@click.option("--scheme", type=click.Choice(["tas-mrc", "tas-sc", "both"]), default="both",
-              help="Selection scheme, or both.")
-@click.option("--n", "n_list", default="2,3,4,5,6", help="Cascade orders, e.g. 2,3,4,5,6.")
-@click.option("--nt", type=int, default=2, help="Transmit antennas.")
-@click.option("--nr", type=int, default=2, help="Receive antennas.")
-@click.option("--b1", type=float, default=None, help="TAS/MRC weighting override.")
-@click.option("--b2", type=float, default=None, help="TAS/SC weighting override.")
-@click.option("--trials", type=int, default=1_000_000,
-              help="Monte-Carlo trials (0 = analytics only).")
-@click.option("--seed", type=int, default=1, help="Master seed.")
-@click.option("--workers", type=int, default=1, help="Worker threads.")
-@click.option("--out", default=None, help="Output path (default: stdout).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
+@cli.command("af-sweep", params=_sweep_params("2,3,4,5,6", 2, (
+    click.Option(["--b1"], type=float, default=None, help="TAS/MRC weighting override."),
+    click.Option(["--b2"], type=float, default=None, help="TAS/SC weighting override."),
+)))
 def cmd_af_sweep(config_path: str | None, **flags) -> None:
     """Amount-of-fading table: closed form, bound, quadrature oracle, Monte-Carlo."""
-    opts = _resolve(flags, config_path)
-    scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
-    orders = _parse_n_list(opts["n_list"])
-    trials = opts["trials"]
-
+    opts, scheme_list, orders, settings, header = _sweep_setup(config_path, flags)
     overrides = {b: opts[b] for b in ("b1", "b2") if opts[b] is not None}
     weights = {
         n: moments.WeightingCoefficients(**overrides) if len(overrides) == 2
@@ -356,18 +354,12 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         for n in orders
     }
 
-    settings = _sweep_settings(opts)
-
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
         # Every AF column is invariant to the mean SNR, so none is an input.
-        cfg = ChannelConfig(
-            n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0, calibration_omega=1.0
-        )
-        estimates = None
-        if settings is not None:
-            estimates = montecarlo.estimate_af(cfg, settings)
+        cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
+        estimates = None if settings is None else montecarlo.estimate_af(cfg, settings)
         for scheme in scheme_list:
             try:
                 af_closed = moments.amount_of_fading(scheme, cfg, w)
@@ -388,18 +380,10 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 est = estimates[scheme]
                 row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
             rows.append(row)
-    rows.sort(key=lambda r: (r["scheme"], r["n"]))
-    header_config = {
-        "command": "af-sweep",
-        "schemes": ",".join(s.value for s in scheme_list),
-        "n_list": ",".join(str(n) for n in orders),
-        "n_t": opts["nt"], "n_r": opts["nr"],
-        "weighting_coefficients": ";".join(
-            f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
-        ),
-        "trials": trials, "seed": opts["seed"],
-    }
-    _emit_table(_AF_COLUMNS, rows, header_config, opts["fmt"], opts["out"])
+    header["weighting_coefficients"] = ";".join(
+        f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
+    )
+    _emit_table(_AF_COLUMNS, rows, header, opts)
 
 
 @cli.command("validate")

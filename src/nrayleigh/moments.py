@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,11 +147,10 @@ def _moment_sum(l: int, shape: float, exponent: int, beta: float, n: int, b: flo
 
 def moment(l: int, scheme: Scheme, cfg: ChannelConfig, w: WeightingCoefficients) -> float:
     """Approximate l-th moment of the scheme's post-processing SNR, weighted
-    by b1 for TAS/MRC and b2 for TAS/SC."""
+    by b1 for TAS/MRC and b2 for TAS/SC; the moment model is uncalibrated."""
     l = positive_int("moment order", l)
     b = w.b1 if scheme is Scheme.TAS_MRC else w.b2
-    # The moment model carries no calibration weight.
-    shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
+    shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
     return _moment_sum(l, shape, exponent, beta, cfg.n, b)
 
 
@@ -248,15 +247,15 @@ def moment_oracle(l: int, scheme: Scheme, cfg: ChannelConfig) -> float:
     exp-sinh on [c, inf).  It is summed with ``math.fsum`` at step h and at
     2h on the nested nodes, and the relative gap between the two is the
     error estimate.  This is the ground truth for the moments of the
-    approximate-CDF model (uncalibrated), against which the closed forms are
-    judged.
+    approximate-CDF model, against which the closed forms are judged; like
+    them it is uncalibrated, so ``cfg.calibration_omega`` moves no value.
 
     Raises:
         ConvergenceError: if the value is not finite and positive, or the
             gap between the two steps exceeds 1e-6 relative.
     """
     l = positive_int("moment order", l)
-    shape, exponent, beta = _shape_exponent_scale(scheme, replace(cfg, calibration_omega=1.0))
+    shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
     nl = cfg.n * l
     c = shape + nl
     on_head, node, weight, n_coarse = _de_rule(_DE_STEP)

@@ -106,21 +106,17 @@ def _read_rows(
 
     PCG64 is seeded with the master seed once, jumps to ``start_draw``
     with ``advance``, which counts 64-bit outputs, and ``Generator.random``
-    maps each word w to (w >> 11) * 2^-53.  When width == stride the rows
-    sit next to each other in the stream and a fill is one call;
-    otherwise each row's unread tail is skipped with ``advance``.
+    maps each word w to (w >> 11) * 2^-53.  Each row is one call, and its
+    unread tail is skipped with ``advance`` (by 0 in a full block).
     """
     bitgen = np.random.PCG64(master_seed)
     bitgen.advance(start_draw)
     rng = np.random.Generator(bitgen)
-    width = out.shape[1]
+    skip = stride - out.shape[1]
     while True:
-        if width == stride:
-            rng.random(out=out)
-        else:
-            for row in out:
-                rng.random(out=row)
-                bitgen.advance(stride - width)
+        for row in out:
+            rng.random(out=row)
+            bitgen.advance(skip)
         yield out
 
 

@@ -15,7 +15,8 @@ where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
 provides its small-threshold power-law form, diversity order, coding gain
 and the required-SNR solver.  Everything that depends only on
 (scheme, n, n_t, n_r) is computed once per channel and memoised (``_law``);
-each call applies only its mean SNR and calibration weight.
+each call applies its mean SNR, and only ``outage`` and ``required_snr``
+apply w: the power law, the coding gain and ``moments`` are uncalibrated.
 
 P is scipy's ``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986), taken
 in log space so deep outage values keep full relative accuracy; the
@@ -209,11 +210,14 @@ def _law_of(scheme: Scheme, cfg: ChannelConfig) -> _Law:
     return _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
 
 
-def _shape_exponent_scale(scheme: Scheme, cfg: ChannelConfig) -> tuple[float, int, float]:
-    """(gamma shape, order-statistics exponent, calibrated scale) for cfg."""
+def _shape_exponent_scale(
+    scheme: Scheme, cfg: ChannelConfig, mean_snr: float | None = None
+) -> tuple[float, int, float]:
+    """(gamma shape, order-statistics exponent, uncalibrated scale) for cfg,
+    at ``mean_snr`` in place of ``cfg.mean_snr`` when it is given."""
     law = _law_of(scheme, cfg)
-    scale = law.pre * (law.gain * cfg.mean_snr) ** (-1.0 / cfg.n)
-    return law.shape, law.exponent, cfg.omega_for(scheme) * scale
+    snr = cfg.mean_snr if mean_snr is None else mean_snr
+    return law.shape, law.exponent, law.pre * (law.gain * snr) ** (-1.0 / cfg.n)
 
 
 def _ln_reg_lower_gamma(a: float, x: float | np.ndarray) -> float | list[float]:
@@ -253,12 +257,11 @@ def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
     selection and combining, at the threshold.
 
     Computed as exp(k * ln P) so that deep-outage values keep full relative
-    accuracy.
+    accuracy; where P underflows, ln P is -inf and the outage is 0.0.
     """
-    shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
+    shape, exponent, scale = _shape_exponent_scale(scheme, cfg)
+    beta = cfg.omega_for(scheme) * scale
     ln_p = _ln_reg_lower_gamma(shape, beta * query.gamma_o ** (1.0 / cfg.n))
-    if ln_p == -math.inf:
-        return 0.0
     return math.exp(exponent * ln_p)
 
 
@@ -332,11 +335,9 @@ def required_snr(
     """
     if not (0.0 < target_outage < 1.0):
         raise ValueError(f"target outage must be in (0, 1), got {target_outage}")
-    law = _law_of(scheme, cfg)
-    # The scale at unit mean SNR; G * 1.0 == float(G), so this is the float
-    # _shape_exponent_scale gives at mean_snr = 1.
-    beta = cfg.omega_for(scheme) * (law.pre * float(law.gain) ** (-1.0 / cfg.n))
-    x = float(special.gammaincinv(law.shape, target_outage ** (1.0 / law.exponent)))
+    shape, exponent, scale = _shape_exponent_scale(scheme, cfg, mean_snr=1.0)
+    beta = cfg.omega_for(scheme) * scale
+    x = float(special.gammaincinv(shape, target_outage ** (1.0 / exponent)))
     try:
         snr = query.gamma_o * (beta / x) ** cfg.n
     except OverflowError:

@@ -57,9 +57,8 @@ _AF_LOWER_BOUND_MARGIN = 1.10
 _MOMENT_REL_TOL = 0.25
 _MOMENT_FAIL_FRACTION = 0.20
 _BASE_CASE_SIGMAS = 4.0
-# c02's mean-SNR grid, and the calibration its TAS/SC curves are judged at.
+# c02's mean-SNR grid.
 _SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
-_SC_OMEGA = schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC]
 
 
 @dataclass(frozen=True)
@@ -79,24 +78,19 @@ class ValidationConfig:
 
     def __post_init__(self) -> None:
         # Both Monte-Carlo settings, the run's and c10's probe at
-        # determinism_trials, meet SimSettings's rule before any criterion runs.
-        replace(self.settings(), trials=self.determinism_trials)
+        # determinism_trials, meet SimSettings's rule before any criterion
+        # runs, and the counts are kept as the ints it stores, so that a
+        # whole float and its int give one report.
+        settings = self.settings()
+        probe = replace(settings, trials=self.determinism_trials)
+        object.__setattr__(self, "trials", settings.trials)
+        object.__setattr__(self, "workers", settings.workers)
+        object.__setattr__(self, "determinism_trials", probe.trials)
 
     def settings(self) -> SimSettings:
         return SimSettings(
             trials=self.trials, master_seed=self.master_seed, workers=self.workers
         )
-
-    def omega(self, scheme: Scheme) -> float:
-        return self.mrc_omega if scheme is Scheme.TAS_MRC else _SC_OMEGA
-
-
-def _cfg(
-    n: int, n_t: int, n_r: int, mean_snr: float, omega: float | None = None
-) -> ChannelConfig:
-    return ChannelConfig(
-        n=n, n_t=n_t, n_r=n_r, mean_snr=mean_snr, calibration_omega=omega
-    )
 
 
 def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> dict:
@@ -168,12 +162,12 @@ def outage_curves(
     cdfs = None
     if settings is not None:
         cdfs = montecarlo.empirical_cdf_pair(
-            _cfg(n, n_t, n_r, 1.0), settings, [t for t, _ in points]
+            ChannelConfig(n, n_t, n_r, 1.0), settings, [t for t, _ in points]
         )
     curves = {scheme: [] for scheme in omegas}
     for scheme, omega in omegas.items():
         for idx, (threshold, db) in enumerate(points):
-            cfg = _cfg(n, n_t, n_r, gamma_o / threshold, omega)
+            cfg = ChannelConfig(n, n_t, n_r, gamma_o / threshold, omega)
             asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
             est = None if cdfs is None else cdfs[scheme][idx]
             curves[scheme].append(
@@ -191,7 +185,7 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     vacuously.
     """
     query = OutageQuery(threshold=config.gamma_o)
-    omegas = {scheme: config.omega(scheme) for scheme in Scheme}
+    omegas = {Scheme.TAS_MRC: config.mrc_omega, Scheme.TAS_SC: None}
     per_curve = {}
     for n in (2, 3, 4, 5):
         curves = outage_curves(n, 2, 3, query, _SNR_GRID_DB, omegas, config.settings())
@@ -251,7 +245,7 @@ def _criterion_required_snr_gaps(config: ValidationConfig) -> dict:
     levels_db = []
     for n in (2, 3, 4, 5):
         g = schemes.required_snr(
-            Scheme.TAS_MRC, 1e-4, query, _cfg(n, 2, 3, 1.0, config.mrc_omega)
+            Scheme.TAS_MRC, 1e-4, query, ChannelConfig(n, 2, 3, 1.0, config.mrc_omega)
         )
         levels_db.append(10.0 * math.log10(g))
     gaps = [levels_db[i + 1] - levels_db[i] for i in range(3)]
@@ -286,7 +280,7 @@ def _criterion_diversity_slope(config: ValidationConfig) -> dict:
     for scheme in Scheme:
         for n_t, n_r in ((2, 3), (2, 2)):
             for n in (2, 3, 4):
-                base = _cfg(n, n_t, n_r, 1.0, 1.0)
+                base = ChannelConfig(n, n_t, n_r, 1.0, 1.0)
                 d = schemes.diversity_order(scheme, base)
                 g_lo = schemes.required_snr(scheme, 1e-6, query, base)
                 g_hi = schemes.required_snr(scheme, 1e-7, query, base)
@@ -333,7 +327,7 @@ def _criterion_asymptote_consistency(config: ValidationConfig) -> dict:
     rows = []
     for scheme in Scheme:
         for n in (2, 3, 4):
-            base = _cfg(n, 2, 3, 1.0, 1.0)
+            base = ChannelConfig(n, 2, 3, 1.0, 1.0)
             g_star = schemes.required_snr(scheme, 1e-7, query, base)
             at_star = base.with_mean_snr(g_star)
             full = schemes.outage(scheme, query, at_star)
@@ -411,7 +405,7 @@ def _criterion_af_profile(config: ValidationConfig) -> dict:
     issues = []
     for n in (2, 3, 4, 5, 6):
         w = moments.default_weights(n)
-        cfg = _cfg(n, 2, 2, 10.0, 1.0)
+        cfg = ChannelConfig(n, 2, 2, 10.0)
         estimates = montecarlo.estimate_af(cfg, config.settings())
         row = {"n": n, "b1": w.b1, "b2": w.b2}
         for scheme, tag in ((mrc, "mrc"), (sc, "sc")):
@@ -466,7 +460,7 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
     rows = []
     for n in (2, 3, 4, 5, 6):
         w = moments.default_weights(n)
-        cfg = _cfg(n, 2, 2, 10.0, 1.0)
+        cfg = ChannelConfig(n, 2, 2, 10.0)
         for scheme in Scheme:
             for order in (1, 2):
                 value = moments.moment(order, scheme, cfg, w)
@@ -497,7 +491,7 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
 def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
     settings = config.settings()
-    cfg = _cfg(1, 1, 1, 1.0, 1.0)
+    cfg = ChannelConfig(1, 1, 1, 1.0)
     grid = np.logspace(math.log10(0.01), math.log10(4.0), 20)
     estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[Scheme.TAS_MRC]
     rows = []
@@ -568,7 +562,7 @@ def _run(config: ValidationConfig, criteria: tuple) -> dict:
             "master_seed": config.master_seed,
             "gamma_o": config.gamma_o,
             "mrc_omega": config.mrc_omega,
-            "sc_omega": _SC_OMEGA,
+            "sc_omega": schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC],
             "snr_grid_db": list(_SNR_GRID_DB),
             "weighting_coefficients": {
                 str(n): list(pair) for n, pair in moments.CAPTION_COEFFS.items()

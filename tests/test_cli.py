@@ -7,7 +7,7 @@ import json
 import click
 import pytest
 
-from nrayleigh import cli, montecarlo
+from nrayleigh import cli, montecarlo, validation
 from nrayleigh.schemes import (
     ChannelConfig,
     ConvergenceError,
@@ -381,6 +381,61 @@ class TestAfSweep:
         assert "snr_db" in err
 
 
+class TestSweepOptions:
+    """Both sweeps declare their shared options once; each parameter keeps
+    its name, flags, type, default, help and place, so --help is unchanged."""
+
+    CHOICE_SCHEME = ("choice", ("tas-mrc", "tas-sc", "both"))
+    CHOICE_FORMAT = ("choice", ("csv", "json"))
+    EXPECTED = {
+        "outage-sweep": [
+            ("scheme", ["--scheme"], CHOICE_SCHEME, "both", "Selection scheme, or both."),
+            ("n_list", ["--n"], "text", "2,3,4,5", "Cascade orders, e.g. 2,3,4,5."),
+            ("nt", ["--nt"], "integer", 2, "Transmit antennas."),
+            ("nr", ["--nr"], "integer", 3, "Receive antennas."),
+            ("snr_db", ["--snr-db"], "text", "0:30:2", "Mean-SNR grid start:stop:step in dB."),
+            ("rate", ["--rate"], "float", None, "Target rate R; threshold 2^R-1."),
+            ("gamma_o", ["--gamma-o"], "float", None, "Outage threshold (linear)."),
+            ("trials", ["--trials"], "integer", 1_000_000,
+             "Monte-Carlo trials (0 = analytics only)."),
+            ("seed", ["--seed"], "integer", 1, "Master seed."),
+            ("omega", ["--omega"], "float", None, "Calibration override for both schemes."),
+            ("workers", ["--workers"], "integer", 1, "Worker threads."),
+            ("out", ["--out"], "text", None, "Output path (default: stdout)."),
+            ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
+            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
+        ],
+        "af-sweep": [
+            ("scheme", ["--scheme"], CHOICE_SCHEME, "both", "Selection scheme, or both."),
+            ("n_list", ["--n"], "text", "2,3,4,5,6", "Cascade orders, e.g. 2,3,4,5,6."),
+            ("nt", ["--nt"], "integer", 2, "Transmit antennas."),
+            ("nr", ["--nr"], "integer", 2, "Receive antennas."),
+            ("b1", ["--b1"], "float", None, "TAS/MRC weighting override."),
+            ("b2", ["--b2"], "float", None, "TAS/SC weighting override."),
+            ("trials", ["--trials"], "integer", 1_000_000,
+             "Monte-Carlo trials (0 = analytics only)."),
+            ("seed", ["--seed"], "integer", 1, "Master seed."),
+            ("workers", ["--workers"], "integer", 1, "Worker threads."),
+            ("out", ["--out"], "text", None, "Output path (default: stdout)."),
+            ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
+            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
+        ],
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_parameters_are_pinned(self, command):
+        got = [
+            (
+                p.name, p.opts,
+                ("choice", tuple(p.type.choices)) if isinstance(p.type, click.Choice)
+                else p.type.name,
+                p.default, p.help,
+            )
+            for p in cli.cli.commands[command].params
+        ]
+        assert got == self.EXPECTED[command]
+
+
 class TestValidate:
     def test_report_and_exit_code(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
@@ -492,6 +547,18 @@ class TestValidate:
         )
         text = report_file.read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+    def test_whole_float_counts_give_the_int_report(self):
+        # The counts are stored as the ints SimSettings uses, so the report
+        # cannot carry 2000.0 where the same run at trials=2000 says 2000.
+        as_float = validation.ValidationConfig(
+            trials=2000.0, workers=2.0, determinism_trials=100.0
+        )
+        as_int = validation.ValidationConfig(trials=2000, workers=2, determinism_trials=100)
+        assert as_float == as_int
+        assert validation.report_to_json(validation.build_report(as_float)) == (
+            validation.report_to_json(validation.build_report(as_int))
+        )
 
 
 class TestExitCodes:

@@ -163,12 +163,19 @@ class TestOutage:
         big = OutageQuery(threshold=1e12)
         assert outage(Scheme.TAS_SC, big, cfg()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_underflowed_incomplete_gamma_gives_exact_zero(self):
+        # P(s, x) underflows to 0 here, so ln P is -inf and exp(k * ln P)
+        # must come back as exactly 0.0.
+        c = ChannelConfig(n=8, n_t=1, n_r=1, mean_snr=1e300)
+        assert outage(Scheme.TAS_SC, OutageQuery(threshold=1e-300), c) == 0.0
+
     def test_matches_cdf_at_threshold(self):
         # P(s, beta * gamma_o^(1/n))^k with the channel's shape, exponent
-        # and calibrated scale.
+        # and scale, calibrated by the scheme's weight.
         q = OutageQuery(threshold=2.5)
         for scheme in Scheme:
-            s, k, beta = schemes._shape_exponent_scale(scheme, cfg())
+            s, k, scale = schemes._shape_exponent_scale(scheme, cfg())
+            beta = cfg().omega_for(scheme) * scale
             assert outage(scheme, q, cfg()) == pytest.approx(
                 float(special.gammainc(s, beta * 2.5 ** 0.5)) ** k, rel=1e-12
             )
