@@ -309,13 +309,14 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     gamma_o = query.gamma_o
     grid_db = _parse_snr_grid(opts["snr_db"])
 
+    by_order = validation.outage_curves(
+        orders, opts["nt"], opts["nr"], query, grid_db,
+        {scheme: opts["omega"] for scheme in scheme_list}, settings,
+    )
     rows: list[dict] = []
+    # A repeated order is simulated once and printed once per listing.
     for n in orders:
-        curves = validation.outage_curves(
-            n, opts["nt"], opts["nr"], query, grid_db,
-            {scheme: opts["omega"] for scheme in scheme_list}, settings,
-        )
-        for scheme, curve in curves.items():
+        for scheme, curve in by_order[n].items():
             for db, analytic, asymptotic, est in curve:
                 row = {
                     "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
@@ -354,12 +355,15 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
         for n in orders
     }
 
+    # Every AF column is invariant to the mean SNR, so none is an input.
+    by_order = None if settings is None else montecarlo.estimate_af(
+        ChannelConfig(n=max(orders), n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0),
+        settings, orders,
+    )
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
-        # Every AF column is invariant to the mean SNR, so none is an input.
         cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
-        estimates = None if settings is None else montecarlo.estimate_af(cfg, settings)
         for scheme in scheme_list:
             try:
                 af_closed = moments.amount_of_fading(scheme, cfg, w)
@@ -376,8 +380,8 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 "b1": w.b1, "b2": w.b2, "af_closed": af_closed, "af_bound": af_bound,
                 "af_oracle": af_oracle, "af_mc": None, "ci_low": None, "ci_high": None,
             }
-            if estimates is not None:
-                est = estimates[scheme]
+            if by_order is not None:
+                est = by_order[n][scheme]
                 row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
             rows.append(row)
     header["weighting_coefficients"] = ";".join(

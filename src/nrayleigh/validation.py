@@ -121,18 +121,20 @@ def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> dict:
 
 
 def outage_curves(
-    n: int, n_t: int, n_r: int, query: OutageQuery, grid_db, omegas: dict,
+    orders, n_t: int, n_r: int, query: OutageQuery, grid_db, omegas: dict,
     settings: SimSettings | None,
-) -> dict[Scheme, list[tuple]]:
+) -> dict[int, dict[Scheme, list[tuple]]]:
     """One (snr_db, analytic, asymptotic, estimate) per point of a mean-SNR
-    grid in dB, in ascending threshold order, for each scheme in ``omegas``
-    (scheme -> calibration weight, None for the default).
+    grid in dB, in ascending threshold order, for each cascade order of
+    ``orders`` and each scheme in ``omegas`` (scheme -> calibration weight,
+    None for the default), keyed by order; a repeated order appears once.
 
     Point dB has the threshold gamma_o / 10^(dB/10) at unit mean SNR, which
     must be a positive float and differ from every other point's.  The
-    selection statistic is scale free, so one shared-stream simulation per
-    channel serves every point and both schemes; ``settings`` None gives
-    estimates of None.  A power law above 1 is no probability: None.
+    selection statistic is scale free, so one shared-stream simulation of
+    the n_t x n_r channel serves every point, every order and both schemes;
+    ``settings`` None gives estimates of None.  A power law above 1 is no
+    probability: None.
     """
     gamma_o = query.gamma_o
     points = []
@@ -159,20 +161,23 @@ def outage_curves(
                 f"SNR grid point {db!r} dB repeats threshold {low!r} at gamma_o {gamma_o!r}; "
                 "thresholds must be distinct"
             )
+    orders = sorted(set(orders))
     cdfs = None
     if settings is not None:
         cdfs = montecarlo.empirical_cdf_pair(
-            ChannelConfig(n, n_t, n_r, 1.0), settings, [t for t, _ in points]
+            ChannelConfig(orders[-1], n_t, n_r, 1.0), settings, [t for t, _ in points], orders
         )
-    curves = {scheme: [] for scheme in omegas}
-    for scheme, omega in omegas.items():
-        for idx, (threshold, db) in enumerate(points):
-            cfg = ChannelConfig(n, n_t, n_r, gamma_o / threshold, omega)
-            asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
-            est = None if cdfs is None else cdfs[scheme][idx]
-            curves[scheme].append(
-                (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None, est)
-            )
+    curves = {}
+    for n in orders:
+        curves[n] = {scheme: [] for scheme in omegas}
+        for scheme, omega in omegas.items():
+            for idx, (threshold, db) in enumerate(points):
+                cfg = ChannelConfig(n, n_t, n_r, gamma_o / threshold, omega)
+                asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
+                est = None if cdfs is None else cdfs[n][scheme][idx]
+                curves[n][scheme].append(
+                    (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None, est)
+                )
     return curves
 
 
@@ -187,8 +192,8 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     query = OutageQuery(threshold=config.gamma_o)
     omegas = {Scheme.TAS_MRC: config.mrc_omega, Scheme.TAS_SC: None}
     per_curve = {}
-    for n in (2, 3, 4, 5):
-        curves = outage_curves(n, 2, 3, query, _SNR_GRID_DB, omegas, config.settings())
+    by_order = outage_curves((2, 3, 4, 5), 2, 3, query, _SNR_GRID_DB, omegas, config.settings())
+    for n, curves in by_order.items():
         for scheme, curve in curves.items():
             records = []
             for db, ana, asym, est in curve:
@@ -403,10 +408,13 @@ def _criterion_af_profile(config: ValidationConfig) -> dict:
     mc = {mrc: [], sc: []}
     rows = []
     issues = []
-    for n in (2, 3, 4, 5, 6):
+    orders = (2, 3, 4, 5, 6)
+    by_order = montecarlo.estimate_af(ChannelConfig(orders[-1], 2, 2, 10.0), config.settings(),
+                                      orders)
+    for n in orders:
         w = moments.default_weights(n)
         cfg = ChannelConfig(n, 2, 2, 10.0)
-        estimates = montecarlo.estimate_af(cfg, config.settings())
+        estimates = by_order[n]
         row = {"n": n, "b1": w.b1, "b2": w.b2}
         for scheme, tag in ((mrc, "mrc"), (sc, "sc")):
             try:
@@ -493,7 +501,7 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     settings = config.settings()
     cfg = ChannelConfig(1, 1, 1, 1.0)
     grid = np.logspace(math.log10(0.01), math.log10(4.0), 20)
-    estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[Scheme.TAS_MRC]
+    estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[cfg.n][Scheme.TAS_MRC]
     rows = []
     for g, est in zip(grid, estimates):
         exact = -math.expm1(-g / cfg.mean_snr)

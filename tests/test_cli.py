@@ -68,7 +68,9 @@ class TestOutageSweep:
         # Thresholds ascend, so 10 dB (threshold 0.1) comes first.
         monkeypatch.setattr(
             cli.montecarlo, "empirical_cdf_pair",
-            lambda cfg, settings, thresholds: {s: [nine, ten] for s in cli.Scheme},
+            lambda cfg, settings, thresholds, orders: {
+                n: {s: [nine, ten] for s in cli.Scheme} for n in orders
+            },
         )
         out_file = tmp_path / "sweep.csv"
         code, _, _ = run(
@@ -82,6 +84,39 @@ class TestOutageSweep:
         assert {(r["snr_db"], r["low_confidence"]) for r in rows} == {
             ("10.0", "1"), ("0.0", "0")
         }
+
+    def test_repeated_order_is_one_pass_and_printed_per_listing(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # --n 2,2,5 makes one kernel pass, folding n = 2 once and n = 5
+        # once, yet prints n = 2's rows twice, as listed; every row equals
+        # the row of its order swept alone.
+        passes = []
+        original = montecarlo._map_blocks
+
+        def spy(cfg, orders, settings, reduce):
+            passes.append(orders)
+            return original(cfg, orders, settings, reduce)
+
+        monkeypatch.setattr(montecarlo, "_map_blocks", spy)
+        args = ["outage-sweep", "--snr-db", "0:10:5", "--trials", "3000", "--seed", "4"]
+
+        def data_rows(orders):
+            out_file = tmp_path / f"sweep-{orders}.csv"
+            code, _, _ = run(capsys, *args, "--n", orders, "--out", str(out_file))
+            assert code == cli.EXIT_OK
+            lines = [l for l in out_file.read_text().splitlines() if not l.startswith("#")]
+            return lines[1:]
+
+        rows = data_rows("2,2,5")
+        assert passes == [(2, 5)]
+        alone = {n: data_rows(str(n)) for n in (2, 5)}
+        assert len(rows) == 3 * 2 * 3  # listed orders x schemes x SNR points
+        for scheme in ("tas-mrc", "tas-sc"):
+            mine = [r for r in rows if r.startswith(scheme + ",")]
+            expected = [r for n in (2, 5) for r in alone[n] if r.startswith(scheme + ",")]
+            doubled = [r for r in expected if r.split(",")[1] == "2"]
+            assert mine == [r for r in doubled for _ in (0, 1)] + expected[len(doubled):]
 
     def test_analytic_column_monotone(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -808,7 +843,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_VALIDATION
         assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
-            "5c34fb6d0ddba7e8b2efeac3a9526b328e8698254a4c0a14026801739f81eacf"
+            "59bd47465807f23b9f341e9aa18f49b498809d97d2a69fcadb389f3939c3ef8e"
         )
 
     def test_outage_sweep_json(self, capsys):
@@ -818,27 +853,26 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c4fcdea442d3b4e831c649d9ed2a080ae84cb78e7695c70f075e1505ec7de3e4"
+            "dab61998a33a84871bf19d3bd415086a572a4f6b9ccc48bdb5a683de4c3b714e"
         )
 
     def test_deep_cascade_sweep_csv(self, capsys):
-        # 4x4 blocks hold 26214/21845/18724/16384 trials at n = 5..8, so
-        # 30000 trials leave 22428, 13690, 7448 and 2768 trials of the
-        # final block unread.
+        # One pass serves n = 5..8; 30000 trials leave 2768 trials of the
+        # final 16384-trial block unread.
         code, out, _ = run(
             capsys, "outage-sweep", "--n", "5,6,7,8", "--nt", "4", "--nr", "4",
             "--snr-db", "0:40:10", "--trials", "30000", "--seed", "1",
         )
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "5495ee936d383b83216becb4af1d6631fec3b5ee6c6cdd4d2a56f2ab3afaeecb"
+            "bd921ac8be2ed85f44e7c03bdb6ea3ec8a055a1ed8120a59b05a5a3e539452e4"
         )
 
     def test_af_sweep_csv(self, capsys):
         code, out, _ = run(capsys, "af-sweep", "--trials", "20000", "--seed", "3")
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "05b3ce0e3bed738deb8524720842cff31742cc6c01975787018de1a38376e487"
+            "4329c3f1eb3178705791b7168f4bebc340a6ec27957a0fd99b385286fa73149f"
         )
 
     def test_params_table(self, capsys):
