@@ -20,19 +20,24 @@ apply w: the power law, the coding gain and ``moments`` are uncalibrated.
 
 P is scipy's ``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986), taken
 in log space so deep outage values keep full relative accuracy; the
-required SNR inverts it exactly with ``gammaincinv``.
+required SNR inverts it exactly with ``gammaincinv``.  A scalar call goes
+through ``scipy.special.cython_special``, which runs the same kernels as
+the ufuncs without numpy's dispatch around one value; an array call (the
+moment oracle's integrand) goes through the ufuncs.  A test checks that
+the two give the same bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .fading import fading_params, positive_int
 
@@ -57,6 +62,11 @@ class Scheme(Enum):
 
     TAS_MRC = "tas-mrc"
     TAS_SC = "tas-sc"
+
+    # Members are singletons, so identity is equality; ``Enum.__hash__``
+    # hashes the name in Python, and a scalar analytic call hashes its
+    # scheme for the law cache and the calibration table.
+    __hash__ = object.__hash__
 
 
 DEFAULT_CALIBRATION = {Scheme.TAS_MRC: 1.176, Scheme.TAS_SC: 1.0}
@@ -106,7 +116,7 @@ class ChannelConfig:
         return DEFAULT_CALIBRATION[scheme]
 
     def with_mean_snr(self, mean_snr: float) -> "ChannelConfig":
-        return replace(self, mean_snr=mean_snr)
+        return ChannelConfig(self.n, self.n_t, self.n_r, mean_snr, self.calibration_omega)
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,9 @@ class OutageQuery:
 
     Exactly one of ``threshold`` / ``rate`` must be provided; a rate R maps
     to the linear SNR threshold 2^R - 1, which must be finite and positive
-    (below R ~ 1.6e-16 it rounds to 0).
+    (below R ~ 1.6e-16 it rounds to 0).  The threshold is computed once, on
+    construction; it is not a field, so equality, hashing and ``repr`` see
+    only ``threshold`` and ``rate``.
     """
 
     threshold: float | None = None
@@ -128,22 +140,24 @@ class OutageQuery:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.rate is not None and not (self.rate > 0.0):
             raise ValueError(f"rate must be positive, got {self.rate}")
-        try:
-            gamma_o = self.gamma_o
-        except OverflowError:
-            gamma_o = math.inf
+        if self.threshold is not None:
+            gamma_o = float(self.threshold)
+        else:
+            try:
+                gamma_o = 2.0 ** float(self.rate) - 1.0
+            except OverflowError:
+                gamma_o = math.inf
         if not (0.0 < gamma_o < math.inf):
             raise ValueError(
                 f"the outage threshold must be finite and positive, got "
                 f"threshold={self.threshold}, rate={self.rate}"
             )
+        object.__setattr__(self, "_gamma_o", gamma_o)
 
     @property
     def gamma_o(self) -> float:
         """The linear SNR threshold."""
-        if self.threshold is not None:
-            return float(self.threshold)
-        return 2.0 ** float(self.rate) - 1.0
+        return self._gamma_o
 
 
 @dataclass(frozen=True)
@@ -184,6 +198,7 @@ class _Law(NamedTuple):
     gain: int  # receive gain G
     pre: float  # 2s / Omega, the uncalibrated scale at unit G * mean_snr
     ln_coeff: float  # ln of the power-law coefficient [(2s/Omega)^s / (s Gamma(s))]^k
+    coefficient: float  # exp(ln_coeff), inf past the float range
     diversity: float  # d = m N / n
 
 
@@ -203,11 +218,11 @@ def _law(scheme: Scheme, n: int, n_t: int, n_r: int) -> _Law:
         shape, exponent, gain = fp.m, n_t * n_r, 1
     pre = 2.0 * shape / fp.omega
     ln_coeff = exponent * (shape * math.log(pre) - math.log(shape) - math.lgamma(shape))
-    return _Law(shape, exponent, gain, pre, ln_coeff, fp.m * (n_t * n_r) / n)
-
-
-def _law_of(scheme: Scheme, cfg: ChannelConfig) -> _Law:
-    return _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
+    try:
+        coefficient = math.exp(ln_coeff)
+    except OverflowError:
+        coefficient = math.inf
+    return _Law(shape, exponent, gain, pre, ln_coeff, coefficient, fp.m * (n_t * n_r) / n)
 
 
 def _shape_exponent_scale(
@@ -215,7 +230,7 @@ def _shape_exponent_scale(
 ) -> tuple[float, int, float]:
     """(gamma shape, order-statistics exponent, uncalibrated scale) for cfg,
     at ``mean_snr`` in place of ``cfg.mean_snr`` when it is given."""
-    law = _law_of(scheme, cfg)
+    law = _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
     snr = cfg.mean_snr if mean_snr is None else mean_snr
     return law.shape, law.exponent, law.pre * (law.gain * snr) ** (-1.0 / cfg.n)
 
@@ -227,29 +242,31 @@ def _ln_reg_lower_gamma(a: float, x: float | np.ndarray) -> float | list[float]:
     accuracy down to 1e-308; otherwise Q = 1 - P is the small side and
     ``log1p(-Q)`` keeps it for P near 1.
 
-    For a float array ``x`` a list comes back: each side takes one
-    ``gammainc`` or ``gammaincc`` pass and the logs come from ``math``
-    element by element, so every element equals the scalar result bit for
-    bit, whatever CPU features numpy dispatches to.
+    A scalar ``x`` takes P or Q from ``cython_special``.  For a float array
+    ``x`` a list comes back: each side takes one ``gammainc`` or
+    ``gammaincc`` ufunc pass and the logs come from ``math`` element by
+    element, so every element equals the scalar result bit for bit,
+    whatever CPU features numpy dispatches to.
     """
-    many = isinstance(x, np.ndarray)
+    # A float (np.float64 is one) is the per-point case, so it is tested first.
+    many = not isinstance(x, float) and isinstance(x, np.ndarray)
     if not (0.0 < a < math.inf) or not ((x >= 0.0).all() if many else x >= 0.0):
         raise ValueError(
             f"incomplete gamma requires finite a > 0 and x >= 0, got a={a}, x={x}"
         )
-    if many:
-        lower = x < a + 1.0
-        side = np.empty_like(x)
-        side[lower] = special.gammainc(a, x[lower])
-        side[~lower] = special.gammaincc(a, x[~lower])
-        return [
-            (math.log(v) if v > 0.0 else -math.inf) if is_lower else math.log1p(-v)
-            for v, is_lower in zip(side.tolist(), lower.tolist())
-        ]
-    if x < a + 1.0:
-        p = float(special.gammainc(a, x))
-        return math.log(p) if p > 0.0 else -math.inf
-    return math.log1p(-float(special.gammaincc(a, x)))
+    if not many:
+        if x < a + 1.0:
+            p = cython_special.gammainc(a, x)
+            return math.log(p) if p > 0.0 else -math.inf
+        return math.log1p(-cython_special.gammaincc(a, x))
+    lower = x < a + 1.0
+    side = np.empty_like(x)
+    side[lower] = special.gammainc(a, x[lower])
+    side[~lower] = special.gammaincc(a, x[~lower])
+    return [
+        (math.log(v) if v > 0.0 else -math.inf) if is_lower else math.log1p(-v)
+        for v, is_lower in zip(side.tolist(), lower.tolist())
+    ]
 
 
 def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
@@ -267,7 +284,7 @@ def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:
 
 def diversity_order(scheme: Scheme, cfg: ChannelConfig) -> float:
     """High-SNR slope magnitude d = m N / n; identical for both schemes."""
-    return _law_of(scheme, cfg).diversity
+    return _law(scheme, cfg.n, cfg.n_t, cfg.n_r).diversity
 
 
 def outage_asymptotic(
@@ -286,7 +303,7 @@ def outage_asymptotic(
     unconditionally (inf where it exceeds the float range) and the caller
     judges the regime.
     """
-    law = _law_of(scheme, cfg)
+    law = _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
     z = query.gamma_o / (law.gain * cfg.mean_snr)
     if scheme is Scheme.TAS_MRC:
         z_definition = "gamma_o / (n_r * mean_snr)"
@@ -296,10 +313,7 @@ def outage_asymptotic(
         value = math.exp(law.ln_coeff + law.diversity * math.log(z)) if z > 0.0 else 0.0
     except OverflowError:
         value = math.inf
-    return value, AsymptoticForm(
-        coefficient=math.exp(law.ln_coeff), diversity=law.diversity, z=z,
-        z_definition=z_definition,
-    )
+    return value, AsymptoticForm(law.coefficient, law.diversity, z, z_definition)
 
 
 def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:
@@ -309,7 +323,7 @@ def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:
     gives CG = G * C^(-1/d), with C the asymptotic coefficient and G the
     receive gain (n_r for TAS/MRC, 1 for TAS/SC).
     """
-    law = _law_of(scheme, cfg)
+    law = _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
     shape, n = law.shape, cfg.n
     # Printed reading: G^(1/n) multiplies the denominator scale 2s/Omega.
     printed = (
@@ -337,7 +351,7 @@ def required_snr(
         raise ValueError(f"target outage must be in (0, 1), got {target_outage}")
     shape, exponent, scale = _shape_exponent_scale(scheme, cfg, mean_snr=1.0)
     beta = cfg.omega_for(scheme) * scale
-    x = float(special.gammaincinv(shape, target_outage ** (1.0 / exponent)))
+    x = cython_special.gammaincinv(shape, target_outage ** (1.0 / exponent))
     try:
         snr = query.gamma_o * (beta / x) ** cfg.n
     except OverflowError:

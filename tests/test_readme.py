@@ -1,6 +1,8 @@
 """README claims: the library example runs and prints what its comments
-say, and every CLI example names only options that exist."""
+say, every CLI example names only options that exist, and the analytic
+numbers under "Known deviations" are what c03 and c05 compute."""
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -8,9 +10,14 @@ from pathlib import Path
 import click
 import pytest
 
-from nrayleigh import cli
+from nrayleigh import cli, validation
+from nrayleigh.schemes import DEFAULT_CALIBRATION, Scheme
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+# The "Known deviations" subsection, with line breaks and indents collapsed.
+KNOWN_DEVIATIONS = " ".join(
+    README.split("\n### Known deviations", 1)[1].split("\n## ", 1)[0].split()
+)
 
 
 def fenced_blocks(section, language):
@@ -52,3 +59,53 @@ def test_cli_example_parses(argv):
     assert command is not None, argv[0]
     with command.make_context(argv[0], argv[1:]) as ctx:
         assert not ctx.args, argv
+
+
+def printed_numbers(pattern):
+    """The numbers, separated by '/' or '-', that the pattern's one group matches."""
+    match = re.search(pattern, KNOWN_DEVIATIONS)
+    assert match is not None, pattern
+    return re.split("[/-]", match.group(1))
+
+
+def at_printed_digits(values, printed):
+    """Each value rounded to as many decimals as its printed counterpart."""
+    return [f"{v:.{len(p.split('.')[1])}f}" for v, p in zip(values, printed)]
+
+
+def c03_details(mrc_omega):
+    config = validation.ValidationConfig(mrc_omega=mrc_omega)
+    return validation._criterion_required_snr_gaps(config)["details"]
+
+
+def test_required_snr_levels_and_gaps():
+    default = c03_details(DEFAULT_CALIBRATION[Scheme.TAS_MRC])
+    unit = c03_details(1.0)
+    for pattern, values in (
+        (r"levels come out ([\d./]+) dB", default["levels_db"]),
+        (r"the gaps \(([\d./]+) dB\)", default["gaps_db"]),
+        (r"with unit calibration the gaps are ([\d./]+) dB", unit["gaps_db"]),
+    ):
+        printed = printed_numbers(pattern)
+        assert len(printed) == len(values), pattern
+        assert at_printed_digits(values, printed) == printed, pattern
+
+
+def test_each_gap_inherits_the_calibration_step():
+    # The required SNR goes as w^n, so each step in n adds 10 log10(w) dB.
+    weight = DEFAULT_CALIBRATION[Scheme.TAS_MRC]
+    (printed_weight,) = printed_numbers(r"exactly \+10 log10\(([\d.]+)\) =")
+    (printed_step,) = printed_numbers(r"log10\([\d.]+\) = \+([\d.]+) dB/step")
+    assert float(printed_weight) == weight
+    step = 10.0 * math.log10(weight)
+    assert at_printed_digits([step], [printed_step]) == [printed_step]
+    default, unit = c03_details(weight), c03_details(1.0)
+    for with_weight, without in zip(default["gaps_db"], unit["gaps_db"]):
+        assert with_weight - without == pytest.approx(step, abs=1e-9)
+
+
+def test_power_law_ratio_range():
+    rows = validation._criterion_asymptote_consistency(validation.ValidationConfig())
+    ratios = [row["ratio"] for row in rows["details"]["rows"]]
+    printed = printed_numbers(r"the ratio is still ([\d.]+-[\d.]+)")
+    assert at_printed_digits([min(ratios), max(ratios)], printed) == printed

@@ -1,8 +1,11 @@
 """Post-processing SNR analytics: distributions, outage, asymptotics, gains."""
 
+import dataclasses
 import math
+import pickle
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from scipy import special
@@ -88,6 +91,24 @@ class TestOutageQuery:
         with pytest.raises(ValueError, match="finite"):
             OutageQuery(**kwargs)
         assert math.isfinite(OutageQuery(rate=1023.9).gamma_o)
+
+    def test_threshold_is_computed_once_and_stays_out_of_the_fields(self):
+        # gamma_o is kept from construction; equality, hashing, repr,
+        # pickling and dataclasses.replace still see only threshold and rate.
+        q = OutageQuery(rate=2.0)
+        assert q == OutageQuery(rate=2.0) and hash(q) == hash(OutageQuery(rate=2.0))
+        assert q != OutageQuery(threshold=3.0)
+        assert repr(q) == "OutageQuery(threshold=None, rate=2.0)"
+        assert [f.name for f in dataclasses.fields(q)] == ["threshold", "rate"]
+        assert dataclasses.asdict(q) == {"threshold": None, "rate": 2.0}
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and back.gamma_o == q.gamma_o == 3.0
+        assert dataclasses.replace(q, rate=3.0).gamma_o == 7.0
+        assert dataclasses.replace(q, rate=None, threshold=0.25).gamma_o == 0.25
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(q, rate=2000.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.rate = 3.0
 
 
 class TestPostprocCdf:
@@ -216,6 +237,15 @@ class TestAsymptotics:
             assert value == math.inf
             assert math.log(form.coefficient) + form.diversity * math.log(form.z) > 710.0
 
+    def test_coefficient_past_the_float_range_is_inf(self):
+        # ln C is above ln(max float) for TAS/MRC n = 1 with 300 x 4
+        # antennas; the form reports C = inf and the value stays finite.
+        c = cfg(n=1, n_t=300, n_r=4, mean_snr=10.0)
+        value, form = outage_asymptotic(Scheme.TAS_MRC, OutageQuery(threshold=1.0), c)
+        assert form.coefficient == math.inf
+        assert value == 0.0
+        assert math.isfinite(coding_gain(Scheme.TAS_MRC, c).extracted)
+
     def test_power_law_slope_is_exact(self):
         q = OutageQuery(threshold=1.0)
         for scheme in Scheme:
@@ -325,6 +355,32 @@ class TestRequiredSnr:
         with pytest.raises(ConvergenceError):
             required_snr(Scheme.TAS_MRC, 1e-300, OutageQuery(threshold=1.0),
                          cfg(n=8, n_t=1, n_r=1))
+
+    def test_inverse_equals_the_ufunc(self, monkeypatch):
+        # The scalar inverse (cython_special) against scipy's gammaincinv
+        # ufunc, over every law shape and targets from 1e-300 to 0.999:
+        # the same solution bits, or the same refusal.  Channels are one per
+        # shape: n = 1..8, n_r = 1..4, both schemes (n_t sets the exponent).
+        channels = [(scheme, cfg(n=n, n_t=1, n_r=n_r)) for scheme in Scheme
+                    for n in range(1, 9) for n_r in range(1, 5)]
+        targets = [10.0 ** -e for e in range(300, 0, -3)] + [0.1, 0.5, 0.9, 0.999]
+        q = OutageQuery(threshold=1.0)
+
+        def solutions():
+            got = []
+            for scheme, c in channels:
+                for target in targets:
+                    try:
+                        got.append(repr(required_snr(scheme, target, q, c)))
+                    except ConvergenceError:
+                        got.append("refused")
+            return got
+
+        scalar = solutions()
+        ufunc = SimpleNamespace(gammaincinv=lambda a, y: float(special.gammaincinv(a, y)))
+        monkeypatch.setattr(schemes, "cython_special", ufunc)
+        assert solutions() == scalar
+        assert "refused" in scalar and len(set(scalar)) > len(scalar) // 2
 
     def test_target_validation(self):
         q = OutageQuery(threshold=1.0)

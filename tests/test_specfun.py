@@ -4,6 +4,8 @@ The closed forms call ``math.lgamma`` for log-gamma, ``math.comb`` for the
 binomial weights of the moment expansion, and scipy's incomplete gamma
 through ``schemes._ln_reg_lower_gamma``, which every outage, CDF and
 moment-oracle evaluation goes through; P and Q below are derived from it.
+A scalar argument takes scipy's ``cython_special`` kernels and an array
+the ufuncs; ``TestScalarPath`` checks that the two give the same bits.
 
 Frozen expected values were computed with mpmath at 50 decimal digits
 (tools/generate_gamma_oracle.py regenerates the bulk table; the literals
@@ -18,9 +20,10 @@ import pathlib
 import numpy as np
 import pytest
 from scipy import special
+from scipy.special import cython_special
 
 from nrayleigh.moments import _moment_sum
-from nrayleigh.schemes import _ln_reg_lower_gamma
+from nrayleigh.schemes import Scheme, _law, _ln_reg_lower_gamma
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 ORACLE_PATH = REPO / "src" / "nrayleigh" / "data" / "reg_lower_gamma_oracle.json"
@@ -163,6 +166,41 @@ class TestRegLowerGamma:
         table = json.loads(ORACLE_PATH.read_text())
         assert table["dps"] == generator.DPS
         assert generator.oracle_entries() == table["entries"]
+
+
+class TestScalarPath:
+    """A scalar x (cython_special) and an array x (the ufuncs) agree bit for bit."""
+
+    def test_oracle_table(self):
+        table = json.loads(ORACLE_PATH.read_text())
+        differ = []
+        for entry in table["entries"]:
+            a, x = entry["a"], entry["x"]
+            kernels = (cython_special.gammainc(a, x), cython_special.gammaincc(a, x))
+            ufuncs = (float(special.gammainc(a, x)), float(special.gammaincc(a, x)))
+            scalar = _ln_reg_lower_gamma(a, x)
+            (array,) = _ln_reg_lower_gamma(a, np.array([x]))
+            if repr(kernels) != repr(ufuncs) or repr(scalar) != repr(array):
+                differ.append((a, x, scalar, array))
+        assert differ == []
+
+    def test_every_law_shape(self):
+        # n = 1..8, n_r = 1..4, both schemes; x from 0 through P underflowing
+        # (x = 1e-300) and Q underflowing (x = 1e3), with the branch point
+        # x = a + 1 and its neighbouring floats.
+        shapes = sorted({_law(scheme, n, 1, n_r).shape for scheme in Scheme
+                         for n in range(1, 9) for n_r in range(1, 5)})
+        assert len(shapes) == 32  # TAS/SC's m(n) is TAS/MRC's shape at n_r = 1
+        grid = [0.0] + [10.0 ** (e / 8.0) for e in range(-2400, 25)]
+        differ = []
+        for a in shapes:
+            xs = sorted(grid + [math.nextafter(a + 1.0, 0.0), a + 1.0,
+                                math.nextafter(a + 1.0, math.inf)])
+            scalar = [_ln_reg_lower_gamma(a, x) for x in xs]
+            assert scalar[1] == -math.inf and scalar[-1] == 0.0
+            if list(map(repr, scalar)) != list(map(repr, _ln_reg_lower_gamma(a, np.array(xs)))):
+                differ.append(a)
+        assert differ == []
 
 
 class TestBinomial:
