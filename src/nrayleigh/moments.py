@@ -14,8 +14,9 @@ fitted per cascade order (``CAPTION_COEFFS``).
 ``moment_oracle`` integrates the exact model CDF numerically and is the
 ground truth the closed forms are judged against.  It uses double-exponential
 quadrature (Takahasi & Mori, Publ. RIMS 9, 1974): tanh-sinh on the bulk and
-exp-sinh on the tail, with nodes built from ``math`` and the integrand from
-``scipy.special``, so its bytes do not depend on numpy's CPU dispatch.
+exp-sinh on the tail.  Its nodes are Python floats built with ``math``, and
+each node takes one scalar incomplete gamma (``schemes``), so its bytes do
+not depend on numpy's CPU dispatch.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fading import fading_params, positive_int
 from .schemes import (
@@ -205,14 +204,14 @@ def af_siso(n: int) -> float:
 
 
 @functools.cache
-def _de_rule(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _de_rule(step: float) -> tuple[tuple[tuple[bool, float, float], ...], int]:
     """Nodes and weights of the double-exponential rule at ``step``.
 
-    Returns (on_head, node, weight, n_coarse), one row per node.  A head row
-    is a tanh-sinh node x in (0, 1) of t = c x, weighted by dx/dtau; a tail
-    row is an exp-sinh offset e of t = c + e, weighted by de/dtau.  Rows at
-    even multiples of ``step`` come first, so the first ``n_coarse`` rows
-    alone are the rule at twice the step.
+    Returns (rows, n_coarse), rows being (on_head, node, weight) float
+    triples.  A head row is a tanh-sinh node x in (0, 1) of t = c x,
+    weighted by dx/dtau; a tail row is an exp-sinh offset e of t = c + e,
+    weighted by de/dtau.  Rows at even multiples of ``step`` come first, so
+    the first ``n_coarse`` rows alone are the rule at twice the step.
     """
     def steps(tau: float) -> int:
         return 2 * round(tau / (2.0 * step))
@@ -228,11 +227,7 @@ def _de_rule(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         e = math.exp(0.5 * math.pi * math.sinh(tau))
         rows.append((j % 2, False, e, 0.5 * math.pi * math.cosh(tau) * e))
     rows.sort(key=lambda row: row[0])
-    odd, *columns = zip(*rows)
-    arrays = [np.array(column) for column in columns]
-    for array in arrays:
-        array.setflags(write=False)  # shared by every call through the cache
-    return *arrays, odd.index(1)
+    return tuple(row[1:] for row in rows), sum(odd == 0 for odd, *_ in rows)
 
 
 def moment_oracle(l: int, scheme: Scheme, cfg: ChannelConfig) -> float:
@@ -258,18 +253,15 @@ def moment_oracle(l: int, scheme: Scheme, cfg: ChannelConfig) -> float:
     shape, exponent, beta = _shape_exponent_scale(scheme, cfg)
     nl = cfg.n * l
     c = shape + nl
-    on_head, node, weight, n_coarse = _de_rule(_DE_STEP)
-    t = np.where(on_head, c * node, c + node)
+    rows, n_coarse = _de_rule(_DE_STEP)
     power = nl - 1
+    terms = []
     try:
-        # Far tail nodes, where 1 - P^k is 0, would only overflow the power.
-        terms = [
-            w * t_i ** power * tail if (tail := -math.expm1(exponent * ln_p)) else 0.0
-            for w, t_i, ln_p in zip(
-                np.where(on_head, c * weight, weight).tolist(), t.tolist(),
-                _ln_reg_lower_gamma(shape, t),
-            )
-        ]
+        for on_head, node, weight in rows:
+            t, w = (c * node, c * weight) if on_head else (c + node, weight)
+            tail = -math.expm1(exponent * _ln_reg_lower_gamma(shape, t))
+            # Far tail nodes, where 1 - P^k is 0, would only overflow the power.
+            terms.append(w * t ** power * tail if tail else 0.0)
         # I_2h = 2h * even and I_h = h * (even + odd).
         even, odd = math.fsum(terms[:n_coarse]), math.fsum(terms[n_coarse:])
         value = l * cfg.n * _DE_STEP * (even + odd) * beta ** -nl

@@ -20,11 +20,10 @@ apply w: the power law, the coding gain and ``moments`` are uncalibrated.
 
 P is scipy's ``gammainc`` (DiDonato & Morris, ACM TOMS 12(4), 1986), taken
 in log space so deep outage values keep full relative accuracy; the
-required SNR inverts it exactly with ``gammaincinv``.  A scalar call goes
-through ``scipy.special.cython_special``, which runs the same kernels as
-the ufuncs without numpy's dispatch around one value; an array call (the
-moment oracle's integrand) goes through the ufuncs.  A test checks that
-the two give the same bits.
+required SNR inverts it exactly with ``gammaincinv``.  Every P, Q and
+inverse is one scalar call into ``scipy.special.cython_special``, which
+runs the ufuncs' kernels without numpy around them, so no analytic value
+depends on numpy's CPU dispatch.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-from scipy import special
 from scipy.special import cython_special
 
 from .fading import fading_params, positive_int
@@ -235,38 +232,21 @@ def _shape_exponent_scale(
     return law.shape, law.exponent, law.pre * (law.gain * snr) ** (-1.0 / cfg.n)
 
 
-def _ln_reg_lower_gamma(a: float, x: float | np.ndarray) -> float | list[float]:
+def _ln_reg_lower_gamma(a: float, x: float) -> float:
     """ln P(a, x), accurate in both tails; ``-inf`` where P underflows.
 
     For x < a + 1, P is the small side and ``log(P)`` keeps its relative
     accuracy down to 1e-308; otherwise Q = 1 - P is the small side and
     ``log1p(-Q)`` keeps it for P near 1.
-
-    A scalar ``x`` takes P or Q from ``cython_special``.  For a float array
-    ``x`` a list comes back: each side takes one ``gammainc`` or
-    ``gammaincc`` ufunc pass and the logs come from ``math`` element by
-    element, so every element equals the scalar result bit for bit,
-    whatever CPU features numpy dispatches to.
     """
-    # A float (np.float64 is one) is the per-point case, so it is tested first.
-    many = not isinstance(x, float) and isinstance(x, np.ndarray)
-    if not (0.0 < a < math.inf) or not ((x >= 0.0).all() if many else x >= 0.0):
+    if not (0.0 < a < math.inf) or not (x >= 0.0):
         raise ValueError(
             f"incomplete gamma requires finite a > 0 and x >= 0, got a={a}, x={x}"
         )
-    if not many:
-        if x < a + 1.0:
-            p = cython_special.gammainc(a, x)
-            return math.log(p) if p > 0.0 else -math.inf
-        return math.log1p(-cython_special.gammaincc(a, x))
-    lower = x < a + 1.0
-    side = np.empty_like(x)
-    side[lower] = special.gammainc(a, x[lower])
-    side[~lower] = special.gammaincc(a, x[~lower])
-    return [
-        (math.log(v) if v > 0.0 else -math.inf) if is_lower else math.log1p(-v)
-        for v, is_lower in zip(side.tolist(), lower.tolist())
-    ]
+    if x < a + 1.0:
+        p = cython_special.gammainc(a, x)
+        return math.log(p) if p > 0.0 else -math.inf
+    return math.log1p(-cython_special.gammaincc(a, x))
 
 
 def outage(scheme: Scheme, query: OutageQuery, cfg: ChannelConfig) -> float:

@@ -4,11 +4,13 @@ Each criterion c01-c10 is a function of a ``ValidationConfig`` returning
 its report entry {"id", "name", "passed", "details"};
 ``build_report(config)`` runs them all and assembles a JSON-serializable
 report whose bytes depend only on the scenario configuration and the
-master seed - never on worker count or wall-clock - so that determinism
-can itself be checked by byte comparison (c10 compares c01-c09's reports
-at one and two workers).  Each criterion's details carry the gate
-constants it is judged by, so a report can be re-judged from its own
-bytes.  c01 judges the incomplete gamma as the analytics evaluate it
+master seed - never on worker count - so that determinism can itself be
+checked by byte comparison (c10 compares c01-c09's reports at one and two
+workers).  The one exception reads the wall clock: c01's
+``runtime_under_budget`` is true when its table takes under 1 s, which
+takes milliseconds unless the host stalls.  Each criterion's details
+carry the gate constants it is judged by, so a report can be re-judged
+from its own bytes.  c01 judges the incomplete gamma as the analytics evaluate it
 (scipy's, via ``schemes._ln_reg_lower_gamma``).
 
 Several checks are known to fail for structural reasons (the calibrated
@@ -86,6 +88,10 @@ class ValidationConfig:
         object.__setattr__(self, "trials", settings.trials)
         object.__setattr__(self, "workers", settings.workers)
         object.__setattr__(self, "determinism_trials", probe.trials)
+        # The threshold and the TAS/MRC weight meet the rules of the objects
+        # the criteria build from them, so a bad one costs no criterion.
+        OutageQuery(threshold=self.gamma_o)
+        ChannelConfig(1, 1, 1, 1.0, self.mrc_omega)
 
     def settings(self) -> SimSettings:
         return SimSettings(

@@ -7,7 +7,7 @@ import json
 import click
 import pytest
 
-from nrayleigh import cli, montecarlo, validation
+from nrayleigh import cli, montecarlo, schemes, validation
 from nrayleigh.schemes import (
     ChannelConfig,
     ConvergenceError,
@@ -776,6 +776,34 @@ class TestRobustness:
         monkeypatch.setattr(cli.validation, "_criterion_determinism", criterion_ran)
         argv = {"--trials": "1000", "--determinism-trials": "500", flag: value}
         code, out, err = run(capsys, "validate", *(item for pair in argv.items() for item in pair))
+        assert code == cli.EXIT_USAGE
+        assert err == f"usage error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma-o", "-1", "threshold must be positive, got -1.0"),
+        ("--gamma-o", "inf",
+         "the outage threshold must be finite and positive, got threshold=inf, rate=None"),
+        ("--omega", "0", "calibration_omega must be positive and finite, got 0.0"),
+        ("--omega", "nan", "calibration_omega must be positive and finite, got nan"),
+    ], ids=["gamma-o=-1", "gamma-o=inf", "omega=0", "omega=nan"])
+    def test_validate_checks_threshold_and_weight_before_any_criterion(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        # c01 is the first caller of the incomplete gamma and c02 the first
+        # Monte-Carlo pass; neither may run.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(schemes, "_ln_reg_lower_gamma", spy)
+        monkeypatch.setattr(montecarlo, "_map_blocks", spy)
+        code, out, err = run(
+            capsys, "validate", "--trials", "1000", "--determinism-trials", "500", flag, value
+        )
+        assert calls == []
         assert code == cli.EXIT_USAGE
         assert err == f"usage error: {message}\n"
         assert out == ""

@@ -1,5 +1,6 @@
 """Closed-form moments, amount of fading and their quadrature oracle."""
 
+import json
 import math
 import os
 import subprocess
@@ -375,7 +376,7 @@ class TestMomentOracle:
             moment_oracle(1, Scheme.TAS_MRC, cfg())
 
     def test_non_finite_value_raises(self, monkeypatch):
-        monkeypatch.setattr(moments, "_ln_reg_lower_gamma", lambda a, x: [math.nan] * len(x))
+        monkeypatch.setattr(moments, "_ln_reg_lower_gamma", lambda a, x: math.nan)
         with pytest.raises(ConvergenceError, match="gave nan"):
             moment_oracle(1, Scheme.TAS_MRC, cfg())
 
@@ -393,15 +394,38 @@ class TestMomentOracle:
             pytest.skip("numpy dispatches no AVX-512 kernels on this CPU (AVX512_SKX off), "
                         "so there is no second dispatch level to compare")
         # A last-bit change in a few nodes seldom moves the rounded sum, so
-        # the whole grid is compared.
+        # the whole grid is compared.  The report covers the analytic
+        # criteria but c04, whose slope fit runs through np.logspace,
+        # np.log10 and np.polyfit and so follows numpy's dispatch (ROADMAP
+        # item 2 settles it with the Monte-Carlo bytes).
         probe = (
-            "from nrayleigh import ChannelConfig, Scheme, moment_oracle\n"
+            "from nrayleigh import ChannelConfig, OutageQuery, Scheme, moment_oracle\n"
+            "from nrayleigh import outage, outage_asymptotic, required_snr, validation\n"
             "for n in range(1, 9):\n"
             "    for n_t, n_r in ((1, 1), (2, 2), (2, 3), (4, 4), (1, 4)):\n"
             "        for scheme in Scheme:\n"
             "            for l in (1, 2):\n"
             "                c = ChannelConfig(n, n_t, n_r, 10.0)\n"
             "                print(repr(moment_oracle(l, scheme, c)))\n"
+            "print()\n"
+            "query = OutageQuery(threshold=1.0)\n"
+            "for n in range(1, 9):\n"
+            "    for scheme in Scheme:\n"
+            "        c = ChannelConfig(n, 2, 3, 1.0)\n"
+            "        for db in range(-10, 61, 5):\n"
+            "            at = c.with_mean_snr(10.0 ** (db / 10.0))\n"
+            "            print(repr(outage(scheme, query, at)),\n"
+            "                  repr(outage_asymptotic(scheme, query, at)[0]))\n"
+            "        for target in (1e-1, 1e-4, 1e-7, 1e-12):\n"
+            "            print(repr(required_snr(scheme, target, query, c)))\n"
+            "print()\n"
+            "criteria = (validation._criterion_incomplete_gamma_accuracy,\n"
+            "            validation._criterion_required_snr_gaps,\n"
+            "            validation._criterion_asymptote_consistency,\n"
+            "            validation._criterion_af_anchors,\n"
+            "            validation._criterion_moments_vs_oracle)\n"
+            "report = validation._run(validation.ValidationConfig(), criteria)\n"
+            "print(validation.report_to_json(report), end='')\n"
         )
         outputs = [
             subprocess.run(
@@ -410,5 +434,10 @@ class TestMomentOracle:
             ).stdout
             for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})
         ]
-        assert len(outputs[0].split()) == 160
+        oracle, analytic, report = outputs[0].split("\n\n")
+        assert len(oracle.split()) == 160
+        assert len(analytic.split()) == 8 * 2 * (15 * 2 + 4)
+        assert [c["id"] for c in json.loads(report)["criteria"]] == [
+            "c01", "c03", "c05", "c06", "c08"
+        ]
         assert outputs[0] == outputs[1]

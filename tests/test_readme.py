@@ -1,7 +1,9 @@
 """README claims: the library example runs and prints what its comments
-say, every CLI example names only options that exist, and the analytic
-numbers under "Known deviations" are what c03 and c05 compute."""
+say, every CLI example names only options that exist, the analytic
+modules import no numpy, and the analytic numbers under "Known deviations"
+are what c03 and c05 compute."""
 
+import ast
 import math
 import re
 import shlex
@@ -10,7 +12,7 @@ from pathlib import Path
 import click
 import pytest
 
-from nrayleigh import cli, validation
+from nrayleigh import cli, fading, moments, schemes, validation
 from nrayleigh.schemes import DEFAULT_CALIBRATION, Scheme
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -76,6 +78,21 @@ def at_printed_digits(values, printed):
 def c03_details(mrc_omega):
     config = validation.ValidationConfig(mrc_omega=mrc_omega)
     return validation._criterion_required_snr_gaps(config)["details"]
+
+
+def test_analytic_modules_import_no_numpy():
+    assert "(`fading`, `schemes`, `moments`) do not import numpy" in " ".join(README.split())
+    imported = set()
+    for module in (fading, schemes, moments):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    # scipy reaches them only as cython_special, which calls no numpy ufunc.
+    assert {name for name in imported if name.split(".")[0] in ("numpy", "scipy")} == {
+        "scipy.special.cython_special"
+    }
 
 
 def test_required_snr_levels_and_gaps():
