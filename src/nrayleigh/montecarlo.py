@@ -145,9 +145,11 @@ def _block_selected(
     hop row at a time into one reused buffer; the running product of the
     hops' log1p(-u) <= 0 carries the sign (-1)^(h+1), so order n takes it
     negated for odd n, which gives the same bits as multiplying
-    -log1p(-u), since IEEE rounding is symmetric in sign.  Each order keeps
-    a running TAS/SC maximum, receive sum and TAS/MRC maximum: at most
-    (2 + 3*len(orders))*count doubles are live.
+    -log1p(-u), since IEEE rounding is symmetric in sign.  Each order
+    allocates its TAS/SC and TAS/MRC maxima as zeros and its receive sum
+    once, up front, so at most (2 + 3*len(orders))*count doubles are live.
+    Every log1p(-u) has sign bit 1, even log1p(-0.0) = -0.0, so every power
+    has sign bit 0 and a maximum with 0.0 returns the power's own bits.
     """
     coefficients = cfg.n_t * cfg.n_r
     deepest = orders[-1]
@@ -157,8 +159,8 @@ def _block_selected(
         h * _REGION_STRIDE + (block * coefficients + c) * _BLOCK_TRIALS
         for c in range(coefficients) for h in range(deepest)
     ), hop)
-    # Per order: [TAS/SC maximum, receive sum of this t, TAS/MRC maximum].
-    folds = {n: [None, None, None] for n in orders}
+    # Per order: (TAS/SC maximum, receive sum of this t, TAS/MRC maximum).
+    folds = {n: (np.zeros(count), np.empty(count), np.zeros(count)) for n in orders}
     for _ in range(cfg.n_t):
         for r in range(cfg.n_r):
             for h in range(deepest):
@@ -175,30 +177,20 @@ def _block_selected(
                 # The hop buffer is free until the next read.
                 power = np.negative(product, out=hop) if (h + 1) % 2 else product
                 tas_sc, received, _ = fold
-                fold[0] = power.copy() if tas_sc is None else np.maximum(tas_sc, power, out=tas_sc)
-                if received is None:
-                    fold[1] = power.copy()
-                elif r == 0:
+                np.maximum(tas_sc, power, out=tas_sc)
+                if r == 0:
                     np.copyto(received, power)
                 else:
                     received += power
-        for fold in folds.values():
-            _, received, tas_mrc = fold
-            if tas_mrc is None:
-                # The first receive sum becomes the maximum; the next
-                # transmit antenna's sum gets its own buffer, reused after.
-                fold[1:] = None, received
-            else:
-                np.maximum(tas_mrc, received, out=tas_mrc)
+        for _, received, tas_mrc in folds.values():
+            np.maximum(tas_mrc, received, out=tas_mrc)
     return {n: {Scheme.TAS_MRC: tas_mrc, Scheme.TAS_SC: tas_sc}
             for n, (tas_sc, _, tas_mrc) in folds.items()}
 
 
-def _distinct_orders(cfg: ChannelConfig, orders) -> tuple[int, ...]:
-    """The ascending distinct cascade orders of a pass: ``orders``, or
-    cfg.n alone when None."""
-    if orders is None:
-        return (cfg.n,)
+def _distinct_orders(orders) -> tuple[int, ...]:
+    """The ascending distinct cascade orders of ``orders``, each a positive
+    int; there must be at least one."""
     distinct = tuple(sorted({positive_int("cascade order", n) for n in orders}))
     if not distinct:
         raise ValueError("orders must name at least one cascade order")
@@ -254,7 +246,7 @@ def empirical_cdf_pair(
         raise ValueError("grid must be a nonempty 1-d sequence")
     if np.isnan(grid).any() or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly ascending, with no NaN")
-    orders = _distinct_orders(cfg, orders)
+    orders = _distinct_orders((cfg.n,) if orders is None else orders)
     thresholds = grid / cfg.mean_snr
 
     def crossings(selected: dict[int, dict[Scheme, np.ndarray]]) -> np.ndarray:
@@ -289,7 +281,7 @@ def estimate_af(
     the covariance of the first two sample moments, which needs raw sample
     moments up to order four.
     """
-    orders = _distinct_orders(cfg, orders)
+    orders = _distinct_orders((cfg.n,) if orders is None else orders)
 
     def power_sums(selected: dict[int, dict[Scheme, np.ndarray]]) -> np.ndarray:
         rows = []
@@ -300,9 +292,7 @@ def estimate_af(
                 rows.append([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
         return np.array(rows).reshape(len(orders), len(Scheme), 4)
 
-    totals = np.zeros((len(orders), len(Scheme), 4))
-    for part in _map_blocks(cfg, orders, settings, power_sums):
-        totals += part
+    totals = sum(_map_blocks(cfg, orders, settings, power_sums))
     trials = settings.trials
     result: dict[int, dict[Scheme, EmpiricalEstimate]] = {}
     for n, per in zip(orders, totals.tolist()):

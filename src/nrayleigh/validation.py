@@ -1,17 +1,17 @@
 """Acceptance validation suite: every release gate as a runnable check.
 
 Each criterion c01-c10 is a function of a ``ValidationConfig`` returning
-its report entry {"id", "name", "passed", "details"};
-``build_report(config)`` runs them all and assembles a JSON-serializable
-report whose bytes depend only on the scenario configuration and the
-master seed - never on worker count - so that determinism can itself be
-checked by byte comparison (c10 compares c01-c09's reports at one and two
-workers).  The one exception reads the wall clock: c01's
-``runtime_under_budget`` is true when its table takes under 1 s, which
-takes milliseconds unless the host stalls.  Each criterion's details
-carry the gate constants it is judged by, so a report can be re-judged
-from its own bytes.  c01 judges the incomplete gamma as the analytics evaluate it
-(scipy's, via ``schemes._ln_reg_lower_gamma``).
+its report entry {"id", "name", "passed", "details"}; ``build_report``
+runs them all into a JSON-serializable report whose bytes depend only on
+the scenario configuration and the master seed, never on the worker count
+(c10 checks this by comparing c01-c09's reports at one and two workers).
+The one exception reads the wall clock: c01's ``runtime_under_budget`` is
+true when its table takes under 1 s (milliseconds unless the host stalls).
+Each criterion's details carry the gate constants it is judged by, so a
+report can be re-judged from its own bytes.  c01 judges scipy's incomplete
+gamma through ``schemes._ln_reg_lower_gamma``, as the analytics call it.
+The suite computes in ``math``, c04's slope fit included, so only the
+Monte-Carlo numbers from ``montecarlo`` follow numpy's CPU dispatch.
 
 Several checks are known to fail for structural reasons (the calibrated
 closed form for TAS/MRC does not track a unit-power channel simulation,
@@ -28,8 +28,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-
-import numpy as np
 
 from . import montecarlo, moments, schemes
 from .fading import fading_params
@@ -97,6 +95,12 @@ class ValidationConfig:
         return SimSettings(
             trials=self.trials, master_seed=self.master_seed, workers=self.workers
         )
+
+
+def _log_grid(lo: float, hi: float, num: int) -> tuple[float, list[float]]:
+    """(step, points) of np.logspace(lo, hi, num), by its own float arithmetic."""
+    step = (hi - lo) / (num - 1)
+    return step, [10.0 ** (k * step + lo) for k in range(num - 1)] + [10.0 ** hi]
 
 
 def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> dict:
@@ -167,7 +171,7 @@ def outage_curves(
                 f"SNR grid point {db!r} dB repeats threshold {low!r} at gamma_o {gamma_o!r}; "
                 "thresholds must be distinct"
             )
-    orders = sorted(set(orders))
+    orders = montecarlo._distinct_orders(orders)
     cdfs = None
     if settings is not None:
         cdfs = montecarlo.empirical_cdf_pair(
@@ -295,11 +299,14 @@ def _criterion_diversity_slope(config: ValidationConfig) -> dict:
                 d = schemes.diversity_order(scheme, base)
                 g_lo = schemes.required_snr(scheme, 1e-6, query, base)
                 g_hi = schemes.required_snr(scheme, 1e-7, query, base)
-                pts = np.logspace(math.log10(g_lo), math.log10(g_hi), 11)
+                step, pts = _log_grid(math.log10(g_lo), math.log10(g_hi), 11)
 
                 def slope(outage) -> float:
+                    # The least-squares slope over the exponents lo + k*step,
+                    # k = 0..10: sum (k - 5) y_k / (step * sum (k - 5)^2), and
+                    # sum (k - 5)^2 = 110; fsum rounds the sum once.
                     logs = [math.log10(outage(base.with_mean_snr(g))) for g in pts]
-                    return abs(float(np.polyfit(np.log10(pts), logs, 1)[0]))
+                    return abs(math.fsum((k - 5) * y for k, y in enumerate(logs)) / (110 * step))
 
                 fitted = slope(lambda cfg: schemes.outage(scheme, query, cfg))
                 rel = abs(fitted - d) / d
@@ -506,7 +513,7 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
     settings = config.settings()
     cfg = ChannelConfig(1, 1, 1, 1.0)
-    grid = np.logspace(math.log10(0.01), math.log10(4.0), 20)
+    _, grid = _log_grid(math.log10(0.01), math.log10(4.0), 20)
     estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[cfg.n][Scheme.TAS_MRC]
     rows = []
     for g, est in zip(grid, estimates):
@@ -514,7 +521,7 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
         se = math.sqrt(exact * (1.0 - exact) / settings.trials)
         ok = abs(est.value - exact) <= _BASE_CASE_SIGMAS * se
         rows.append(
-            {"gamma": float(g), "exact": exact, "empirical": est.value,
+            {"gamma": g, "exact": exact, "empirical": est.value,
              "sigmas": abs(est.value - exact) / se if se > 0 else 0.0, "pass": ok}
         )
     return {

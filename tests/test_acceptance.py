@@ -197,7 +197,8 @@ def model(scheme, n, n_t, n_r, weight=1.0):
 
 def fitted_slope(outage_at, g_lo, g_hi):
     """|slope| of the least-squares line through log10 outage vs log10 SNR
-    at 11 log-spaced points, as the c04 criterion fits it."""
+    at 11 log-spaced points, the fit c04 makes, by np.polyfit as an
+    independent reference."""
     pts = np.logspace(math.log10(g_lo), math.log10(g_hi), 11)
     logs = [math.log10(outage_at(g)) for g in pts]
     return abs(float(np.polyfit(np.log10(pts), logs, 1)[0]))

@@ -118,6 +118,16 @@ class TestOutageSweep:
             doubled = [r for r in expected if r.split(",")[1] == "2"]
             assert mine == [r for r in doubled for _ in (0, 1)] + expected[len(doubled):]
 
+    @pytest.mark.parametrize("settings", [montecarlo.SimSettings(trials=100), None],
+                             ids=["settings", "no-settings"])
+    def test_outage_curves_need_a_cascade_order(self, settings):
+        # An empty order list raises the kernel's error, with or without a
+        # simulation, in place of an IndexError or an empty table.
+        omegas = {Scheme.TAS_MRC: None, Scheme.TAS_SC: None}
+        with pytest.raises(ValueError, match="^orders must name at least one cascade order$"):
+            validation.outage_curves([], 2, 3, OutageQuery(threshold=1.0), [0.0], omegas,
+                                     settings)
+
     def test_analytic_column_monotone(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"
         run(
@@ -871,7 +881,7 @@ class TestOutputBytes:
         )
         assert code == cli.EXIT_VALIDATION
         assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
-            "59bd47465807f23b9f341e9aa18f49b498809d97d2a69fcadb389f3939c3ef8e"
+            "1b0c3079d9375069078b0bfb591750364231288a60abfb60ae7c26137a4799ee"
         )
 
     def test_outage_sweep_json(self, capsys):

@@ -394,10 +394,8 @@ class TestMomentOracle:
             pytest.skip("numpy dispatches no AVX-512 kernels on this CPU (AVX512_SKX off), "
                         "so there is no second dispatch level to compare")
         # A last-bit change in a few nodes seldom moves the rounded sum, so
-        # the whole grid is compared.  The report covers the analytic
-        # criteria but c04, whose slope fit runs through np.logspace,
-        # np.log10 and np.polyfit and so follows numpy's dispatch (ROADMAP
-        # item 2 settles it with the Monte-Carlo bytes).
+        # the whole grid is compared.  The report covers every analytic
+        # criterion.
         probe = (
             "from nrayleigh import ChannelConfig, OutageQuery, Scheme, moment_oracle\n"
             "from nrayleigh import outage, outage_asymptotic, required_snr, validation\n"
@@ -421,6 +419,7 @@ class TestMomentOracle:
             "print()\n"
             "criteria = (validation._criterion_incomplete_gamma_accuracy,\n"
             "            validation._criterion_required_snr_gaps,\n"
+            "            validation._criterion_diversity_slope,\n"
             "            validation._criterion_asymptote_consistency,\n"
             "            validation._criterion_af_anchors,\n"
             "            validation._criterion_moments_vs_oracle)\n"
@@ -438,6 +437,6 @@ class TestMomentOracle:
         assert len(oracle.split()) == 160
         assert len(analytic.split()) == 8 * 2 * (15 * 2 + 4)
         assert [c["id"] for c in json.loads(report)["criteria"]] == [
-            "c01", "c03", "c05", "c06", "c08"
+            "c01", "c03", "c04", "c05", "c06", "c08"
         ]
         assert outputs[0] == outputs[1]

@@ -33,7 +33,7 @@ def uniforms(seed, start_draw, count):
 def simulate(c, seed, trials, orders=None, workers=1):
     """The kernel's selection statistics of trials [0, trials), block by
     block: {order: {scheme: array}}."""
-    orders = montecarlo._distinct_orders(c, orders)
+    orders = montecarlo._distinct_orders((c.n,) if orders is None else orders)
     settings = SimSettings(trials=trials, master_seed=seed, workers=workers)
     parts = montecarlo._map_blocks(c, orders, settings, lambda selected: selected)
     return {n: {s: np.concatenate([p[n][s] for p in parts]) for s in Scheme} for n in orders}

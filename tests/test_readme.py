@@ -1,6 +1,6 @@
 """README claims: the library example runs and prints what its comments
-say, every CLI example names only options that exist, the analytic
-modules import no numpy, and the analytic numbers under "Known deviations"
+say, every CLI example names only options that exist, only `montecarlo`
+imports numpy, and the analytic numbers under "Known deviations"
 are what c03 and c05 compute."""
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 import pytest
 
-from nrayleigh import cli, fading, moments, schemes, validation
+from nrayleigh import cli, validation
 from nrayleigh.schemes import DEFAULT_CALIBRATION, Scheme
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -80,19 +80,30 @@ def c03_details(mrc_omega):
     return validation._criterion_required_snr_gaps(config)["details"]
 
 
-def test_analytic_modules_import_no_numpy():
-    assert "(`fading`, `schemes`, `moments`) do not import numpy" in " ".join(README.split())
+def numpy_scipy_imports(path):
+    """The numpy and scipy names that the module at ``path`` imports, by its AST."""
     imported = set()
-    for module in (fading, schemes, moments):
-        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
-    # scipy reaches them only as cython_special, which calls no numpy ufunc.
-    assert {name for name in imported if name.split(".")[0] in ("numpy", "scipy")} == {
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {name for name in imported if name.split(".")[0] in ("numpy", "scipy")}
+
+
+def test_analytic_modules_import_no_numpy():
+    assert (
+        "Only `montecarlo` imports numpy: the analytic outputs do not depend on its CPU "
+        "dispatch, and the Monte-Carlo values do"
+    ) in " ".join(README.split())
+    imports = {path.stem: numpy_scipy_imports(path)
+               for path in Path(cli.__file__).parent.glob("*.py")}
+    assert imports.pop("montecarlo") == {"numpy"}
+    # scipy reaches the analytics only as cython_special, which calls no numpy ufunc.
+    assert set().union(*(imports.pop(name) for name in ("fading", "schemes", "moments"))) == {
         "scipy.special.cython_special"
     }
+    assert imports == {"__init__": set(), "cli": set(), "validation": set()}
 
 
 def test_required_snr_levels_and_gaps():
