@@ -230,21 +230,23 @@ def cli() -> None:
 def cmd_params(n_list: str, nt: int, nr: int) -> None:
     """Severity parameters, diversity order and coding gains per (scheme, n)."""
     orders = _parse_n_list(n_list)
-    header = (
+    # Every line is built, and every ChannelConfig checked, before any is
+    # written: a bad antenna count leaves stdout empty, as in the sweeps.
+    lines = [
         f"{'scheme':8s} {'n':>2s} {'m':>9s} {'omega':>9s} {'a':>9s} "
         f"{'d':>9s} {'cg_printed':>12s} {'cg_extracted':>12s}"
-    )
-    click.echo(header)
+    ]
     for n in orders:
         cfg = ChannelConfig(n=n, n_t=nt, n_r=nr, mean_snr=1.0)
         fp = fading_params(n)
         for scheme in (Scheme.TAS_MRC, Scheme.TAS_SC):
             d = schemes.diversity_order(scheme, cfg)
             cg = schemes.coding_gain(scheme, cfg)
-            click.echo(
+            lines.append(
                 f"{scheme.value:8s} {n:2d} {fp.m:9.5g} {fp.omega:9.6g} "
                 f"{fp.m * nr:9.5g} {d:9.6g} {cg.printed:12.6g} {cg.extracted:12.6g}"
             )
+    click.echo("\n".join(lines))
 
 
 def _sweep_params(orders: str, nr: int, own: tuple, after_seed: tuple = ()) -> list[click.Option]:

@@ -12,8 +12,9 @@ incomplete gamma over the stretched-gamma fit (m, Omega) of ``fading``:
 
 where w is a calibration weight on the scale (default 1.176 for TAS/MRC,
 1.0 for TAS/SC).  ``outage`` is F at the outage threshold; this module also
-provides its small-threshold power-law form, diversity order, coding gain
-and the required-SNR solver.  Everything that depends only on
+provides the small-threshold power law C * z^d, z = gamma_o / (G * mean_snr)
+(``outage_asymptotic`` returns its value and z), the diversity order d, the
+coding gain and the required-SNR solver.  Everything that depends only on
 (scheme, n, n_t, n_r) is computed once per channel and memoised (``_law``);
 each call applies its mean SNR, and only ``outage`` and ``required_snr``
 apply w: the power law, the coding gain and ``moments`` are uncalibrated.
@@ -39,7 +40,6 @@ from scipy.special import cython_special
 from .fading import fading_params, positive_int
 
 __all__ = [
-    "AsymptoticForm",
     "ChannelConfig",
     "CodingGain",
     "ConvergenceError",
@@ -158,16 +158,6 @@ class OutageQuery:
 
 
 @dataclass(frozen=True)
-class AsymptoticForm:
-    """Decomposed small-threshold power law: coefficient * z^diversity."""
-
-    coefficient: float
-    diversity: float
-    z: float
-    z_definition: str
-
-
-@dataclass(frozen=True)
 class CodingGain:
     """Coding gain, both as printed and as extracted from the power law.
 
@@ -195,7 +185,6 @@ class _Law(NamedTuple):
     gain: int  # receive gain G
     pre: float  # 2s / Omega, the uncalibrated scale at unit G * mean_snr
     ln_coeff: float  # ln of the power-law coefficient [(2s/Omega)^s / (s Gamma(s))]^k
-    coefficient: float  # exp(ln_coeff), inf past the float range
     diversity: float  # d = m N / n
 
 
@@ -215,11 +204,7 @@ def _law(scheme: Scheme, n: int, n_t: int, n_r: int) -> _Law:
         shape, exponent, gain = fp.m, n_t * n_r, 1
     pre = 2.0 * shape / fp.omega
     ln_coeff = exponent * (shape * math.log(pre) - math.log(shape) - math.lgamma(shape))
-    try:
-        coefficient = math.exp(ln_coeff)
-    except OverflowError:
-        coefficient = math.inf
-    return _Law(shape, exponent, gain, pre, ln_coeff, coefficient, fp.m * (n_t * n_r) / n)
+    return _Law(shape, exponent, gain, pre, ln_coeff, fp.m * (n_t * n_r) / n)
 
 
 def _shape_exponent_scale(
@@ -269,31 +254,27 @@ def diversity_order(scheme: Scheme, cfg: ChannelConfig) -> float:
 
 def outage_asymptotic(
     scheme: Scheme, query: OutageQuery, cfg: ChannelConfig
-) -> tuple[float, AsymptoticForm]:
-    """Leading-order outage power law for small normalized threshold.
+) -> tuple[float, float]:
+    """Leading-order outage power law C * z^d for small normalized threshold.
 
-    The normalized threshold is z = gamma_o / (n_r * mean_snr) for TAS/MRC
-    and z = gamma_o / mean_snr for TAS/SC (the latter follows from the
-    small-argument expansion of the TAS/SC distribution, which carries no
-    n_r factor in its scale).  Calibration is never applied here: the power
-    law describes the uncalibrated closed form.
+    The normalized threshold is z = gamma_o / (G * mean_snr): G = n_r for
+    TAS/MRC, and G = 1 for TAS/SC, whose small-argument expansion carries
+    no n_r factor in its scale.  Calibration is never applied here: the
+    power law describes the uncalibrated closed form.
 
-    Returns the value together with its (coefficient, diversity, z)
-    decomposition.  The value is meaningful only for z << 1; it is returned
-    unconditionally (inf where it exceeds the float range) and the caller
-    judges the regime.
+    Returns ``(value, z)``.  The value is meaningful only for z << 1; it is
+    returned unconditionally (inf where it exceeds the float range, 0.0
+    where it underflows) and the caller judges the regime by z.  The
+    diversity d is ``diversity_order``, and the coefficient is
+    C = (G / CG)^d with CG = ``coding_gain(...).extracted``.
     """
     law = _law(scheme, cfg.n, cfg.n_t, cfg.n_r)
     z = query.gamma_o / (law.gain * cfg.mean_snr)
-    if scheme is Scheme.TAS_MRC:
-        z_definition = "gamma_o / (n_r * mean_snr)"
-    else:
-        z_definition = "gamma_o / mean_snr"
     try:
         value = math.exp(law.ln_coeff + law.diversity * math.log(z)) if z > 0.0 else 0.0
     except OverflowError:
         value = math.inf
-    return value, AsymptoticForm(law.coefficient, law.diversity, z, z_definition)
+    return value, z
 
 
 def coding_gain(scheme: Scheme, cfg: ChannelConfig) -> CodingGain:

@@ -15,6 +15,7 @@ MODULES = ("cli", "fading", "moments", "montecarlo", "schemes", "validation")
 # The modules whose public names the package re-exports.
 LIBRARY_MODULES = ("fading", "moments", "montecarlo", "schemes")
 REMOVED = (
+    "AsymptoticForm",
     "CriterionResult",
     "MomentsAfEstimate",
     "estimate_moments_af",

@@ -40,6 +40,13 @@ class TestParams:
         code, _, _ = run(capsys, "params", "--n", "0")
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, name", [("--nt", "n_t"), ("--nr", "n_r")])
+    def test_bad_antenna_count_writes_nothing(self, capsys, flag, name):
+        code, out, err = run(capsys, "params", "--n", "2", flag, "0")
+        assert code == cli.EXIT_USAGE
+        assert f"usage error: {name} must be an integer >= 1, got 0" in err
+        assert out == ""
+
 
 class TestOutageSweep:
     def test_analytics_only(self, capsys, tmp_path):
@@ -172,6 +179,16 @@ class TestOutageSweep:
         data = json.loads(out_file.read_text())
         assert {"config", "rows"} <= set(data)
         assert data["rows"][0]["scheme"] in {"tas-mrc", "tas-sc"}
+
+    def test_coefficient_past_the_float_range_gives_a_zero_row(self, capsys):
+        # TAS/MRC n = 1 with 300 x 4 antennas: ln C is above ln(max float),
+        # and both columns underflow to 0.0 instead of failing.
+        code, out, _ = run(capsys, "outage-sweep", "--n", "1", "--nt", "300", "--nr", "4",
+                           "--snr-db", "0", "--trials", "0", "--scheme", "tas-mrc")
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
+        assert len(rows) == 1
+        assert (rows[0]["p_out_analytic"], rows[0]["p_out_asymptotic"]) == ("0.0", "0.0")
 
     def test_asymptote_above_one_is_left_empty(self, capsys, tmp_path):
         # TAS/SC, n = 2, 2x3: the power law reads 1.50 at 4 dB and 0.154 at 6 dB.

@@ -1,7 +1,8 @@
 """README claims: the library example runs and prints what its comments
 say, every CLI example names only options that exist, only `montecarlo`
-imports numpy, and the analytic numbers under "Known deviations"
-are what c03 and c05 compute."""
+imports numpy, the analytic numbers under "Known deviations" are what c03
+and c05 compute, and its simulation-derived numbers are what c02 and c07
+report at seed 1 (10^6 trials, 2 workers)."""
 
 import ast
 import math
@@ -72,7 +73,7 @@ def printed_numbers(pattern):
 
 def at_printed_digits(values, printed):
     """Each value rounded to as many decimals as its printed counterpart."""
-    return [f"{v:.{len(p.split('.')[1])}f}" for v, p in zip(values, printed)]
+    return [f"{v:.{len(p.partition('.')[2])}f}" for v, p in zip(values, printed)]
 
 
 def c03_details(mrc_omega):
@@ -137,3 +138,68 @@ def test_power_law_ratio_range():
     ratios = [row["ratio"] for row in rows["details"]["rows"]]
     printed = printed_numbers(r"the ratio is still ([\d.]+-[\d.]+)")
     assert at_printed_digits([min(ratios), max(ratios)], printed) == printed
+
+
+@pytest.fixture(scope="module")
+def simulated():
+    """c02's and c07's details from the seed-1 report, keyed by criterion id."""
+    config = validation.ValidationConfig(trials=1_000_000, master_seed=1, workers=2)
+    criteria = (validation._criterion_outage_vs_montecarlo, validation._criterion_af_profile)
+    return {c["id"]: c["details"] for c in validation._run(config, criteria)["criteria"]}
+
+
+def c02_curves(simulated, scheme):
+    """The curves of one scheme in order of n: (n, in-band points, worst error)."""
+    curves = simulated["c02"]["curves"]
+    return [
+        (n, [p for p in curves[f"{scheme},n={n}"]["points"] if p["binding"]],
+         curves[f"{scheme},n={n}"]["worst_binding_rel_error"])
+        for n in (2, 3, 4, 5)
+    ]
+
+
+def test_mrc_overestimate_at_the_top_of_the_band(simulated):
+    # The top of the band is the lowest in-band SNR of each curve.
+    top = {n: points[0]["analytic"] / points[0]["empirical"]
+           for n, points, _ in c02_curves(simulated, "tas-mrc")}
+    for pattern, values in (
+        (r"by ([\d.]+-[\d.]+)x \(n = 2, 3\)", [top[2], top[3]]),
+        (r"to ([\d.]+)x \(n = 5\) at the top of the band", [top[5]]),
+    ):
+        printed = printed_numbers(pattern)
+        assert at_printed_digits(values, printed) == printed, pattern
+
+
+def test_mrc_overestimate_peak(simulated):
+    ratio, n, snr_db = max(
+        (p["analytic"] / p["empirical"], n, p["snr_db"])
+        for n, points, _ in c02_curves(simulated, "tas-mrc") for p in points
+    )
+    assert (n, snr_db) == (5, 20.0)
+    printed = printed_numbers(r"up to ~([\d.]+)x at n = 5, 20 dB")
+    assert at_printed_digits([ratio], printed) == printed
+
+
+def test_worst_in_band_errors(simulated):
+    mrc = [100.0 * worst for _, _, worst in c02_curves(simulated, "tas-mrc")]
+    sc = [100.0 * worst for _, _, worst in c02_curves(simulated, "tas-sc")]
+    for pattern, values in (
+        (r"Worst in-band relative errors are ([\d-]+)% per curve", [min(mrc), max(mrc)]),
+        (r"\(worst ([\d./]+)% for n = 2/3/4/5\)", sc),
+    ):
+        printed = printed_numbers(pattern)
+        assert len(printed) == len(values), pattern
+        assert at_printed_digits(values, printed) == printed, pattern
+    (within,) = printed_numbers(r"tracks the channel to within ([\d]+)% everywhere in band")
+    assert max(sc) < float(within)
+
+
+def test_af_confidence_intervals_overlap_at_n_6(simulated):
+    (row,) = [r for r in simulated["c07"]["rows"] if r["n"] == 6]
+    for pattern, ci in (
+        (r"\(TAS/MRC ([\d.]+-[\d.]+) against", row["af_mc_mrc_ci"]),
+        (r"against TAS/SC ([\d.]+-[\d.]+) at seed 1", row["af_mc_sc_ci"]),
+    ):
+        printed = printed_numbers(pattern)
+        assert at_printed_digits(ci, printed) == printed, pattern
+    assert row["af_mc_sc_ci"][0] < row["af_mc_mrc_ci"][1]
