@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -68,6 +69,8 @@ class Scheme(Enum):
 
 DEFAULT_CALIBRATION = {Scheme.TAS_MRC: 1.176, Scheme.TAS_SC: 1.0}
 
+_FLOAT_MAX = sys.float_info.max
+
 
 class ConvergenceError(RuntimeError):
     """A numerical evaluation gave no usable (finite, positive) result."""
@@ -89,12 +92,20 @@ class ChannelConfig:
     calibration_omega: float | None = None
 
     def __post_init__(self) -> None:
-        # Counts are stored as ints.  Valid int arguments, the common case of
-        # a config built per analytic point, skip the rule and the setattr.
+        # Counts are stored as ints, and every law takes N = n_t * n_r as a
+        # float.  Valid int arguments, the common case of a config built per
+        # analytic point, skip the rules and the setattr.
         n, n_t, n_r = self.n, self.n_t, self.n_r
-        if not (type(n) is type(n_t) is type(n_r) is int and n >= 1 and n_t >= 1 and n_r >= 1):
+        if not (type(n) is type(n_t) is type(n_r) is int and n >= 1 and n_t >= 1 and n_r >= 1
+                and n_t * n_r <= _FLOAT_MAX):
             for name, label in (("n", "cascade order"), ("n_t", "n_t"), ("n_r", "n_r")):
                 object.__setattr__(self, name, positive_int(label, getattr(self, name)))
+            try:
+                float(self.n_t * self.n_r)
+            except OverflowError:
+                raise ValueError(
+                    f"n_t * n_r must convert to a float, got {self.n_t} * {self.n_r}"
+                ) from None
         if not (self.mean_snr > 0.0) or not math.isfinite(self.mean_snr):
             raise ValueError(f"mean_snr must be positive and finite, got {self.mean_snr}")
         omega = self.calibration_omega

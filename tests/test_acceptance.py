@@ -1,7 +1,8 @@
 """Acceptance criteria: how the report evaluates each release criterion.
 
-Runs the same checks as ``nrayleigh validate`` at full scale (1e6 trials,
-seed 1) and prints one ``ACCEPTANCE cNN PASS/FAIL`` line per criterion.
+Reads the report of ``nrayleigh validate`` at full scale (1e6 trials,
+seed 1, 2 workers), built once per session by ``conftest.seed1_report``,
+and prints one ``ACCEPTANCE cNN PASS/FAIL`` line per criterion.
 The verdicts belong to the report: ``nrayleigh validate`` gives them
 (4 of 10 criteria pass, exit code 2).  These tests check that each verdict
 is computed correctly.
@@ -46,15 +47,10 @@ from scipy import integrate, optimize, special
 from nrayleigh import schemes
 from nrayleigh.fading import fading_params
 from nrayleigh.schemes import ChannelConfig, OutageQuery, Scheme
-from nrayleigh.validation import ValidationConfig, build_report
+from nrayleigh.validation import ValidationConfig
 
-ACCEPTANCE_CONFIG = ValidationConfig(
-    trials=1_000_000,
-    master_seed=1,
-    workers=2,
-    determinism_trials=120_000,
-)
-GAMMA_O = ACCEPTANCE_CONFIG.gamma_o
+# The report's outage threshold: ``seed1_report`` keeps the default.
+GAMMA_O = ValidationConfig().gamma_o
 
 # Documented model constants (README): the TAS/MRC calibration weight and
 # the per-n fitted moment weighting coefficients (b1 TAS/MRC, b2 TAS/SC).
@@ -81,8 +77,10 @@ KUMMER_EXCESS = 1e-3
 
 
 @pytest.fixture(scope="module")
-def report():
-    return build_report(ACCEPTANCE_CONFIG)
+def report(seed1_report):
+    """The seed-1 report at 10^6 trials on 2 workers, shared with the README tests."""
+    assert seed1_report["config"]["gamma_o"] == GAMMA_O
+    return seed1_report
 
 
 def criterion(report, cid):

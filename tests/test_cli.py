@@ -639,6 +639,18 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERIC
         assert "non-convergence" in err
 
+    @pytest.mark.parametrize("flag", ["--nt", "--nr"])
+    @pytest.mark.parametrize("argv", [
+        ["params", "--n", "2"],
+        ["outage-sweep", "--trials", "0", "--snr-db", "0"],
+        ["af-sweep", "--trials", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_antenna_count_past_the_float_range_is_one(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, flag, str(10**400))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: n_t * n_r must convert to a float, got ")
+        assert out == ""
+
     def test_unwritable_validate_out_is_one(self, capsys, tmp_path):
         out = tmp_path / "missing_dir" / "r.json"
         code, _, err = run(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -65,6 +66,17 @@ class TestChannelConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             cfg(**base)
+
+    def test_antenna_product_must_convert_to_a_float(self):
+        # The largest int that converts rounds to the largest float; the
+        # next one up rounds to 2^1024, which overflows.
+        largest = 2**1024 - 2**970 - 1
+        assert float(largest) == sys.float_info.max
+        assert cfg(n_t=1, n_r=largest).total_antennas == largest
+        for n_t, n_r in ((1, largest + 1), (2, largest), (10**400, 1), (2, 10**400)):
+            message = rf"^n_t \* n_r must convert to a float, got {n_t} \* {n_r}$"
+            with pytest.raises(ValueError, match=message):
+                cfg(n_t=n_t, n_r=n_r)
 
 
 class TestOutageQuery:
