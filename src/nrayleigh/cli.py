@@ -12,8 +12,9 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 2 validation failure, 3 numerical non-convergence.
 
 Option defaults live in the option declarations (``validate``'s come from
-``ValidationConfig``).  A JSON config file (``--config``, keys named like
-the option parameters) replaces defaults; explicit flags win.
+``ValidationConfig``, the sweeps' --trials, --seed and --workers from
+``SimSettings``).  A JSON config file (``--config``, keys named like the
+option parameters) replaces defaults; explicit flags win.
 """
 
 from __future__ import annotations
@@ -260,11 +261,11 @@ def _sweep_params(orders: str, nr: int, own: tuple, after_seed: tuple = ()) -> l
         click.Option(["--nt"], type=int, default=2, help="Transmit antennas."),
         click.Option(["--nr"], type=int, default=nr, help="Receive antennas."),
         *own,
-        click.Option(["--trials"], type=int, default=1_000_000,
+        click.Option(["--trials"], type=int, default=SimSettings.trials,
                      help="Monte-Carlo trials (0 = analytics only)."),
-        click.Option(["--seed"], type=int, default=1, help="Master seed."),
+        click.Option(["--seed"], type=int, default=SimSettings.master_seed, help="Master seed."),
         *after_seed,
-        click.Option(["--workers"], type=int, default=1, help="Worker threads."),
+        click.Option(["--workers"], type=int, default=SimSettings.workers, help="Worker threads."),
         click.Option(["--out"], default=None, help="Output path (default: stdout)."),
         click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
         click.Option(["--config", "config_path"], default=None,

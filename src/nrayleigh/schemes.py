@@ -206,16 +206,27 @@ def _law(scheme: Scheme, n: int, n_t: int, n_r: int) -> _Law:
     TAS/MRC sums the n_r receive branches of the chosen transmit antenna, so
     its shape and its SNR scale carry n_r; TAS/SC takes the largest of all
     N single-branch SNRs.  The mean SNR and the calibration weight are
-    applied per call by the callers, never stored here.
+    applied per call by the callers, never stored here.  A channel whose
+    shape, 2s/Omega, log coefficient or diversity is not a finite float is
+    refused with a ``ValueError`` that names its counts.
     """
     fp = fading_params(n)
     if scheme is Scheme.TAS_MRC:
         shape, exponent, gain = fp.m * n_r, n_t, n_r
     else:
         shape, exponent, gain = fp.m, n_t * n_r, 1
-    pre = 2.0 * shape / fp.omega
-    ln_coeff = exponent * (shape * math.log(pre) - math.log(shape) - math.lgamma(shape))
-    return _Law(shape, exponent, gain, pre, ln_coeff, fp.m * (n_t * n_r) / n)
+    try:
+        pre = 2.0 * shape / fp.omega
+        ln_coeff = exponent * (shape * math.log(pre) - math.log(shape) - math.lgamma(shape))
+        law = _Law(shape, exponent, gain, pre, ln_coeff, fp.m * (n_t * n_r) / n)
+        finite = all(math.isfinite(v) for v in (shape, pre, ln_coeff, law.diversity))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"the {scheme.value} law of n={n}, n_t={n_t}, n_r={n_r} is outside the float range"
+        )
+    return law
 
 
 def _shape_exponent_scale(

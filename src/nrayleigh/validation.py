@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import montecarlo, moments, schemes
-from .fading import fading_params
+from .fading import fading_params, positive_int
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, OutageQuery, Scheme
 
@@ -62,39 +62,30 @@ _SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
 
 
 @dataclass(frozen=True)
-class ValidationConfig:
-    """Scenario knobs for the validation run.
+class ValidationConfig(SimSettings):
+    """The run's ``SimSettings`` (trials, master_seed, workers, with their
+    defaults and rules) plus the suite's own knobs.
 
     ``mrc_omega`` exists mainly as a negative control: corrupting it must
     make the Monte-Carlo consistency checks fail.
     """
 
-    trials: int = 1_000_000
-    master_seed: int = 1
-    workers: int = 1
     gamma_o: float = 1.0
     mrc_omega: float = schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC]
     determinism_trials: int = 120_000
 
     def __post_init__(self) -> None:
-        # Both Monte-Carlo settings, the run's and c10's probe at
-        # determinism_trials, meet SimSettings's rule before any criterion
-        # runs, and the counts are kept as the ints it stores, so that a
-        # whole float and its int give one report.
-        settings = self.settings()
-        probe = replace(settings, trials=self.determinism_trials)
-        object.__setattr__(self, "trials", settings.trials)
-        object.__setattr__(self, "workers", settings.workers)
-        object.__setattr__(self, "determinism_trials", probe.trials)
+        # c10's probe runs at determinism_trials, so that count meets the
+        # trials rule too, and is kept as the int it gives, so that a whole
+        # float and its int give one report.
+        super().__post_init__()
+        object.__setattr__(
+            self, "determinism_trials", positive_int("trials", self.determinism_trials)
+        )
         # The threshold and the TAS/MRC weight meet the rules of the objects
         # the criteria build from them, so a bad one costs no criterion.
         OutageQuery(threshold=self.gamma_o)
         ChannelConfig(1, 1, 1, 1.0, self.mrc_omega)
-
-    def settings(self) -> SimSettings:
-        return SimSettings(
-            trials=self.trials, master_seed=self.master_seed, workers=self.workers
-        )
 
 
 def _log_grid(lo: float, hi: float, num: int) -> tuple[float, list[float]]:
@@ -202,7 +193,7 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     query = OutageQuery(threshold=config.gamma_o)
     omegas = {Scheme.TAS_MRC: config.mrc_omega, Scheme.TAS_SC: None}
     per_curve = {}
-    by_order = outage_curves((2, 3, 4, 5), 2, 3, query, _SNR_GRID_DB, omegas, config.settings())
+    by_order = outage_curves((2, 3, 4, 5), 2, 3, query, _SNR_GRID_DB, omegas, config)
     for n, curves in by_order.items():
         for scheme, curve in curves.items():
             records = []
@@ -422,8 +413,7 @@ def _criterion_af_profile(config: ValidationConfig) -> dict:
     rows = []
     issues = []
     orders = (2, 3, 4, 5, 6)
-    by_order = montecarlo.estimate_af(ChannelConfig(orders[-1], 2, 2, 10.0), config.settings(),
-                                      orders)
+    by_order = montecarlo.estimate_af(ChannelConfig(orders[-1], 2, 2, 10.0), config, orders)
     for n in orders:
         w = moments.default_weights(n)
         cfg = ChannelConfig(n, 2, 2, 10.0)
@@ -511,14 +501,13 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
 
 def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
-    settings = config.settings()
     cfg = ChannelConfig(1, 1, 1, 1.0)
     _, grid = _log_grid(math.log10(0.01), math.log10(4.0), 20)
-    estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[cfg.n][Scheme.TAS_MRC]
+    estimates = montecarlo.empirical_cdf_pair(cfg, config, grid)[cfg.n][Scheme.TAS_MRC]
     rows = []
     for g, est in zip(grid, estimates):
         exact = -math.expm1(-g / cfg.mean_snr)
-        se = math.sqrt(exact * (1.0 - exact) / settings.trials)
+        se = math.sqrt(exact * (1.0 - exact) / config.trials)
         ok = abs(est.value - exact) <= _BASE_CASE_SIGMAS * se
         rows.append(
             {"gamma": g, "exact": exact, "empirical": est.value,

@@ -1,8 +1,10 @@
 """Command-line interface: sweeps, validation report, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
+import sys
 
 import click
 import pytest
@@ -622,6 +624,17 @@ class TestValidate:
             validation.report_to_json(validation.build_report(as_int))
         )
 
+    def test_config_is_the_run_settings_plus_the_suite_knobs(self):
+        # The Monte-Carlo fields are SimSettings's own: declared once, in
+        # its order and with its defaults, ahead of the suite's three.
+        config = validation.ValidationConfig
+        assert [(f.name, f.default) for f in dataclasses.fields(config)] == [
+            ("trials", 1_000_000), ("master_seed", 1), ("workers", 1), ("gamma_o", 1.0),
+            ("mrc_omega", 1.176), ("determinism_trials", 120_000),
+        ]
+        assert issubclass(config, montecarlo.SimSettings)
+        assert not hasattr(config, "settings")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -650,6 +663,24 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error: n_t * n_r must convert to a float, got ")
         assert out == ""
+
+    # n_t n_r is a float, but the TAS/MRC shape m n_r (or its lgamma) is not.
+    @pytest.mark.parametrize("argv", [
+        ["params", "--n", "2", "--nt", "1", "--nr", str(10**308)],
+        ["outage-sweep", "--nt", "1", "--nr", str(10**308), "--trials", "0", "--snr-db", "0"],
+        ["af-sweep", "--nt", "1", "--nr", str(int(sys.float_info.max)), "--trials", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_law_past_the_float_range_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: the tas-mrc law of n=2, n_t=1, n_r=")
+        assert argv[argv.index("--nr") + 1] in err
+        assert out == ""
+
+    def test_law_inside_the_float_range_prints(self, capsys):
+        code, out, err = run(capsys, "params", "--n", "2", "--nt", "1", "--nr", str(10**300))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert "1.6467e+300" in out
 
     def test_unwritable_validate_out_is_one(self, capsys, tmp_path):
         out = tmp_path / "missing_dir" / "r.json"

@@ -78,6 +78,15 @@ class TestChannelConfig:
             with pytest.raises(ValueError, match=message):
                 cfg(n_t=n_t, n_r=n_r)
 
+    def test_law_past_the_float_range_is_refused(self):
+        # N = 10^308 is a float, but the TAS/MRC shape m n_r overflows lgamma;
+        # TAS/SC's shape is m, and its law stays finite.
+        big = cfg(n_t=1, n_r=10**308)
+        message = rf"^the tas-mrc law of n=2, n_t=1, n_r={10**308} is outside the float range$"
+        with pytest.raises(ValueError, match=message):
+            diversity_order(Scheme.TAS_MRC, big)
+        assert math.isfinite(diversity_order(Scheme.TAS_SC, big))
+
 
 class TestOutageQuery:
     def test_rate_maps_to_threshold(self):
