@@ -13,8 +13,9 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 
 Option defaults live in the option declarations (``validate``'s come from
 ``ValidationConfig``, the sweeps' --trials, --seed and --workers from
-``SimSettings``).  A JSON config file (``--config``, keys named like the
-option parameters) replaces defaults; explicit flags win.
+``SimSettings``; c10's probe size is fixed).  A JSON config file (keys
+named like the option parameters) replaces defaults; explicit flags win.
+A sweep computes its analytic columns before it simulates.
 """
 
 from __future__ import annotations
@@ -359,10 +360,8 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
     }
 
     # Every AF column is invariant to the mean SNR, so none is an input.
-    by_order = None if settings is None else montecarlo.estimate_af(
-        ChannelConfig(n=max(orders), n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0),
-        settings, orders,
-    )
+    # The analytic columns come first, so a channel whose law is refused
+    # is refused before any simulation.
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
@@ -383,10 +382,14 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 "b1": w.b1, "b2": w.b2, "af_closed": af_closed, "af_bound": af_bound,
                 "af_oracle": af_oracle, "af_mc": None, "ci_low": None, "ci_high": None,
             }
-            if by_order is not None:
-                est = by_order[n][scheme]
-                row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
             rows.append(row)
+    if settings is not None:
+        by_order = montecarlo.estimate_af(
+            ChannelConfig(max(orders), opts["nt"], opts["nr"], 1.0), settings, orders
+        )
+        for row in rows:
+            est = by_order[row["n"]][Scheme(row["scheme"])]
+            row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
     header["weighting_coefficients"] = ";".join(
         f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
     )
@@ -402,8 +405,6 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
               help="Outage threshold (linear).")
 @click.option("--omega", type=float, default=ValidationConfig.mrc_omega,
               help="TAS/MRC calibration override.")
-@click.option("--determinism-trials", type=int, default=ValidationConfig.determinism_trials,
-              help="Trials for the worker-count determinism probe.")
 @click.option("--out", default=None, help="Report path (default: stdout).")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
 def cmd_validate(config_path: str | None, **flags) -> None:
@@ -415,7 +416,6 @@ def cmd_validate(config_path: str | None, **flags) -> None:
         workers=opts["workers"],
         gamma_o=opts["gamma_o"],
         mrc_omega=opts["omega"],
-        determinism_trials=opts["determinism_trials"],
     )
     report = validation.build_report(config)
     _write_output(validation.report_to_json(report), opts["out"])

@@ -4,7 +4,8 @@ Each criterion c01-c10 is a function of a ``ValidationConfig`` returning
 its report entry {"id", "name", "passed", "details"}; ``build_report``
 runs them all into a JSON-serializable report whose bytes depend only on
 the scenario configuration and the master seed, never on the worker count
-(c10 checks this by comparing c01-c09's reports at one and two workers).
+(c10 checks this by comparing c01-c09's reports at one and two workers,
+each at the fixed probe size ``_DETERMINISM_TRIALS``).
 The one exception reads the wall clock: c01's ``runtime_under_budget`` is
 true when its table takes under 1 s (milliseconds unless the host stalls).
 Each criterion's details carry the gate constants it is judged by, so a
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import montecarlo, moments, schemes
-from .fading import fading_params, positive_int
+from .fading import fading_params
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, OutageQuery, Scheme
 
@@ -57,6 +58,8 @@ _AF_LOWER_BOUND_MARGIN = 1.10
 _MOMENT_REL_TOL = 0.25
 _MOMENT_FAIL_FRACTION = 0.20
 _BASE_CASE_SIGMAS = 4.0
+# c10's trials per probe report.
+_DETERMINISM_TRIALS = 120_000
 # c02's mean-SNR grid.
 _SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
 
@@ -64,7 +67,8 @@ _SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
 @dataclass(frozen=True)
 class ValidationConfig(SimSettings):
     """The run's ``SimSettings`` (trials, master_seed, workers, with their
-    defaults and rules) plus the suite's own knobs.
+    defaults and rules) plus the suite's own knobs.  c10's probe size is
+    the module constant ``_DETERMINISM_TRIALS``, not a setting.
 
     ``mrc_omega`` exists mainly as a negative control: corrupting it must
     make the Monte-Carlo consistency checks fail.
@@ -72,16 +76,9 @@ class ValidationConfig(SimSettings):
 
     gamma_o: float = 1.0
     mrc_omega: float = schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC]
-    determinism_trials: int = 120_000
 
     def __post_init__(self) -> None:
-        # c10's probe runs at determinism_trials, so that count meets the
-        # trials rule too, and is kept as the int it gives, so that a whole
-        # float and its int give one report.
         super().__post_init__()
-        object.__setattr__(
-            self, "determinism_trials", positive_int("trials", self.determinism_trials)
-        )
         # The threshold and the TAS/MRC weight meet the rules of the objects
         # the criteria build from them, so a bad one costs no criterion.
         OutageQuery(threshold=self.gamma_o)
@@ -163,22 +160,24 @@ def outage_curves(
                 "thresholds must be distinct"
             )
     orders = montecarlo._distinct_orders(orders)
-    cdfs = None
-    if settings is not None:
-        cdfs = montecarlo.empirical_cdf_pair(
-            ChannelConfig(orders[-1], n_t, n_r, 1.0), settings, [t for t, _ in points], orders
-        )
-    curves = {}
+    # The analytic columns come first, so a channel whose law is refused
+    # is refused before any simulation.
+    curves = {n: {scheme: [] for scheme in omegas} for n in orders}
     for n in orders:
-        curves[n] = {scheme: [] for scheme in omegas}
         for scheme, omega in omegas.items():
-            for idx, (threshold, db) in enumerate(points):
+            for threshold, db in points:
                 cfg = ChannelConfig(n, n_t, n_r, gamma_o / threshold, omega)
                 asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
-                est = None if cdfs is None else cdfs[n][scheme][idx]
                 curves[n][scheme].append(
-                    (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None, est)
+                    (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None)
                 )
+    cdfs = None if settings is None else montecarlo.empirical_cdf_pair(
+        ChannelConfig(orders[-1], n_t, n_r, 1.0), settings, [t for t, _ in points], orders
+    )
+    for n, by_scheme in curves.items():
+        for scheme, curve in by_scheme.items():
+            estimates = [None] * len(curve) if cdfs is None else cdfs[n][scheme]
+            curve[:] = [(*row, est) for row, est in zip(curve, estimates)]
     return curves
 
 
@@ -525,7 +524,7 @@ def _criterion_determinism(config: ValidationConfig) -> dict:
     """Report bytes must not depend on the worker count."""
     probes = []
     for workers in (1, 2):
-        probe_config = replace(config, trials=config.determinism_trials, workers=workers)
+        probe_config = replace(config, trials=_DETERMINISM_TRIALS, workers=workers)
         probes.append(report_to_json(_run(probe_config, _CRITERIA)))
     identical = probes[0] == probes[1]
     return {
@@ -533,7 +532,7 @@ def _criterion_determinism(config: ValidationConfig) -> dict:
         "name": "byte-identical reports across worker counts",
         "passed": identical,
         "details": {
-            "probe_trials": config.determinism_trials,
+            "probe_trials": _DETERMINISM_TRIALS,
             "worker_counts": [1, 2],
             "identical": identical,
         },
@@ -577,7 +576,7 @@ def _run(config: ValidationConfig, criteria: tuple) -> dict:
             "weighting_coefficients": {
                 str(n): list(pair) for n, pair in moments.CAPTION_COEFFS.items()
             },
-            "determinism_probe_trials": config.determinism_trials,
+            "determinism_probe_trials": _DETERMINISM_TRIALS,
         },
         "criteria": results,
         "summary": {

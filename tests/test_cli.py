@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import click
 import pytest
@@ -23,6 +26,27 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def small_probe(monkeypatch):
+    """c10 probes 1 000 trials instead of 120 000, for tests that need a
+    whole report but not its probe size."""
+    monkeypatch.setattr(validation, "_DETERMINISM_TRIALS", 1000)
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of ``nrayleigh`` in a child interpreter
+    that imports this nrayleigh; a command that has not ended in 60 s fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "nrayleigh.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestParams:
@@ -446,8 +470,9 @@ class TestAfSweep:
 
 
 class TestSweepOptions:
-    """Both sweeps declare their shared options once; each parameter keeps
-    its name, flags, type, default, help and place, so --help is unchanged."""
+    """Both sweeps declare their shared options once; each parameter of
+    theirs and of validate keeps its name, flags, type, default, help and
+    place, so --help is unchanged."""
 
     CHOICE_SCHEME = ("choice", ("tas-mrc", "tas-sc", "both"))
     CHOICE_FORMAT = ("choice", ("csv", "json"))
@@ -484,6 +509,15 @@ class TestSweepOptions:
             ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
             ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
         ],
+        "validate": [
+            ("trials", ["--trials"], "integer", 1_000_000, "Monte-Carlo trials per criterion."),
+            ("seed", ["--seed"], "integer", 1, "Master seed."),
+            ("workers", ["--workers"], "integer", 1, "Worker threads."),
+            ("gamma_o", ["--gamma-o"], "float", 1.0, "Outage threshold (linear)."),
+            ("omega", ["--omega"], "float", 1.176, "TAS/MRC calibration override."),
+            ("out", ["--out"], "text", None, "Report path (default: stdout)."),
+            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
+        ],
     }
 
     @pytest.mark.parametrize("command", sorted(EXPECTED))
@@ -500,12 +534,12 @@ class TestSweepOptions:
         assert got == self.EXPECTED[command]
 
 
+@pytest.mark.usefixtures("small_probe")
 class TestValidate:
     def test_report_and_exit_code(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
         code, _, err = run(
-            capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
-            "--out", str(report_file),
+            capsys, "validate", "--trials", "20000", "--out", str(report_file),
         )
         report = json.loads(report_file.read_text())
         assert {"config", "criteria", "summary"} <= set(report)
@@ -527,8 +561,7 @@ class TestValidate:
         for workers, name in ((1, "w1.json"), (3, "w3.json")):
             report_file = tmp_path / name
             run(
-                capsys, "validate", "--trials", "20000",
-                "--determinism-trials", "4000", "--workers", str(workers),
+                capsys, "validate", "--trials", "20000", "--workers", str(workers),
                 "--out", str(report_file),
             )
             reports.append(report_file.read_bytes())
@@ -537,8 +570,8 @@ class TestValidate:
     def test_corrupted_calibration_is_detected(self, capsys, tmp_path):
         report_file = tmp_path / "bad.json"
         code, _, _ = run(
-            capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
-            "--omega", "5.0", "--out", str(report_file),
+            capsys, "validate", "--trials", "20000", "--omega", "5.0",
+            "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         report = json.loads(report_file.read_text())
@@ -553,8 +586,8 @@ class TestValidate:
         # band, so no point binds and c02 cannot pass on its points alone.
         report_file = tmp_path / "report.json"
         code, _, err = run(
-            capsys, "validate", "--trials", "2000", "--determinism-trials", "100",
-            "--gamma-o", "1e300", "--out", str(report_file),
+            capsys, "validate", "--trials", "2000", "--gamma-o", "1e300",
+            "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         assert "FAIL c02" in err
@@ -568,8 +601,7 @@ class TestValidate:
         # Both build the 2x3, n = 2..5, 0:30:2 dB, gamma_o = 1 calibrated
         # table from the same draws.
         report_file = tmp_path / "report.json"
-        run(capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
-            "--seed", "3", "--out", str(report_file))
+        run(capsys, "validate", "--trials", "20000", "--seed", "3", "--out", str(report_file))
         curves = json.loads(report_file.read_text())["criteria"][1]["details"]["curves"]
         expected = {
             (p["scheme"], p["n"], p["snr_db"]): (
@@ -595,8 +627,8 @@ class TestValidate:
         config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
         report_file = tmp_path / "report.json"
         code, _, _ = run(
-            capsys, "validate", "--trials", "2000", "--determinism-trials", "1000",
-            "--config", str(config), "--out", str(report_file),
+            capsys, "validate", "--trials", "2000", "--config", str(config),
+            "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         resolved = json.loads(report_file.read_text())["config"]
@@ -605,20 +637,15 @@ class TestValidate:
 
     def test_report_round_trips(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
-        run(
-            capsys, "validate", "--trials", "5000", "--determinism-trials", "2000",
-            "--out", str(report_file),
-        )
+        run(capsys, "validate", "--trials", "5000", "--out", str(report_file))
         text = report_file.read_text()
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
     def test_whole_float_counts_give_the_int_report(self):
         # The counts are stored as the ints SimSettings uses, so the report
         # cannot carry 2000.0 where the same run at trials=2000 says 2000.
-        as_float = validation.ValidationConfig(
-            trials=2000.0, workers=2.0, determinism_trials=100.0
-        )
-        as_int = validation.ValidationConfig(trials=2000, workers=2, determinism_trials=100)
+        as_float = validation.ValidationConfig(trials=2000.0, workers=2.0)
+        as_int = validation.ValidationConfig(trials=2000, workers=2)
         assert as_float == as_int
         assert validation.report_to_json(validation.build_report(as_float)) == (
             validation.report_to_json(validation.build_report(as_int))
@@ -626,11 +653,11 @@ class TestValidate:
 
     def test_config_is_the_run_settings_plus_the_suite_knobs(self):
         # The Monte-Carlo fields are SimSettings's own: declared once, in
-        # its order and with its defaults, ahead of the suite's three.
+        # its order and with its defaults, ahead of the suite's two.
         config = validation.ValidationConfig
         assert [(f.name, f.default) for f in dataclasses.fields(config)] == [
             ("trials", 1_000_000), ("master_seed", 1), ("workers", 1), ("gamma_o", 1.0),
-            ("mrc_omega", 1.176), ("determinism_trials", 120_000),
+            ("mrc_omega", 1.176),
         ]
         assert issubclass(config, montecarlo.SimSettings)
         assert not hasattr(config, "settings")
@@ -677,17 +704,39 @@ class TestExitCodes:
         assert argv[argv.index("--nr") + 1] in err
         assert out == ""
 
+    # At the default --trials, a sweep that simulated first would loop over
+    # the n_t n_r coefficients for as long as it was let run.
+    @pytest.mark.parametrize("argv", [
+        ["outage-sweep", "--n", "2", "--nt", "1", "--nr", str(10**308), "--snr-db", "0"],
+        ["af-sweep", "--n", "2", "--nt", "1", "--nr", str(int(sys.float_info.max))],
+    ], ids=lambda argv: argv[0])
+    def test_law_past_the_float_range_is_refused_before_simulating(self, argv):
+        code, out, err = run_process(*argv)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: the tas-mrc law of n=2, n_t=1, n_r=")
+        assert out == ""
+
+    def test_af_bound_past_its_antenna_count_is_refused_before_simulating(
+        self, capsys, monkeypatch
+    ):
+        def spy(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(montecarlo, "_map_blocks", spy)
+        code, out, err = run(capsys, "af-sweep", "--nt", "5", "--nr", "5", "--n", "2")
+        assert code == cli.EXIT_USAGE
+        assert err == "usage error: AF bound validated for n <= 8 and N <= 16, got n=2, N=25\n"
+        assert out == ""
+
     def test_law_inside_the_float_range_prints(self, capsys):
         code, out, err = run(capsys, "params", "--n", "2", "--nt", "1", "--nr", str(10**300))
         assert (code, err) == (cli.EXIT_OK, "")
         assert "1.6467e+300" in out
 
+    @pytest.mark.usefixtures("small_probe")
     def test_unwritable_validate_out_is_one(self, capsys, tmp_path):
         out = tmp_path / "missing_dir" / "r.json"
-        code, _, err = run(
-            capsys, "validate", "--trials", "2000", "--determinism-trials", "1000",
-            "--out", str(out),
-        )
+        code, _, err = run(capsys, "validate", "--trials", "2000", "--out", str(out))
         assert code == cli.EXIT_USAGE
         assert "cannot write output" in err
 
@@ -695,7 +744,7 @@ class TestExitCodes:
     REMOVED_OPTION_ARGS = {
         "outage-sweep": ["--n", "2", "--snr-db", "0", "--trials", "0"],
         "af-sweep": ["--n", "2", "--trials", "0"],
-        "validate": ["--trials", "1000", "--determinism-trials", "500"],
+        "validate": ["--trials", "1000"],
     }
 
     @pytest.mark.parametrize("command", sorted(REMOVED_OPTION_ARGS))
@@ -716,11 +765,28 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "partition_width" in err
 
+    # c10's probe size is a constant; it was --determinism-trials.
+    def test_determinism_trials_flag_is_removed(self, capsys):
+        code, out, err = run(capsys, "validate", "--trials", "1000",
+                             "--determinism-trials", "4000")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "--determinism-trials" in err
+        assert out == ""
+
+    def test_determinism_trials_config_key_is_removed(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"determinism_trials": 4000}))
+        code, out, err = run(capsys, "validate", "--trials", "1000", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "determinism_trials" in err
+        assert out == ""
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
         assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.usefixtures("small_probe")
 class TestRobustness:
     """Bad flag and config values end in a documented exit code, never in a
     traceback.  Each option is set, one at a time, to every value of the
@@ -732,7 +798,7 @@ class TestRobustness:
         "params": {"--n": "2"},
         "outage-sweep": {"--n": "2", "--snr-db": "0:10:10", "--trials": "100"},
         "af-sweep": {"--n": "2", "--trials": "100"},
-        "validate": {"--trials": "100", "--determinism-trials": "100"},
+        "validate": {"--trials": "100"},
     }
     INT_VALUES = ["abc", "", "1.5", "nan", "0", "-1", str(-(2**63) - 1)]
     FLOAT_VALUES = ["abc", "", "nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "5e-324"]
@@ -806,15 +872,15 @@ class TestRobustness:
         (["af-sweep", "--n", "2", "--trials", "-1"], "trials must be"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--omega", "inf"],
          "calibration_omega must be positive and finite"),
-        (["validate", "--trials", "100", "--determinism-trials", "100", "--omega", "inf"],
+        (["validate", "--trials", "100", "--omega", "inf"],
          "calibration_omega must be positive and finite"),
         (["af-sweep", "--n", "2", "--trials", "0", "--b1", "inf"],
          "must be finite and exceed 1"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--rate", "1e-300"],
          "finite and positive"),
-        (["validate", "--trials", "100", "--determinism-trials", "100", "--gamma-o", "5e-324"],
+        (["validate", "--trials", "100", "--gamma-o", "5e-324"],
          "not a positive float"),
-        (["validate", "--trials", "100", "--determinism-trials", "100", "--gamma-o", "1e-323"],
+        (["validate", "--trials", "100", "--gamma-o", "1e-323"],
          "not a positive float"),
         (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:inf:1"], "must be finite"),
         (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "-inf:0:1"], "must be finite"),
@@ -832,10 +898,9 @@ class TestRobustness:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--trials", "0", "trials must be an integer >= 1, got 0"),
-        ("--determinism-trials", "0", "trials must be an integer >= 1, got 0"),
         ("--seed", "-1", "master_seed must be an int that fits in 64 bits, got -1"),
         ("--workers", "0", "workers must be an integer >= 1, got 0"),
-    ], ids=["trials", "determinism-trials", "seed", "workers"])
+    ], ids=["trials", "seed", "workers"])
     def test_validate_checks_its_settings_before_any_criterion(
         self, capsys, monkeypatch, flag, value, message
     ):
@@ -844,7 +909,7 @@ class TestRobustness:
 
         monkeypatch.setattr(cli.validation, "_CRITERIA", (criterion_ran,))
         monkeypatch.setattr(cli.validation, "_criterion_determinism", criterion_ran)
-        argv = {"--trials": "1000", "--determinism-trials": "500", flag: value}
+        argv = {"--trials": "1000", flag: value}
         code, out, err = run(capsys, "validate", *(item for pair in argv.items() for item in pair))
         assert code == cli.EXIT_USAGE
         assert err == f"usage error: {message}\n"
@@ -870,9 +935,7 @@ class TestRobustness:
 
         monkeypatch.setattr(schemes, "_ln_reg_lower_gamma", spy)
         monkeypatch.setattr(montecarlo, "_map_blocks", spy)
-        code, out, err = run(
-            capsys, "validate", "--trials", "1000", "--determinism-trials", "500", flag, value
-        )
+        code, out, err = run(capsys, "validate", "--trials", "1000", flag, value)
         assert calls == []
         assert code == cli.EXIT_USAGE
         assert err == f"usage error: {message}\n"
@@ -936,12 +999,11 @@ class TestOutputBytes:
     def test_validate_report(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
         code, _, _ = run(
-            capsys, "validate", "--trials", "20000", "--determinism-trials", "4000",
-            "--seed", "3", "--out", str(report_file),
+            capsys, "validate", "--trials", "20000", "--seed", "3", "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         assert hashlib.sha256(report_file.read_bytes()).hexdigest() == (
-            "1b0c3079d9375069078b0bfb591750364231288a60abfb60ae7c26137a4799ee"
+            "233331326d877ee7c4cdbd9ceee2c791e33d4e98dfd1cacb9633da7da178d875"
         )
 
     def test_outage_sweep_json(self, capsys):

@@ -11,14 +11,23 @@ over 10^[-12, log10 0.5]:
 - ``required_snr`` inverts it: outage at the solved SNR is the target
   within 1e-12 relative.
 
+And the Monte-Carlo kernel's, over 1..4 transmit and receive antennas,
+sets of cascade orders within 1..8 and seeds that include 0 and 2^64 - 1:
+
+- the first ``count`` trials of a block are the same bytes whether the
+  block is read in full or cut at ``count``;
+- the TAS/MRC statistic is at least the TAS/SC one at every trial.
+
 The draws are derandomized and no example database is kept, so every run
 of the same source checks the same cases.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from nrayleigh.montecarlo import _BLOCK_TRIALS, _block_selected
 from nrayleigh.schemes import ChannelConfig, OutageQuery, Scheme, outage, required_snr
 
 REL_TOL = 1e-12
@@ -72,3 +81,32 @@ def test_required_snr_inverts_outage(scheme, cfg, threshold, target):
     snr = required_snr(scheme, target, query, cfg)
     achieved = outage(scheme, query, cfg.with_mean_snr(snr))
     assert abs(achieved / target - 1.0) <= REL_TOL
+
+
+# A full block of a 4x4 channel at n = 8 reads 128 rows of 16 384 doubles.
+KERNEL_CASES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+order_sets = st.sets(st.integers(1, 8), min_size=1).map(lambda orders: tuple(sorted(orders)))
+antennas = st.integers(1, 4)
+seeds = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+blocks = st.integers(0, 2**32)
+
+
+@KERNEL_CASES
+@given(antennas, antennas, order_sets, seeds, blocks, st.integers(1, _BLOCK_TRIALS))
+def test_a_cut_block_is_the_head_of_the_full_block(n_t, n_r, orders, seed, block, count):
+    cfg = ChannelConfig(orders[-1], n_t, n_r, 1.0)
+    full = _block_selected(cfg, orders, seed, block, _BLOCK_TRIALS)
+    cut = _block_selected(cfg, orders, seed, block, count)
+    for n in orders:
+        for scheme in Scheme:
+            assert cut[n][scheme].tobytes() == full[n][scheme][:count].tobytes()
+
+
+@KERNEL_CASES
+@given(antennas, antennas, order_sets, seeds, blocks, st.integers(1, 4096))
+def test_tas_mrc_statistic_is_at_least_tas_sc(n_t, n_r, orders, seed, block, count):
+    cfg = ChannelConfig(orders[-1], n_t, n_r, 1.0)
+    selected = _block_selected(cfg, orders, seed, block, count)
+    for n in orders:
+        assert np.all(selected[n][Scheme.TAS_MRC] >= selected[n][Scheme.TAS_SC])
