@@ -11,10 +11,11 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 (including a cascade order above the validated domain n <= 8),
 2 validation failure, 3 numerical non-convergence.
 
-Option defaults live in the option declarations (``validate``'s come from
-``ValidationConfig``, the sweeps' --trials, --seed and --workers from
-``SimSettings``; c10's probe size is fixed).  A JSON config file (keys
-named like the option parameters) replaces defaults; explicit flags win.
+Option defaults live in the option declarations (every command's --trials,
+--seed and --workers come from ``SimSettings``; ``validate``'s operating
+point, gamma_o = 1 with the default calibration weights, and c10's probe
+size are fixed).  A JSON config file (keys named like the option
+parameters) replaces defaults; explicit flags win.
 A sweep computes its analytic columns before it simulates.
 """
 
@@ -32,7 +33,6 @@ from . import montecarlo, moments, schemes, validation
 from .fading import MAX_VALIDATED_CASCADE, fading_params, positive_int
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
-from .validation import ValidationConfig
 
 __all__ = ["cli", "main"]
 
@@ -134,7 +134,10 @@ def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
     if not (start < stop) or not (step > 0):
         raise click.UsageError("SNR grid requires start < stop and step > 0")
     grid = []
-    while len(grid) <= _MAX_GRID_POINTS and (point := start + len(grid) * step) <= stop + 1e-9:
+    # The slack, relative to the step, keeps a stop that k*step misses by
+    # rounding without reaching a point past it.
+    while (len(grid) <= _MAX_GRID_POINTS
+           and (point := start + len(grid) * step) <= stop + 1e-9 * step):
         grid.append(point)
     return grid
 
@@ -397,27 +400,17 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
 
 
 @cli.command("validate")
-@click.option("--trials", type=int, default=ValidationConfig.trials,
+@click.option("--trials", type=int, default=SimSettings.trials,
               help="Monte-Carlo trials per criterion.")
-@click.option("--seed", type=int, default=ValidationConfig.master_seed, help="Master seed.")
-@click.option("--workers", type=int, default=ValidationConfig.workers, help="Worker threads.")
-@click.option("--gamma-o", type=float, default=ValidationConfig.gamma_o,
-              help="Outage threshold (linear).")
-@click.option("--omega", type=float, default=ValidationConfig.mrc_omega,
-              help="TAS/MRC calibration override.")
+@click.option("--seed", type=int, default=SimSettings.master_seed, help="Master seed.")
+@click.option("--workers", type=int, default=SimSettings.workers, help="Worker threads.")
 @click.option("--out", default=None, help="Report path (default: stdout).")
 @click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
 def cmd_validate(config_path: str | None, **flags) -> None:
     """Run the acceptance suite and emit the JSON validation report."""
     opts = _resolve(flags, config_path)
-    config = ValidationConfig(
-        trials=opts["trials"],
-        master_seed=opts["seed"],
-        workers=opts["workers"],
-        gamma_o=opts["gamma_o"],
-        mrc_omega=opts["omega"],
-    )
-    report = validation.build_report(config)
+    settings = SimSettings(opts["trials"], opts["seed"], opts["workers"])
+    report = validation.build_report(settings)
     _write_output(validation.report_to_json(report), opts["out"])
     for criterion in report["criteria"]:
         status = "PASS" if criterion["passed"] else "FAIL"

@@ -1,11 +1,13 @@
 """Acceptance validation suite: every release gate as a runnable check.
 
-Each criterion c01-c10 is a function of a ``ValidationConfig`` returning
-its report entry {"id", "name", "passed", "details"}; ``build_report``
-runs them all into a JSON-serializable report whose bytes depend only on
-the scenario configuration and the master seed, never on the worker count
-(c10 checks this by comparing c01-c09's reports at one and two workers,
-each at the fixed probe size ``_DETERMINISM_TRIALS``).
+The gate has one operating point: every outage is judged at the threshold
+of ``_GATE_QUERY``, gamma_o = 1, with the default calibration weights.
+Each criterion c01-c10 is a function of the run's ``SimSettings``
+returning its report entry {"id", "name", "passed", "details"};
+``build_report`` runs them all into a JSON-serializable report whose bytes
+depend only on the trial count and the master seed, never on the worker
+count (c10 checks this by comparing c01-c09's reports at one and two
+workers, each at the fixed probe size ``_DETERMINISM_TRIALS``).
 The one exception reads the wall clock: c01's ``runtime_under_budget`` is
 true when its table takes under 1 s (milliseconds unless the host stalls).
 Each criterion's details carry the gate constants it is judged by, so a
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 
 from . import montecarlo, moments, schemes
@@ -36,7 +38,6 @@ from .montecarlo import SimSettings
 from .schemes import ChannelConfig, OutageQuery, Scheme
 
 __all__ = [
-    "ValidationConfig",
     "build_report",
     "outage_curves",
     "report_to_json",
@@ -62,27 +63,8 @@ _BASE_CASE_SIGMAS = 4.0
 _DETERMINISM_TRIALS = 120_000
 # c02's mean-SNR grid.
 _SNR_GRID_DB = tuple(float(v) for v in range(0, 31, 2))
-
-
-@dataclass(frozen=True)
-class ValidationConfig(SimSettings):
-    """The run's ``SimSettings`` (trials, master_seed, workers, with their
-    defaults and rules) plus the suite's own knobs.  c10's probe size is
-    the module constant ``_DETERMINISM_TRIALS``, not a setting.
-
-    ``mrc_omega`` exists mainly as a negative control: corrupting it must
-    make the Monte-Carlo consistency checks fail.
-    """
-
-    gamma_o: float = 1.0
-    mrc_omega: float = schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # The threshold and the TAS/MRC weight meet the rules of the objects
-        # the criteria build from them, so a bad one costs no criterion.
-        OutageQuery(threshold=self.gamma_o)
-        ChannelConfig(1, 1, 1, 1.0, self.mrc_omega)
+# The gate's outage threshold, gamma_o = 1: c02-c05 judge every outage at it.
+_GATE_QUERY = OutageQuery(threshold=1.0)
 
 
 def _log_grid(lo: float, hi: float, num: int) -> tuple[float, list[float]]:
@@ -91,7 +73,7 @@ def _log_grid(lo: float, hi: float, num: int) -> tuple[float, list[float]]:
     return step, [10.0 ** (k * step + lo) for k in range(num - 1)] + [10.0 ** hi]
 
 
-def _criterion_incomplete_gamma_accuracy(config: ValidationConfig) -> dict:
+def _criterion_incomplete_gamma_accuracy(settings: SimSettings) -> dict:
     """Incomplete gamma against the frozen 60-digit series oracle."""
     table = json.loads(
         resources.files("nrayleigh.data")
@@ -181,7 +163,7 @@ def outage_curves(
     return curves
 
 
-def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
+def _criterion_outage_vs_montecarlo(settings: SimSettings) -> dict:
     """Analytic outage curves against the channel simulator, per scheme and n.
 
     Binding wherever the analytic outage is inside the comparison band:
@@ -189,10 +171,10 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     A curve with no binding point fails, so the criterion cannot pass
     vacuously.
     """
-    query = OutageQuery(threshold=config.gamma_o)
-    omegas = {Scheme.TAS_MRC: config.mrc_omega, Scheme.TAS_SC: None}
     per_curve = {}
-    by_order = outage_curves((2, 3, 4, 5), 2, 3, query, _SNR_GRID_DB, omegas, config)
+    by_order = outage_curves(
+        (2, 3, 4, 5), 2, 3, _GATE_QUERY, _SNR_GRID_DB, dict.fromkeys(Scheme), settings
+    )
     for n, curves in by_order.items():
         for scheme, curve in curves.items():
             records = []
@@ -238,20 +220,16 @@ def _criterion_outage_vs_montecarlo(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_required_snr_gaps(config: ValidationConfig) -> dict:
+def _criterion_required_snr_gaps(settings: SimSettings) -> dict:
     """Required-SNR spacing across cascade orders at outage 1e-4 (TAS/MRC 2x3).
 
     The gaps are threshold-invariant (required SNR scales linearly with the
     threshold); the absolute levels are defined under the unit-threshold
-    assumption, so the whole criterion pins gamma_o = 1 regardless of the
-    sweep threshold configured elsewhere.
+    assumption, which is the gate's threshold.
     """
-    query = OutageQuery(threshold=1.0)
     levels_db = []
     for n in (2, 3, 4, 5):
-        g = schemes.required_snr(
-            Scheme.TAS_MRC, 1e-4, query, ChannelConfig(n, 2, 3, 1.0, config.mrc_omega)
-        )
+        g = schemes.required_snr(Scheme.TAS_MRC, 1e-4, _GATE_QUERY, ChannelConfig(n, 2, 3, 1.0))
         levels_db.append(10.0 * math.log10(g))
     gaps = [levels_db[i + 1] - levels_db[i] for i in range(3)]
     gap_errors = [abs(g - t) for g, t in zip(gaps, _GAP_TARGETS_DB)]
@@ -278,17 +256,16 @@ def _criterion_required_snr_gaps(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_diversity_slope(config: ValidationConfig) -> dict:
+def _criterion_diversity_slope(settings: SimSettings) -> dict:
     """Fitted log-log outage slope vs d = mN/n over the outage decade below 1e-6."""
-    query = OutageQuery(threshold=config.gamma_o)
     combos = []
     for scheme in Scheme:
         for n_t, n_r in ((2, 3), (2, 2)):
             for n in (2, 3, 4):
                 base = ChannelConfig(n, n_t, n_r, 1.0, 1.0)
                 d = schemes.diversity_order(scheme, base)
-                g_lo = schemes.required_snr(scheme, 1e-6, query, base)
-                g_hi = schemes.required_snr(scheme, 1e-7, query, base)
+                g_lo = schemes.required_snr(scheme, 1e-6, _GATE_QUERY, base)
+                g_hi = schemes.required_snr(scheme, 1e-7, _GATE_QUERY, base)
                 step, pts = _log_grid(math.log10(g_lo), math.log10(g_hi), 11)
 
                 def slope(outage) -> float:
@@ -298,11 +275,11 @@ def _criterion_diversity_slope(config: ValidationConfig) -> dict:
                     logs = [math.log10(outage(base.with_mean_snr(g))) for g in pts]
                     return abs(math.fsum((k - 5) * y for k, y in enumerate(logs)) / (110 * step))
 
-                fitted = slope(lambda cfg: schemes.outage(scheme, query, cfg))
+                fitted = slope(lambda cfg: schemes.outage(scheme, _GATE_QUERY, cfg))
                 rel = abs(fitted - d) / d
                 # Power-law slope of the asymptote must be exact.
                 asym_slope = slope(
-                    lambda cfg: schemes.outage_asymptotic(scheme, query, cfg)[0]
+                    lambda cfg: schemes.outage_asymptotic(scheme, _GATE_QUERY, cfg)[0]
                 )
                 asym_rel = abs(asym_slope - d) / d
                 ok = rel <= _SLOPE_REL_TOL and asym_rel <= _ASYMPTOTE_SLOPE_REL_TOL
@@ -329,17 +306,16 @@ def _criterion_diversity_slope(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_asymptote_consistency(config: ValidationConfig) -> dict:
+def _criterion_asymptote_consistency(settings: SimSettings) -> dict:
     """Power-law/full-formula ratio at the SNR where the full formula is 1e-7."""
-    query = OutageQuery(threshold=config.gamma_o)
     rows = []
     for scheme in Scheme:
         for n in (2, 3, 4):
             base = ChannelConfig(n, 2, 3, 1.0, 1.0)
-            g_star = schemes.required_snr(scheme, 1e-7, query, base)
+            g_star = schemes.required_snr(scheme, 1e-7, _GATE_QUERY, base)
             at_star = base.with_mean_snr(g_star)
-            full = schemes.outage(scheme, query, at_star)
-            asym, _ = schemes.outage_asymptotic(scheme, query, at_star)
+            full = schemes.outage(scheme, _GATE_QUERY, at_star)
+            asym, _ = schemes.outage_asymptotic(scheme, _GATE_QUERY, at_star)
             ratio = asym / full
             ok = _ASYMPTOTE_RATIO_BAND[0] <= ratio <= _ASYMPTOTE_RATIO_BAND[1]
             rows.append(
@@ -354,7 +330,7 @@ def _criterion_asymptote_consistency(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_af_anchors(config: ValidationConfig) -> dict:
+def _criterion_af_anchors(settings: SimSettings) -> dict:
     """Closed-form AF anchor identities and trade-off approximations."""
     checks = []
 
@@ -404,7 +380,7 @@ def _criterion_af_anchors(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_af_profile(config: ValidationConfig) -> dict:
+def _criterion_af_profile(settings: SimSettings) -> dict:
     """AF vs cascade order at 2x2: monotonicity, scheme ordering, bound side."""
     mrc, sc = Scheme.TAS_MRC, Scheme.TAS_SC
     closed = {mrc: [], sc: []}
@@ -412,7 +388,7 @@ def _criterion_af_profile(config: ValidationConfig) -> dict:
     rows = []
     issues = []
     orders = (2, 3, 4, 5, 6)
-    by_order = montecarlo.estimate_af(ChannelConfig(orders[-1], 2, 2, 10.0), config, orders)
+    by_order = montecarlo.estimate_af(ChannelConfig(orders[-1], 2, 2, 10.0), settings, orders)
     for n in orders:
         w = moments.default_weights(n)
         cfg = ChannelConfig(n, 2, 2, 10.0)
@@ -465,7 +441,7 @@ def _criterion_af_profile(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
+def _criterion_moments_vs_oracle(settings: SimSettings) -> dict:
     """Closed-form moments against quadrature of the exact model CDF."""
     rows = []
     for n in (2, 3, 4, 5, 6):
@@ -498,15 +474,15 @@ def _criterion_moments_vs_oracle(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
+def _criterion_rayleigh_base_case(settings: SimSettings) -> dict:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
     cfg = ChannelConfig(1, 1, 1, 1.0)
     _, grid = _log_grid(math.log10(0.01), math.log10(4.0), 20)
-    estimates = montecarlo.empirical_cdf_pair(cfg, config, grid)[cfg.n][Scheme.TAS_MRC]
+    estimates = montecarlo.empirical_cdf_pair(cfg, settings, grid)[cfg.n][Scheme.TAS_MRC]
     rows = []
     for g, est in zip(grid, estimates):
         exact = -math.expm1(-g / cfg.mean_snr)
-        se = math.sqrt(exact * (1.0 - exact) / config.trials)
+        se = math.sqrt(exact * (1.0 - exact) / settings.trials)
         ok = abs(est.value - exact) <= _BASE_CASE_SIGMAS * se
         rows.append(
             {"gamma": g, "exact": exact, "empirical": est.value,
@@ -520,12 +496,12 @@ def _criterion_rayleigh_base_case(config: ValidationConfig) -> dict:
     }
 
 
-def _criterion_determinism(config: ValidationConfig) -> dict:
+def _criterion_determinism(settings: SimSettings) -> dict:
     """Report bytes must not depend on the worker count."""
     probes = []
     for workers in (1, 2):
-        probe_config = replace(config, trials=_DETERMINISM_TRIALS, workers=workers)
-        probes.append(report_to_json(_run(probe_config, _CRITERIA)))
+        probe = replace(settings, trials=_DETERMINISM_TRIALS, workers=workers)
+        probes.append(report_to_json(_run(probe, _CRITERIA)))
     identical = probes[0] == probes[1]
     return {
         "id": "c10",
@@ -552,25 +528,25 @@ _CRITERIA = (
 )
 
 
-def build_report(config: ValidationConfig) -> dict:
+def build_report(settings: SimSettings) -> dict:
     """Run the validation suite (c01-c10) and assemble the report dict.
 
     The report embeds the resolved scenario configuration but deliberately
     excludes execution knobs (worker count, timings) so that equal seeds
     give byte-identical serializations regardless of parallelism.
     """
-    return _run(config, _CRITERIA + (_criterion_determinism,))
+    return _run(settings, _CRITERIA + (_criterion_determinism,))
 
 
-def _run(config: ValidationConfig, criteria: tuple) -> dict:
-    results = [criterion(config) for criterion in criteria]
+def _run(settings: SimSettings, criteria: tuple) -> dict:
+    results = [criterion(settings) for criterion in criteria]
     passed = sum(1 for r in results if r["passed"])
     return {
         "config": {
-            "trials": config.trials,
-            "master_seed": config.master_seed,
-            "gamma_o": config.gamma_o,
-            "mrc_omega": config.mrc_omega,
+            "trials": settings.trials,
+            "master_seed": settings.master_seed,
+            "gamma_o": _GATE_QUERY.threshold,
+            "mrc_omega": schemes.DEFAULT_CALIBRATION[Scheme.TAS_MRC],
             "sc_omega": schemes.DEFAULT_CALIBRATION[Scheme.TAS_SC],
             "snr_grid_db": list(_SNR_GRID_DB),
             "weighting_coefficients": {

@@ -6,7 +6,8 @@ import tempfile
 
 import pytest
 
-from nrayleigh.validation import ValidationConfig, build_report
+from nrayleigh.montecarlo import SimSettings
+from nrayleigh.validation import build_report
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +15,7 @@ def seed1_report():
     """The report of ``nrayleigh validate --trials 1000000 --seed 1
     --workers 2``, the one the README states, built once per session.
     Tests read it and never modify it."""
-    return build_report(ValidationConfig(trials=1_000_000, master_seed=1, workers=2))
+    return build_report(SimSettings(trials=1_000_000, master_seed=1, workers=2))
 
 
 def pytest_configure(config):

@@ -47,10 +47,10 @@ from scipy import integrate, optimize, special
 from nrayleigh import schemes
 from nrayleigh.fading import fading_params
 from nrayleigh.schemes import ChannelConfig, OutageQuery, Scheme
-from nrayleigh.validation import ValidationConfig
+from nrayleigh.validation import _GATE_QUERY
 
-# The report's outage threshold: ``seed1_report`` keeps the default.
-GAMMA_O = ValidationConfig().gamma_o
+# The gate's outage threshold, the one every report is judged at.
+GAMMA_O = _GATE_QUERY.threshold
 
 # Documented model constants (README): the TAS/MRC calibration weight and
 # the per-n fitted moment weighting coefficients (b1 TAS/MRC, b2 TAS/SC).

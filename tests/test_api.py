@@ -17,6 +17,7 @@ LIBRARY_MODULES = ("fading", "moments", "montecarlo", "schemes")
 REMOVED = (
     "AsymptoticForm",
     "CriterionResult",
+    "ValidationConfig",
     "MomentsAfEstimate",
     "estimate_moments_af",
     "moment_tas_mrc",

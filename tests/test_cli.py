@@ -1,7 +1,6 @@
 """Command-line interface: sweeps, validation report, exit codes."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -328,9 +327,11 @@ class TestOutageSweep:
         ("outage-sweep", {"trials": 1.5}, "trials"),
         ("af-sweep", {"nt": True, "trials": 0}, "nt"),
         ("af-sweep", {"scheme": ["tas-mrc"], "trials": 0}, "scheme"),
+        # omega is no key of validate: refused as unknown.
         ("validate", {"omega": None}, "omega"),
         ("af-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
         ("outage-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
+        ("validate", {"seed": None}, "seed"),
     ])
     def test_config_value_of_wrong_type_is_usage_error(
         self, capsys, tmp_path, command, file_values, key
@@ -364,6 +365,21 @@ class TestOutageSweep:
         # 0:9999:1 holds exactly the cap's 10000 points, each start + k*step.
         assert cli._parse_snr_grid("0:9999:1") == [float(k) for k in range(10_000)]
         assert cli._parse_snr_grid("-10:60:0.5") == [-10.0 + k * 0.5 for k in range(141)]
+
+    @pytest.mark.parametrize("grid,points", [
+        ("0:1e-10:1e-11", 11), ("0:3e-9:1e-9", 4), ("0:1:0.1", 11), ("-10:60:0.05", 1401),
+    ])
+    def test_stepped_grid_ends_at_stop_at_any_step(self, capsys, grid, points):
+        # A point may fall past stop by at most 1e-9 steps, so a step of
+        # 1e-9 dB or less cannot run on past stop.
+        start, stop, step = (float(v) for v in grid.split(":"))
+        got = cli._parse_snr_grid(grid)
+        assert got == [start + k * step for k in range(points)]
+        assert got[-1] <= stop + 1e-9 * step
+        code, out, _ = run(capsys, "outage-sweep", "--n", "2", "--trials", "0",
+                           "--scheme", "tas-sc", "--snr-db", grid)
+        assert code == cli.EXIT_OK
+        assert sum(line.startswith("tas-sc,") for line in out.splitlines()) == points
 
     def test_snr_grid_list_keeps_its_header_bytes(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -513,8 +529,6 @@ class TestSweepOptions:
             ("trials", ["--trials"], "integer", 1_000_000, "Monte-Carlo trials per criterion."),
             ("seed", ["--seed"], "integer", 1, "Master seed."),
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
-            ("gamma_o", ["--gamma-o"], "float", 1.0, "Outage threshold (linear)."),
-            ("omega", ["--omega"], "float", 1.176, "TAS/MRC calibration override."),
             ("out", ["--out"], "text", None, "Report path (default: stdout)."),
             ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
         ],
@@ -567,27 +581,26 @@ class TestValidate:
             reports.append(report_file.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_corrupted_calibration_is_detected(self, capsys, tmp_path):
+    def test_corrupted_calibration_is_detected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(schemes.DEFAULT_CALIBRATION, Scheme.TAS_MRC, 5.0)
         report_file = tmp_path / "bad.json"
-        code, _, _ = run(
-            capsys, "validate", "--trials", "20000", "--omega", "5.0",
-            "--out", str(report_file),
-        )
+        code, _, _ = run(capsys, "validate", "--trials", "20000", "--out", str(report_file))
         assert code == cli.EXIT_VALIDATION
         report = json.loads(report_file.read_text())
+        assert report["config"]["mrc_omega"] == 5.0
         by_id = {c["id"]: c for c in report["criteria"]}
         assert not by_id["c02"]["passed"]
         # The corrupted weight inflates the required-SNR spacing by
         # 10 log10(5) per cascade step, far outside any tolerance.
         assert by_id["c03"]["details"]["gaps_db"][0] > 8.0
 
-    def test_c02_without_binding_points_fails(self, capsys, tmp_path):
+    def test_c02_without_binding_points_fails(self, capsys, tmp_path, monkeypatch):
         # At gamma_o = 1e300 every analytic outage is 1.0, outside the
         # band, so no point binds and c02 cannot pass on its points alone.
+        monkeypatch.setattr(validation, "_GATE_QUERY", OutageQuery(threshold=1e300))
         report_file = tmp_path / "report.json"
         code, _, err = run(
-            capsys, "validate", "--trials", "2000", "--gamma-o", "1e300",
-            "--out", str(report_file),
+            capsys, "validate", "--trials", "2000", "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         assert "FAIL c02" in err
@@ -623,8 +636,10 @@ class TestValidate:
         assert got == expected
 
     def test_seed_and_omega_config_keys(self, capsys, tmp_path):
+        # The seed key sets the report's seed; the weight is the gate's
+        # own, and an omega key is refused before anything is written.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
+        config.write_text(json.dumps({"seed": 7}))
         report_file = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "validate", "--trials", "2000", "--config", str(config),
@@ -633,7 +648,16 @@ class TestValidate:
         assert code == cli.EXIT_VALIDATION
         resolved = json.loads(report_file.read_text())["config"]
         assert resolved["master_seed"] == 7
-        assert resolved["mrc_omega"] == 1.3
+        assert resolved["mrc_omega"] == 1.176
+        config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
+        report_file.unlink()
+        code, out, err = run(
+            capsys, "validate", "--trials", "2000", "--config", str(config),
+            "--out", str(report_file),
+        )
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "omega" in err
+        assert out == "" and not report_file.exists()
 
     def test_report_round_trips(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
@@ -644,23 +668,12 @@ class TestValidate:
     def test_whole_float_counts_give_the_int_report(self):
         # The counts are stored as the ints SimSettings uses, so the report
         # cannot carry 2000.0 where the same run at trials=2000 says 2000.
-        as_float = validation.ValidationConfig(trials=2000.0, workers=2.0)
-        as_int = validation.ValidationConfig(trials=2000, workers=2)
+        as_float = montecarlo.SimSettings(trials=2000.0, workers=2.0)
+        as_int = montecarlo.SimSettings(trials=2000, workers=2)
         assert as_float == as_int
         assert validation.report_to_json(validation.build_report(as_float)) == (
             validation.report_to_json(validation.build_report(as_int))
         )
-
-    def test_config_is_the_run_settings_plus_the_suite_knobs(self):
-        # The Monte-Carlo fields are SimSettings's own: declared once, in
-        # its order and with its defaults, ahead of the suite's two.
-        config = validation.ValidationConfig
-        assert [(f.name, f.default) for f in dataclasses.fields(config)] == [
-            ("trials", 1_000_000), ("master_seed", 1), ("workers", 1), ("gamma_o", 1.0),
-            ("mrc_omega", 1.176),
-        ]
-        assert issubclass(config, montecarlo.SimSettings)
-        assert not hasattr(config, "settings")
 
 
 class TestExitCodes:
@@ -781,6 +794,24 @@ class TestExitCodes:
         assert err.startswith("usage error:") and "determinism_trials" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag,value", [("--gamma-o", "1"), ("--omega", "1.176")],
+                             ids=["gamma-o", "omega"])
+    def test_operating_point_flag_is_removed(self, capsys, flag, value):
+        code, out, err = run(capsys, "validate", "--trials", "1000", flag, value)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and flag in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key,value", [("gamma_o", 1.0), ("omega", 1.176)],
+                             ids=["gamma_o", "omega"])
+    def test_operating_point_config_key_is_removed(self, capsys, tmp_path, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(capsys, "validate", "--trials", "1000", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and key in err
+        assert out == ""
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
         assert code == cli.EXIT_USAGE
@@ -872,15 +903,15 @@ class TestRobustness:
         (["af-sweep", "--n", "2", "--trials", "-1"], "trials must be"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--omega", "inf"],
          "calibration_omega must be positive and finite"),
-        (["validate", "--trials", "100", "--omega", "inf"],
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--omega", "0"],
          "calibration_omega must be positive and finite"),
         (["af-sweep", "--n", "2", "--trials", "0", "--b1", "inf"],
          "must be finite and exceed 1"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--rate", "1e-300"],
          "finite and positive"),
-        (["validate", "--trials", "100", "--gamma-o", "5e-324"],
+        (["outage-sweep", "--n", "2", "--trials", "100", "--gamma-o", "5e-324"],
          "not a positive float"),
-        (["validate", "--trials", "100", "--gamma-o", "1e-323"],
+        (["outage-sweep", "--n", "2", "--trials", "100", "--gamma-o", "1e-323"],
          "not a positive float"),
         (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:inf:1"], "must be finite"),
         (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "-inf:0:1"], "must be finite"),
@@ -911,32 +942,6 @@ class TestRobustness:
         monkeypatch.setattr(cli.validation, "_criterion_determinism", criterion_ran)
         argv = {"--trials": "1000", flag: value}
         code, out, err = run(capsys, "validate", *(item for pair in argv.items() for item in pair))
-        assert code == cli.EXIT_USAGE
-        assert err == f"usage error: {message}\n"
-        assert out == ""
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--gamma-o", "-1", "threshold must be positive, got -1.0"),
-        ("--gamma-o", "inf",
-         "the outage threshold must be finite and positive, got threshold=inf, rate=None"),
-        ("--omega", "0", "calibration_omega must be positive and finite, got 0.0"),
-        ("--omega", "nan", "calibration_omega must be positive and finite, got nan"),
-    ], ids=["gamma-o=-1", "gamma-o=inf", "omega=0", "omega=nan"])
-    def test_validate_checks_threshold_and_weight_before_any_criterion(
-        self, capsys, monkeypatch, flag, value, message
-    ):
-        # c01 is the first caller of the incomplete gamma and c02 the first
-        # Monte-Carlo pass; neither may run.
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            raise AssertionError("a criterion ran")
-
-        monkeypatch.setattr(schemes, "_ln_reg_lower_gamma", spy)
-        monkeypatch.setattr(montecarlo, "_map_blocks", spy)
-        code, out, err = run(capsys, "validate", "--trials", "1000", flag, value)
-        assert calls == []
         assert code == cli.EXIT_USAGE
         assert err == f"usage error: {message}\n"
         assert out == ""

@@ -397,7 +397,7 @@ class TestMomentOracle:
         # the whole grid is compared.  The report covers every analytic
         # criterion.
         probe = (
-            "from nrayleigh import ChannelConfig, OutageQuery, Scheme, moment_oracle\n"
+            "from nrayleigh import ChannelConfig, OutageQuery, Scheme, SimSettings, moment_oracle\n"
             "from nrayleigh import outage, outage_asymptotic, required_snr, validation\n"
             "for n in range(1, 9):\n"
             "    for n_t, n_r in ((1, 1), (2, 2), (2, 3), (4, 4), (1, 4)):\n"
@@ -423,7 +423,7 @@ class TestMomentOracle:
             "            validation._criterion_asymptote_consistency,\n"
             "            validation._criterion_af_anchors,\n"
             "            validation._criterion_moments_vs_oracle)\n"
-            "report = validation._run(validation.ValidationConfig(), criteria)\n"
+            "report = validation._run(SimSettings(), criteria)\n"
             "print(validation.report_to_json(report), end='')\n"
         )
         outputs = [

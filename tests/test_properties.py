@@ -16,7 +16,13 @@ sets of cascade orders within 1..8 and seeds that include 0 and 2^64 - 1:
 
 - the first ``count`` trials of a block are the same bytes whether the
   block is read in full or cut at ``count``;
-- the TAS/MRC statistic is at least the TAS/SC one at every trial.
+- the TAS/MRC statistic is at least the TAS/SC one at every trial;
+- ``empirical_cdf_pair`` and ``estimate_af`` give the same bytes on 1, 2
+  and 3 workers, and each order of a shared pass the bytes it has when
+  simulated alone, at trial counts one below, at and one above one, two
+  and three whole blocks, and at small counts.  Two block partials add to
+  the same float in either order, so only three or more blocks can show
+  partials combined out of trial order.
 
 The draws are derandomized and no example database is kept, so every run
 of the same source checks the same cases.
@@ -27,7 +33,13 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nrayleigh.montecarlo import _BLOCK_TRIALS, _block_selected
+from nrayleigh.montecarlo import (
+    _BLOCK_TRIALS,
+    SimSettings,
+    _block_selected,
+    empirical_cdf_pair,
+    estimate_af,
+)
 from nrayleigh.schemes import ChannelConfig, OutageQuery, Scheme, outage, required_snr
 
 REL_TOL = 1e-12
@@ -110,3 +122,39 @@ def test_tas_mrc_statistic_is_at_least_tas_sc(n_t, n_r, orders, seed, block, cou
     selected = _block_selected(cfg, orders, seed, block, count)
     for n in orders:
         assert np.all(selected[n][Scheme.TAS_MRC] >= selected[n][Scheme.TAS_SC])
+
+
+# Each example simulates up to 6 whole passes of up to 4 blocks; 25 cost
+# ~2 s of tier-1 on a 2-core x86-64 host.
+PASS_CASES = settings(max_examples=25, derandomize=True, database=None, deadline=None)
+
+trial_counts = st.one_of(
+    st.sampled_from([k * _BLOCK_TRIALS + d for k in (1, 2, 3) for d in (-1, 0, 1)]),
+    st.integers(1, 100),
+)
+workers = st.integers(1, 3)
+GRID = [10.0 ** k for k in range(-3, 2)]
+
+
+def views(cfg, run, orders=None):
+    """Both views' estimates of the orders (default cfg.n), keyed by order,
+    as the repr of every float, so equal text is equal bytes."""
+    cdf = empirical_cdf_pair(cfg, run, GRID, orders)
+    af = estimate_af(cfg, run, orders)
+    return {n: repr((cdf[n], af[n])) for n in cdf}
+
+
+@PASS_CASES
+@given(antennas, antennas, order_sets, seeds, trial_counts)
+def test_estimates_do_not_depend_on_the_worker_count(n_t, n_r, orders, seed, trials):
+    cfg = ChannelConfig(orders[-1], n_t, n_r, 1.0)
+    one, two, three = (views(cfg, SimSettings(trials, seed, w), orders) for w in (1, 2, 3))
+    assert one == two == three
+
+
+@PASS_CASES
+@given(antennas, antennas, order_sets, seeds, trial_counts, workers)
+def test_each_order_of_a_shared_pass_is_that_order_alone(n_t, n_r, orders, seed, trials, w):
+    run = SimSettings(trials, seed, w)
+    shared = views(ChannelConfig(orders[-1], n_t, n_r, 1.0), run, orders)
+    assert shared == {n: views(ChannelConfig(n, n_t, n_r, 1.0), run)[n] for n in orders}

@@ -4,8 +4,9 @@ imports numpy, and the seed-1 report's digest is the one stated under
 "Reproducibility".
 
 Under "Known deviations", the analytic numbers are recomputed from c03's
-and c05's details: the required-SNR levels and gaps, the gaps at unit
-calibration, the +0.70 dB step and the power-law ratios.  The
+and c05's details: the required-SNR levels and gaps and the power-law
+ratios; c03's solve, repeated at unit calibration, gives the gaps there
+and the +0.70 dB step.  The
 simulation-derived numbers are recomputed from the seed-1 report
 (10^6 trials, 2 workers; ``conftest.seed1_report``): the TAS/MRC
 analytic/empirical ratios, the worst in-band errors of both schemes, the
@@ -30,7 +31,8 @@ import click
 import pytest
 
 from nrayleigh import cli, validation
-from nrayleigh.schemes import DEFAULT_CALIBRATION, OutageQuery, Scheme
+from nrayleigh.montecarlo import SimSettings
+from nrayleigh.schemes import DEFAULT_CALIBRATION, ChannelConfig, Scheme, required_snr
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # The "Known deviations" subsection, with line breaks and indents collapsed.
@@ -92,9 +94,16 @@ def at_printed_digits(values, printed):
     return [f"{v:.{len(p.partition('.')[2])}f}" for v, p in zip(values, printed)]
 
 
-def c03_details(mrc_omega):
-    config = validation.ValidationConfig(mrc_omega=mrc_omega)
-    return validation._criterion_required_snr_gaps(config)["details"]
+def c03_details(weight):
+    """c03's required-SNR levels and gaps in dB, solved as c03 solves them
+    but at TAS/MRC calibration weight ``weight``."""
+    levels = [
+        10.0 * math.log10(required_snr(
+            Scheme.TAS_MRC, 1e-4, validation._GATE_QUERY, ChannelConfig(n, 2, 3, 1.0, weight)
+        ))
+        for n in (2, 3, 4, 5)
+    ]
+    return {"levels_db": levels, "gaps_db": [b - a for a, b in zip(levels, levels[1:])]}
 
 
 def numpy_scipy_imports(path):
@@ -126,6 +135,8 @@ def test_analytic_modules_import_no_numpy():
 def test_required_snr_levels_and_gaps():
     default = c03_details(DEFAULT_CALIBRATION[Scheme.TAS_MRC])
     unit = c03_details(1.0)
+    c03 = validation._criterion_required_snr_gaps(SimSettings())["details"]
+    assert {key: c03[key] for key in default} == default
     for pattern, values in (
         (r"levels come out ([\d./]+) dB", default["levels_db"]),
         (r"the gaps \(([\d./]+) dB\)", default["gaps_db"]),
@@ -150,7 +161,7 @@ def test_each_gap_inherits_the_calibration_step():
 
 
 def test_power_law_ratio_range():
-    rows = validation._criterion_asymptote_consistency(validation.ValidationConfig())
+    rows = validation._criterion_asymptote_consistency(SimSettings())
     ratios = [row["ratio"] for row in rows["details"]["rows"]]
     printed = printed_numbers(r"the ratio is still ([\d.]+-[\d.]+)")
     assert at_printed_digits([min(ratios), max(ratios)], printed) == printed
@@ -226,8 +237,8 @@ def mrc_scores(simulated, weight):
     details = simulated["c02"]
     low, high = details["band"]
     analytic = validation.outage_curves(
-        (2, 3, 4, 5), 2, 3, OutageQuery(threshold=validation.ValidationConfig().gamma_o),
-        validation._SNR_GRID_DB, {Scheme.TAS_MRC: weight}, None,
+        (2, 3, 4, 5), 2, 3, validation._GATE_QUERY, validation._SNR_GRID_DB,
+        {Scheme.TAS_MRC: weight}, None,
     )
     scores = {}
     for n, curves in analytic.items():
