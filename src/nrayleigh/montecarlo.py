@@ -37,7 +37,9 @@ when that order is simulated alone: a sweep over orders gives each order
 the bytes it has on its own, one pass instead of one per order (common
 random numbers across orders).  Because every position is addressed, a
 final partial block reads only the first ``count`` positions of each row.
-Block partials are combined in trial order, so every estimate is a pure
+Block partials are summed into a running total in trial order, with at
+most ``_BLOCKS_IN_FLIGHT`` blocks per worker submitted and not yet summed,
+so memory does not grow with the trial count, and every estimate is a pure
 function of (cfg, order, trials, master_seed) - independent of the worker
 count and of the other orders in the pass - and TAS/MRC and TAS/SC share
 channel realizations exactly.
@@ -51,14 +53,19 @@ SNR.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fading import positive_int
 from .schemes import ChannelConfig, Scheme
+
+# numpy loads numpy.random on first access.  Every simulation needs it, so
+# load it with this module: start-up pays for it, not the first simulation.
+np.random
 
 __all__ = [
     "EmpiricalEstimate",
@@ -76,6 +83,8 @@ _PERIOD = 2**128
 # (phi - 1) * 2^128 that numpy's PCG64.jumped advances by.
 _REGION_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _BLOCK_TRIALS = 2**14
+# Blocks submitted to the pool and not yet summed, per worker.
+_BLOCKS_IN_FLIGHT = 2
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,27 @@ def _distinct_orders(orders) -> tuple[int, ...]:
     return distinct
 
 
-def _map_blocks(cfg: ChannelConfig, orders: tuple[int, ...], settings: SimSettings, reduce) -> list:
-    """reduce(selection statistics per order) of every block, in trial order."""
+def _in_order(pool: Executor, run: Callable, items: Iterable, window: int) -> Iterator:
+    """run(item) of each item of ``items``, in order, with at most ``window``
+    submitted to ``pool`` and not yet yielded; on an error, as on an early
+    close, the ones not yet started are cancelled, as ``Executor.map`` does."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def _map_blocks(cfg: ChannelConfig, orders: tuple[int, ...], settings: SimSettings, reduce):
+    """The sum of reduce(selection statistics per order) over every block,
+    in trial order, kept as a running total: memory does not grow with the
+    trial count."""
     width = _BLOCK_TRIALS
 
     def run(block: int):
@@ -209,9 +237,9 @@ def _map_blocks(cfg: ChannelConfig, orders: tuple[int, ...], settings: SimSettin
     # Serial: a one-worker pool took deep-cascade peak RSS from ~85.3 to
     # ~87.7 MB and its wall time up ~6% (6 pairs, 2-core x86-64 host).
     if settings.workers == 1:
-        return [run(block) for block in blocks]
+        return sum(map(run, blocks))
     with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-        return list(pool.map(run, blocks))
+        return sum(_in_order(pool, run, blocks, _BLOCKS_IN_FLIGHT * settings.workers))
 
 
 def _estimate(value: float, se: float, events: int | None = None) -> EmpiricalEstimate:
@@ -261,7 +289,7 @@ def empirical_cdf_pair(
         p = events / trials
         return _estimate(p, math.sqrt(p * (1.0 - p) / trials), events)
 
-    counts = sum(_map_blocks(cfg, orders, settings, crossings))
+    counts = _map_blocks(cfg, orders, settings, crossings)
     return {
         n: {s: [proportion(c) for c in row.tolist()] for s, row in zip(Scheme, per)}
         for n, per in zip(orders, counts)
@@ -292,7 +320,7 @@ def estimate_af(
                 rows.append([x.sum(), x2.sum(), (x2 * x).sum(), (x2 * x2).sum()])
         return np.array(rows).reshape(len(orders), len(Scheme), 4)
 
-    totals = sum(_map_blocks(cfg, orders, settings, power_sums))
+    totals = _map_blocks(cfg, orders, settings, power_sums)
     trials = settings.trials
     result: dict[int, dict[Scheme, EmpiricalEstimate]] = {}
     for n, per in zip(orders, totals.tolist()):

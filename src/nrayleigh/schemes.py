@@ -24,19 +24,20 @@ in log space so deep outage values keep full relative accuracy; the
 required SNR inverts it exactly with ``gammaincinv``.  Every P, Q and
 inverse is one scalar call into ``scipy.special.cython_special``, which
 runs the ufuncs' kernels without numpy around them, so no analytic value
-depends on numpy's CPU dispatch.
+depends on numpy's CPU dispatch; it is loaded without scipy.special's
+package init (``_load_cython_special``).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import sys
+import types
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
-
-from scipy.special import cython_special
 
 from .fading import fading_params, positive_int
 
@@ -68,6 +69,61 @@ class Scheme(Enum):
 
 
 DEFAULT_CALIBRATION = {Scheme.TAS_MRC: 1.176, Scheme.TAS_SC: 1.0}
+
+_SPECIAL = "scipy.special"
+
+
+def _load_cython_special() -> types.ModuleType:
+    """``scipy.special.cython_special``, without running
+    ``scipy/special/__init__.py``, whose array-API shim imports numpy.f2py
+    and numpy.testing, which the scalar kernels never use.
+
+    If scipy.special is not imported yet, a bare module with the package's
+    ``__path__`` stands in for it while cython_special and the extension
+    modules it needs are imported.  Then the stand-in and every
+    ``scipy.special.*`` module loaded under it are dropped, so a later
+    ``import scipy.special`` runs the real package, which imports the same
+    cython_special.  As in a real import of the package, the stand-in is
+    marked initializing and the window holds scipy.special's module lock:
+    another thread importing scipy.special waits for it, then gets the real
+    package, and one handed the stand-in itself has its attribute lookups
+    forwarded to the real package.  If scipy's layout or the import
+    machinery refuses any of this, the plain import runs.
+    """
+    try:
+        spec = importlib.util.find_spec(_SPECIAL)
+        with importlib._bootstrap._ModuleLockManager(_SPECIAL):
+            if _SPECIAL not in sys.modules:
+                return _import_under_stand_in(spec)
+    except (ImportError, AttributeError):
+        pass
+    from scipy.special import cython_special
+
+    return cython_special
+
+
+def _import_under_stand_in(spec) -> types.ModuleType:
+    stand_in = types.ModuleType(_SPECIAL)
+    stand_in.__spec__ = spec
+    stand_in.__path__ = spec.submodule_search_locations
+    spec._initializing = True
+    before = set(sys.modules)
+    sys.modules[_SPECIAL] = stand_in
+    try:
+        import scipy.special.cython_special
+
+        return stand_in.cython_special
+    finally:
+        for name in set(sys.modules) - before:
+            if name == _SPECIAL or name.startswith(_SPECIAL + "."):
+                del sys.modules[name]
+        # ``vars``, not ``getattr``: scipy's lazy ``__getattr__`` would
+        # import the real package.
+        vars(sys.modules["scipy"]).pop("special", None)
+        stand_in.__getattr__ = lambda name: getattr(importlib.import_module(_SPECIAL), name)
+
+
+cython_special = _load_cython_special()
 
 _FLOAT_MAX = sys.float_info.max
 

@@ -71,20 +71,106 @@ def test_fading_params_holds_only_the_fit():
     assert [f.name for f in dataclasses.fields(nrayleigh.FadingParams)] == ["m", "omega"]
 
 
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
-    # Every command pays for what ``import nrayleigh.cli`` loads; the moment
-    # oracle is built on scipy.special alone, and scipy.integrate would add
-    # ~0.3 s of start-up with scipy.optimize, scipy.linalg and scipy.sparse.
+def child_stdout(code):
+    """What a fresh interpreter, with this package on its path, prints for ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(nrayleigh.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    return result.stdout
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    # Every command pays for what ``import nrayleigh.cli`` loads.  The moment
+    # oracle is built on scipy.special's scalar kernels alone: scipy.integrate
+    # would add ~0.3 s of start-up with scipy.optimize, scipy.linalg and
+    # scipy.sparse, and scipy.special's package init ~0.3 s with numpy.f2py
+    # and numpy.testing, so ``schemes`` loads cython_special without it.
     probe = (
         "import sys, nrayleigh, nrayleigh.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'optimize'])))"
+        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'special'], "
+        "['numpy', 'f2py'], ['numpy', 'testing'])))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert child_stdout(probe).strip() == "[]"
+
+
+# Float bits of outages on both branches of ln P (gammainc, gammaincc) and
+# of required-SNR solves (gammaincinv), and whether scipy.special got imported.
+ANALYTIC_BITS = """
+import sys
+from nrayleigh import ChannelConfig, OutageQuery, Scheme, outage, required_snr
+query = OutageQuery(threshold=1.0)
+for n, mean_snr in ((1, 0.5), (2, 10.0), (5, 1e4)):
+    cfg = ChannelConfig(n=n, n_t=2, n_r=3, mean_snr=mean_snr)
+    for scheme in Scheme:
+        print(outage(scheme, query, cfg).hex(), required_snr(scheme, 1e-6, query, cfg).hex())
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_cython_special_fallback_gives_the_same_bits():
+    # A scipy layout the stand-in cannot serve takes the plain import.
+    stand_in = child_stdout(ANALYTIC_BITS).splitlines()
+    refused = (
+        "import importlib.util\n"
+        "def find_spec(*args, **kwargs):\n"
+        "    raise ImportError('no spec')\n"
+        "importlib.util.find_spec = find_spec\n"
     )
-    assert result.stdout.strip() == "[]"
+    plain = child_stdout(refused + ANALYTIC_BITS).splitlines()
+    assert (stand_in.pop(), plain.pop()) == ("False", "True")
+    assert stand_in == plain
+
+
+def test_later_scipy_special_import_is_the_real_package():
+    probe = """
+import sys
+from nrayleigh import schemes
+import scipy.special
+from scipy.special import cython_special
+args = [(0.5, 1e-3), (2.5, 1.3), (6.0, 40.0), (12.0, 3.0)]
+print(
+    scipy.special is sys.modules["scipy.special"],
+    cython_special is scipy.special.cython_special is schemes.cython_special,
+    all(float(scipy.special.gammainc(a, x)).hex() == schemes.cython_special.gammainc(a, x).hex()
+        and float(scipy.special.gammaincinv(a, x / 50)).hex()
+        == schemes.cython_special.gammaincinv(a, x / 50).hex() for a, x in args),
+)
+"""
+    assert child_stdout(probe).split() == ["True"] * 3
+
+
+def test_thread_importing_scipy_special_meanwhile_gets_the_real_package():
+    # A meta-path hook starts the second thread while the stand-in is in
+    # sys.modules and lets it run for 0.5 s: it waits on scipy.special's
+    # module lock, then imports the real package.  Without the lock, the
+    # initializing mark or the forwarding of the stand-in's attributes, its
+    # ``from scipy.special import gammainc`` raises ImportError.
+    probe = """
+import sys, threading, time
+got = []
+def second():
+    from scipy.special import gammainc
+    import scipy.special
+    got.append((gammainc, scipy.special))
+thread = threading.Thread(target=second)
+class Hook:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "scipy.special.cython_special" and thread.ident is None:
+            assert "gammainc" not in vars(sys.modules["scipy.special"])
+            thread.start()
+            time.sleep(0.5)
+sys.meta_path.insert(0, Hook)
+import nrayleigh.cli
+thread.join(60)
+gammainc, special = got[0]
+real = sys.modules["scipy.special"]
+print(thread.is_alive(), special is real, gammainc is real.gammainc, hasattr(real, "gamma"))
+"""
+    assert child_stdout(probe).split() == ["False", "True", "True", "True"]

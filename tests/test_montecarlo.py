@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -30,12 +31,19 @@ def uniforms(seed, start_draw, count):
     return next(_read_rows(seed, [start_draw], np.empty(count))).copy()
 
 
-def simulate(c, seed, trials, orders=None, workers=1):
+def simulate(c, seed, trials, orders=None):
     """The kernel's selection statistics of trials [0, trials), block by
-    block: {order: {scheme: array}}."""
+    block on one worker: {order: {scheme: array}}."""
     orders = montecarlo._distinct_orders((c.n,) if orders is None else orders)
-    settings = SimSettings(trials=trials, master_seed=seed, workers=workers)
-    parts = montecarlo._map_blocks(c, orders, settings, lambda selected: selected)
+    settings = SimSettings(trials=trials, master_seed=seed)
+    parts = []
+
+    def keep(selected):
+        # Blocks run in trial order on one worker; the fold sums zeros.
+        parts.append(selected)
+        return 0
+
+    assert montecarlo._map_blocks(c, orders, settings, keep) == 0
     return {n: {s: np.concatenate([p[n][s] for p in parts]) for s in Scheme} for n in orders}
 
 
@@ -506,6 +514,41 @@ class TestDeterminism:
             for workers in (1, 2, 5)
         ]
         assert results[0] == results[1] == results[2]
+
+    def test_blocks_in_flight_stay_within_the_window(self, monkeypatch):
+        # 10^10 trials are 610352 blocks; an unbounded pool.map would submit
+        # them all before the first ran.  The spy stops the run at the
+        # eighth block simulated; the pool stops it too past two windows
+        # more, so code without a window fails fast.
+        workers, stop = 2, 8
+        window = montecarlo._BLOCKS_IN_FLIGHT * workers
+        simulated, in_flight = [], []
+        block_selected = montecarlo._block_selected
+
+        class Stop(Exception):
+            pass
+
+        def spy(*args):
+            simulated.append(args[3])
+            if len(simulated) >= stop:
+                raise Stop
+            return block_selected(*args)
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                in_flight.append(len(in_flight) + 1 - len(simulated))
+                if len(in_flight) > stop + 2 * window:
+                    raise Stop
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_block_selected", spy)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+        settings = SimSettings(trials=10**10, master_seed=3, workers=workers)
+        with pytest.raises(Stop):
+            estimate_af(cfg(n=1, n_t=1, n_r=1), settings)
+        assert max(in_flight) <= window
+        assert len(in_flight) <= stop + window
+        assert len(simulated) <= stop + window
 
     def test_seed_changes_results(self):
         c = cfg()  # P(selected power <= 1) ~ 5%: ample events either way
