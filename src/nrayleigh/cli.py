@@ -13,9 +13,10 @@ Exit codes: 0 success (validate: all criteria passed), 1 usage error
 
 Option defaults live in the option declarations (every command's --trials,
 --seed and --workers come from ``SimSettings``; ``validate``'s operating
-point, gamma_o = 1 with the default calibration weights, and c10's probe
-size are fixed).  A JSON config file (keys named like the option
-parameters) replaces defaults; explicit flags win.
+point, gamma_o = 1 with the default calibration weights for c02 and c03
+and unit weights for c04 and c05, whose power law is uncalibrated, and
+c10's probe size are fixed).  A JSON config file (keys named like the
+option parameters) replaces defaults; explicit flags win.
 A sweep computes its analytic columns before it simulates.
 """
 
@@ -30,7 +31,7 @@ import click
 from click.core import ParameterSource
 
 from . import montecarlo, moments, schemes, validation
-from .fading import MAX_VALIDATED_CASCADE, fading_params, positive_int
+from .fading import MAX_VALIDATED_CASCADE, fading_params
 from .montecarlo import SimSettings
 from .schemes import ChannelConfig, ConvergenceError, OutageQuery, Scheme
 
@@ -52,9 +53,6 @@ _AF_COLUMNS = [
 ]
 
 
-# Parameters whose config-file value may also be a JSON list; their
-# commands parse them.
-_LIST_PARAMS = ("n_list", "snr_db")
 # Far above the point count of any figure's grid (-10:60:0.5 has 141), and
 # low enough that a mistyped grid cannot exhaust memory.
 _MAX_GRID_POINTS = 10_000
@@ -64,27 +62,20 @@ class ValidationFailure(Exception):
     """Raised by the validate command when criteria fail."""
 
 
-def _parse_n_list(value) -> list[int]:
-    """Cascade orders from a flag ("2,3,4") or a config-file list.
+def _parse_n_list(value: str) -> list[int]:
+    """Cascade orders from the text of --n ("2,3,4").
 
     Orders above ``MAX_VALIDATED_CASCADE`` are refused: the severity fit
     and the analytics are validated only up to it.
     """
-    if isinstance(value, str):
-        try:
-            items = [int(part) for part in value.split(",") if part.strip() != ""]
-        except ValueError:
-            raise click.UsageError(f"cannot parse cascade-order list {value!r}") from None
-    elif isinstance(value, list):
-        items = value
-    else:
-        raise click.UsageError(f"cascade orders must be a list or a string, got {value!r}")
+    try:
+        items = [int(part) for part in value.split(",") if part.strip() != ""]
+    except ValueError:
+        raise click.UsageError(f"cannot parse cascade-order list {value!r}") from None
     if not items:
         raise click.UsageError("cascade-order list is empty")
-    try:
-        items = [positive_int("cascade order", n) for n in items]
-    except ValueError:
-        raise click.UsageError(f"cascade orders must be integers >= 1, got {value!r}") from None
+    if min(items) < 1:
+        raise click.UsageError(f"cascade orders must be integers >= 1, got {value!r}")
     for n in items:
         if n > MAX_VALIDATED_CASCADE:
             raise click.UsageError(
@@ -149,8 +140,9 @@ def _resolve(flags: dict, path: str | None) -> dict:
 
     A value is read as the text of its flag would be, so 3 and "3" give
     the same integer while 1.5 or true for an integer is refused; null is
-    accepted only where the default is None.  ``_LIST_PARAMS`` values pass
-    through unconverted.
+    accepted only where the default is None.  An ``snr_db`` value passes
+    through unconverted: it may also be a JSON list, the one way to give
+    an irregular grid.
     """
     if path is None:
         return flags
@@ -173,7 +165,7 @@ def _resolve(flags: dict, path: str | None) -> dict:
         if value is None:
             if param.default is not None:
                 raise click.UsageError(f"config file key {name!r} cannot be null")
-        elif name not in _LIST_PARAMS:
+        elif name != "snr_db":
             try:
                 value = param.type.convert(str(value), param, ctx)
             except click.BadParameter as exc:
@@ -254,10 +246,10 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
     click.echo("\n".join(lines))
 
 
-def _sweep_params(orders: str, nr: int, own: tuple, after_seed: tuple = ()) -> list[click.Option]:
+def _sweep_params(orders: str, nr: int, own: tuple) -> list[click.Option]:
     """A sweep's parameters: the ones both sweeps share, with ``orders`` and
     ``nr`` the defaults of --n and --nr, around the command's ``own``
-    options (after --nr) and ``after_seed`` (after --seed)."""
+    options (after --nr)."""
     return [
         click.Option(["--scheme"], type=click.Choice(["tas-mrc", "tas-sc", "both"]),
                      default="both", help="Selection scheme, or both."),
@@ -268,7 +260,6 @@ def _sweep_params(orders: str, nr: int, own: tuple, after_seed: tuple = ()) -> l
         click.Option(["--trials"], type=int, default=SimSettings.trials,
                      help="Monte-Carlo trials (0 = analytics only)."),
         click.Option(["--seed"], type=int, default=SimSettings.master_seed, help="Master seed."),
-        *after_seed,
         click.Option(["--workers"], type=int, default=SimSettings.workers, help="Worker threads."),
         click.Option(["--out"], default=None, help="Output path (default: stdout)."),
         click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
@@ -298,21 +289,14 @@ def _sweep_setup(
 
 @cli.command("outage-sweep", params=_sweep_params("2,3,4,5", 3, (
     click.Option(["--snr-db"], default="0:30:2", help="Mean-SNR grid start:stop:step in dB."),
-    click.Option(["--rate"], type=float, default=None, help="Target rate R; threshold 2^R-1."),
-    click.Option(["--gamma-o"], type=float, default=None, help="Outage threshold (linear)."),
-), after_seed=(
+    click.Option(["--gamma-o"], type=float, default=1.0, help="Outage threshold (linear)."),
     click.Option(["--omega"], type=float, default=None,
                  help="Calibration override for both schemes."),
 )))
 def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     """Outage probability sweep: analytic, asymptotic and empirical columns."""
     opts, scheme_list, orders, settings, header = _sweep_setup(config_path, flags)
-    if opts["rate"] is not None and opts["gamma_o"] is not None:
-        raise click.UsageError("provide at most one of --rate / --gamma-o")
-    if opts["rate"] is not None:
-        query = OutageQuery(rate=opts["rate"])
-    else:
-        query = OutageQuery(threshold=opts["gamma_o"] if opts["gamma_o"] is not None else 1.0)
+    query = OutageQuery(threshold=opts["gamma_o"])
     gamma_o = query.gamma_o
     grid_db = _parse_snr_grid(opts["snr_db"])
 

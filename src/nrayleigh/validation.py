@@ -1,7 +1,9 @@
 """Acceptance validation suite: every release gate as a runnable check.
 
 The gate has one operating point: every outage is judged at the threshold
-of ``_GATE_QUERY``, gamma_o = 1, with the default calibration weights.
+of ``_GATE_QUERY``, gamma_o = 1, with the default calibration weights in
+c02 and c03 and with unit weights in c04 and c05, whose power law is
+uncalibrated.
 Each criterion c01-c10 is a function of the run's ``SimSettings``
 returning its report entry {"id", "name", "passed", "details"};
 ``build_report`` runs them all into a JSON-serializable report whose bytes

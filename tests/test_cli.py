@@ -244,9 +244,8 @@ class TestOutageSweep:
         assert [r["scheme"] for r in rows] == ["tas-mrc", "tas-sc"]
         assert all(r["p_out_asymptotic"] == "" for r in rows)
 
-    @pytest.mark.parametrize("flags", [
-        ("--rate", "2000"), ("--rate", "1024"), ("--rate", "inf"), ("--gamma-o", "inf"),
-    ])
+    # 1e309 overflows to inf as it is read.
+    @pytest.mark.parametrize("flags", [("--gamma-o", "inf"), ("--gamma-o", "1e309")])
     def test_infinite_threshold_is_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", "0",
                              "--snr-db", "0", *flags)
@@ -263,12 +262,6 @@ class TestOutageSweep:
         assert err.startswith("usage error:") and "not a positive float" in err
         assert "Traceback" not in err
         assert out == ""
-
-    def test_rate_and_threshold_conflict(self, capsys):
-        code, _, _ = run(
-            capsys, "outage-sweep", "--rate", "1", "--gamma-o", "1", "--trials", "0"
-        )
-        assert code == cli.EXIT_USAGE
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
@@ -310,16 +303,6 @@ class TestOutageSweep:
         code, from_file, _ = run(capsys, *base, "--config", str(config))
         assert code == cli.EXIT_OK
         assert from_file == run(capsys, *base, *flags)[1]
-
-    def test_config_file_lists_for_orders_and_snr_grid(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": [2, 3], "snr_db": [0, 5], "trials": 0}))
-        code, out, _ = run(capsys, "outage-sweep", "--config", str(config))
-        assert code == cli.EXIT_OK
-        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
-        assert {(r["n"], r["snr_db"]) for r in rows} == {
-            (n, db) for n in ("2", "3") for db in ("0", "5")
-        }
 
     @pytest.mark.parametrize("command,file_values,key", [
         ("outage-sweep", {"seed": None}, "seed"),
@@ -425,11 +408,11 @@ class TestValidatedDomain:
 
     @pytest.mark.parametrize("command", ["outage-sweep", "af-sweep"])
     @pytest.mark.parametrize("orders,message", [
-        ([2, 40], "validated domain"), ([2, "x"], "integer"), (3, "list or a string"),
+        ([2, 40], "validated domain"), ([2, 0], "integer"), ([2, "x"], "cannot parse"),
     ])
     def test_config_file_orders_are_checked(self, capsys, tmp_path, command, orders, message):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": orders}))
+        config.write_text(json.dumps({"n_list": ",".join(map(str, orders))}))
         code, _, err = run(capsys, command, *self.ARGS[command], "--config", str(config))
         assert code == cli.EXIT_USAGE
         assert message in err
@@ -499,12 +482,11 @@ class TestSweepOptions:
             ("nt", ["--nt"], "integer", 2, "Transmit antennas."),
             ("nr", ["--nr"], "integer", 3, "Receive antennas."),
             ("snr_db", ["--snr-db"], "text", "0:30:2", "Mean-SNR grid start:stop:step in dB."),
-            ("rate", ["--rate"], "float", None, "Target rate R; threshold 2^R-1."),
-            ("gamma_o", ["--gamma-o"], "float", None, "Outage threshold (linear)."),
+            ("gamma_o", ["--gamma-o"], "float", 1.0, "Outage threshold (linear)."),
+            ("omega", ["--omega"], "float", None, "Calibration override for both schemes."),
             ("trials", ["--trials"], "integer", 1_000_000,
              "Monte-Carlo trials (0 = analytics only)."),
             ("seed", ["--seed"], "integer", 1, "Master seed."),
-            ("omega", ["--omega"], "float", None, "Calibration override for both schemes."),
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Output path (default: stdout)."),
             ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
@@ -812,6 +794,33 @@ class TestExitCodes:
         assert err.startswith("usage error:") and key in err
         assert out == ""
 
+    # outage-sweep's threshold is --gamma-o alone; it was also --rate.
+    def test_rate_flag_is_removed(self, capsys):
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
+                             "--trials", "0", "--rate", "2.5")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "--rate" in err
+        assert out == ""
+
+    def test_rate_config_key_is_removed(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"rate": 2.5}))
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
+                             "--trials", "0", "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "rate" in err
+        assert out == ""
+
+    # A config n_list is its flag's text; it could also be a JSON list.
+    def test_n_list_config_list_is_removed(self, capsys, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_list": [2, 3]}))
+        code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--trials", "0",
+                             "--config", str(config))
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "[2, 3]" in err
+        assert out == ""
+
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
         assert code == cli.EXIT_USAGE
@@ -907,7 +916,7 @@ class TestRobustness:
          "calibration_omega must be positive and finite"),
         (["af-sweep", "--n", "2", "--trials", "0", "--b1", "inf"],
          "must be finite and exceed 1"),
-        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "0", "--rate", "1e-300"],
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--gamma-o", "inf"],
          "finite and positive"),
         (["outage-sweep", "--n", "2", "--trials", "100", "--gamma-o", "5e-324"],
          "not a positive float"),
@@ -965,16 +974,15 @@ class TestRobustness:
             assert err == f"usage error: {message}\n"
             assert out == ""
 
-    @pytest.mark.parametrize("orders", ["[Infinity]", "[1e400]", "[true]", "[2, 2.5]"])
+    @pytest.mark.parametrize("orders", ["Infinity", "1e400", "true", "2,2.5"])
     def test_cascade_order_that_is_not_a_whole_number_is_usage_error(
         self, capsys, tmp_path, orders
     ):
-        # Infinity and 1e400 parse to float inf, and true is a bool, not 1.
         config = tmp_path / "cfg.json"
-        config.write_text('{"n_list": %s, "trials": 0}' % orders)
+        config.write_text(json.dumps({"n_list": orders, "trials": 0}))
         code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--config", str(config))
         assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error: cascade orders must be integers >= 1")
+        assert err.startswith("usage error: cannot parse cascade-order list")
         assert out == ""
 
     @pytest.mark.parametrize("trials", ["0", "100"])
@@ -1012,8 +1020,10 @@ class TestOutputBytes:
         )
 
     def test_outage_sweep_json(self, capsys):
+        # 4.656854249492381 is 2^2.5 - 1, the threshold of rate 2.5.
         code, out, _ = run(
-            capsys, "outage-sweep", "--n", "2,3", "--trials", "20000", "--rate", "2.5",
+            capsys, "outage-sweep", "--n", "2,3", "--trials", "20000",
+            "--gamma-o", "4.656854249492381",
             "--omega", "1.0", "--format", "json",
         )
         assert code == cli.EXIT_OK

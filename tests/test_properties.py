@@ -24,15 +24,32 @@ sets of cascade orders within 1..8 and seeds that include 0 and 2^64 - 1:
   the same float in either order, so only three or more blocks can show
   partials combined out of trial order.
 
+And the CLI's, for every option of ``outage-sweep``, ``af-sweep`` and
+``validate``:
+
+- a config file ``{key: text}`` and the flag ``--flag text`` give the same
+  exit code, standard output and output file, for valid and invalid text
+  alike.
+
 The draws are derandomized and no example database is kept, so every run
 of the same source checks the same cases.
 """
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
+import os
+import tempfile
+from unittest import mock
 
+import click
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from nrayleigh import cli, validation
 from nrayleigh.montecarlo import (
     _BLOCK_TRIALS,
     SimSettings,
@@ -158,3 +175,88 @@ def test_each_order_of_a_shared_pass_is_that_order_alone(n_t, n_r, orders, seed,
     run = SimSettings(trials, seed, w)
     shared = views(ChannelConfig(orders[-1], n_t, n_r, 1.0), run, orders)
     assert shared == {n: views(ChannelConfig(n, n_t, n_r, 1.0), run)[n] for n in orders}
+
+
+# params takes no --config, and --config itself cannot be a key.  Each sweep
+# runs analytics only on a small grid unless the drawn option is --trials;
+# validate runs against a stub report of its settings, because how the
+# report depends on them is pinned by c10 and TestOutputBytes.  150
+# examples per command cost ~3 s of tier-1 on a 2-core x86-64 host.
+CLI_CASES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+CLI_BASE = {
+    "outage-sweep": {"--n": "2", "--snr-db": "0:10:10", "--trials": "0"},
+    "af-sweep": {"--n": "2", "--trials": "0"},
+    "validate": {},
+}
+
+
+def option_texts(param):
+    """Text for ``param``'s flag: text of its type, or any text."""
+    if param.name == "trials":
+        # Counts up to 5000, and any text of at most four characters (so at
+        # most 9999 trials), keep each simulation to milliseconds.
+        return st.one_of(st.integers(-3, 5000).map(str), st.text(max_size=4))
+    if param.name == "out":
+        # Without a separator, every output path names a file in the run's
+        # own directory.
+        return st.text(st.characters(exclude_characters="/"), max_size=12)
+    if isinstance(param.type, click.Choice):
+        typed = st.sampled_from(param.type.choices)
+    elif param.type is click.INT:
+        typed = st.integers(-(2**65), 2**65).map(str)
+    elif param.type is click.FLOAT:
+        typed = st.one_of(st.floats(1e-3, 1e3), st.floats()).map(repr)
+    elif param.name == "n_list":
+        typed = st.lists(st.integers(-1, 9), max_size=4).map(lambda ns: ",".join(map(str, ns)))
+    else:
+        # snr_db: one point or start:stop:step.  Its JSON-list form has no
+        # flag text, so only text is drawn.
+        points = st.floats(-60.0, 60.0).map(repr)
+        typed = st.one_of(points, st.lists(points, min_size=3, max_size=3).map(":".join))
+    return st.one_of(typed, st.text(max_size=12))
+
+
+def report_of(run):
+    """A report whose bytes are the run's settings, and that passes."""
+    return {"config": dataclasses.asdict(run), "criteria": [],
+            "summary": {"criteria_passed": 0, "criteria_total": 0, "all_passed": True}}
+
+
+def outputs(argv):
+    """(exit code, stdout, {file name: bytes}) of ``nrayleigh argv`` run in
+    an empty directory."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as run_dir:
+        os.chdir(run_dir)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            files = {}
+            for name in os.listdir(run_dir):
+                with open(name, "rb") as handle:
+                    files[name] = handle.read()
+        finally:
+            os.chdir(cwd)
+    return code, stdout.getvalue(), files
+
+
+@pytest.mark.parametrize("command", sorted(CLI_BASE))
+@CLI_CASES
+@given(data=st.data())
+def test_config_value_and_flag_text_give_the_same_output(command, data):
+    params = [p for p in cli.cli.commands[command].params if p.name != "config_path"]
+    param = data.draw(st.sampled_from(params), label="option")
+    text = data.draw(option_texts(param), label="text")
+    flag = param.opts[0]
+    base = [item for key, value in CLI_BASE[command].items() if key != flag
+            for item in (key, value)]
+    with tempfile.TemporaryDirectory() as config_dir, \
+            mock.patch.object(validation, "build_report", report_of):
+        config = os.path.join(config_dir, "config.json")
+        with open(config, "w", encoding="utf-8") as handle:
+            json.dump({param.name: text}, handle)
+        from_file = outputs([command, *base, "--config", config])
+        from_flag = outputs([command, *base, flag, text])
+    assert from_file == from_flag
