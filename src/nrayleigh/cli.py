@@ -15,9 +15,8 @@ Option defaults live in the option declarations (every command's --trials,
 --seed and --workers come from ``SimSettings``; ``validate``'s operating
 point, gamma_o = 1 with the default calibration weights for c02 and c03
 and unit weights for c04 and c05, whose power law is uncalibrated, and
-c10's probe size are fixed).  A JSON config file (keys named like the
-option parameters) replaces defaults; explicit flags win.
-A sweep computes its analytic columns before it simulates.
+c10's probe size are fixed).  A sweep computes its analytic columns
+before it simulates.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import sys
 from dataclasses import replace
 
 import click
-from click.core import ParameterSource
 
 from . import montecarlo, moments, schemes, validation
 from .fading import MAX_VALIDATED_CASCADE, fading_params
@@ -85,34 +83,24 @@ def _parse_n_list(value: str) -> list[int]:
     return items
 
 
-def _parse_snr_grid(value) -> list[float]:
-    """Mean-SNR grid in dB from a flag ("start:stop:step" or one value) or a
-    config-file list of numbers, of at most ``_MAX_GRID_POINTS`` points.
+def _parse_snr_grid(value: str) -> list[float]:
+    """Mean-SNR grid in dB from the text of --snr-db ("start:stop:step" or
+    one value), of at most ``_MAX_GRID_POINTS`` points.
 
-    List values are kept as given, so the rows print them as written.  The
-    rules on each point's threshold are ``validation.outage_curves``'s.
+    The rules on each point's threshold are ``validation.outage_curves``'s.
     """
-    if isinstance(value, str):
-        try:
-            parts = [float(p) for p in value.split(":")]
-        except ValueError:
-            raise click.UsageError(f"cannot parse SNR grid {value!r}") from None
-        if len(parts) == 1:
-            grid = parts
-        elif len(parts) == 3:
-            grid = _stepped_grid(*parts)
-        else:
-            raise click.UsageError(
-                f"SNR grid must be 'start:stop:step' or a single value, got {value!r}"
-            )
-    elif isinstance(value, list):
-        if not value:
-            raise click.UsageError("SNR grid is empty")
-        if not all(isinstance(db, (int, float)) and not isinstance(db, bool) for db in value):
-            raise click.UsageError(f"SNR grid values must be numbers, got {value!r}")
-        grid = value
+    try:
+        parts = [float(p) for p in value.split(":")]
+    except ValueError:
+        raise click.UsageError(f"cannot parse SNR grid {value!r}") from None
+    if len(parts) == 1:
+        grid = parts
+    elif len(parts) == 3:
+        grid = _stepped_grid(*parts)
     else:
-        raise click.UsageError(f"SNR grid must be a list or a string, got {value!r}")
+        raise click.UsageError(
+            f"SNR grid must be 'start:stop:step' or a single value, got {value!r}"
+        )
     if len(grid) > _MAX_GRID_POINTS:
         raise click.UsageError(f"SNR grid has more than {_MAX_GRID_POINTS} points")
     return grid
@@ -131,47 +119,6 @@ def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
            and (point := start + len(grid) * step) <= stop + 1e-9 * step):
         grid.append(point)
     return grid
-
-
-def _resolve(flags: dict, path: str | None) -> dict:
-    """Overlay the JSON config file at ``path`` on ``flags``: a file value
-    replaces only a parameter at its default, so an explicit flag wins even
-    when it equals the default.  Keys must name parameters (not ``--config``).
-
-    A value is read as the text of its flag would be, so 3 and "3" give
-    the same integer while 1.5 or true for an integer is refused; null is
-    accepted only where the default is None.  An ``snr_db`` value passes
-    through unconverted: it may also be a JSON list, the one way to give
-    an irregular grid.
-    """
-    if path is None:
-        return flags
-    try:
-        with open(path, encoding="utf-8") as handle:
-            file_values = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}") from None
-    if not isinstance(file_values, dict):
-        raise click.UsageError(f"config file {path} must contain a JSON object")
-    unknown = set(file_values) - set(flags)
-    if unknown:
-        raise click.UsageError(f"unknown config file keys: {sorted(unknown)}")
-    ctx = click.get_current_context()
-    params = {param.name: param for param in ctx.command.params}
-    for name, value in file_values.items():
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-            continue
-        param = params[name]
-        if value is None:
-            if param.default is not None:
-                raise click.UsageError(f"config file key {name!r} cannot be null")
-        elif name != "snr_db":
-            try:
-                value = param.type.convert(str(value), param, ctx)
-            except click.BadParameter as exc:
-                raise click.UsageError(f"config file key {name!r}: {exc.message}") from None
-        flags[name] = value
-    return flags
 
 
 def _fmt(value) -> str:
@@ -263,18 +210,13 @@ def _sweep_params(orders: str, nr: int, own: tuple) -> list[click.Option]:
         click.Option(["--workers"], type=int, default=SimSettings.workers, help="Worker threads."),
         click.Option(["--out"], default=None, help="Output path (default: stdout)."),
         click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
-        click.Option(["--config", "config_path"], default=None,
-                     help="JSON config file; flags override."),
     ]
 
 
-def _sweep_setup(
-    config_path: str | None, flags: dict
-) -> tuple[dict, list[Scheme], list[int], SimSettings | None, dict]:
-    """(options, schemes, cascade orders, Monte-Carlo settings, header keys)
-    of a sweep; the settings are None at --trials 0 (analytics only), and
+def _sweep_setup(opts: dict) -> tuple[list[Scheme], list[int], SimSettings | None, dict]:
+    """(schemes, cascade orders, Monte-Carlo settings, header keys) of a
+    sweep; the settings are None at --trials 0 (analytics only), and
     ``SimSettings`` checks the seed and worker count at every trial count."""
-    opts = _resolve(flags, config_path)
     scheme_list = list(Scheme) if opts["scheme"] == "both" else [Scheme(opts["scheme"])]
     orders = _parse_n_list(opts["n_list"])
     settings = SimSettings(opts["trials"] or 1, opts["seed"], opts["workers"])
@@ -284,7 +226,7 @@ def _sweep_setup(
         "n_list": ",".join(str(n) for n in orders),
         "n_t": opts["nt"], "n_r": opts["nr"], "trials": opts["trials"], "seed": opts["seed"],
     }
-    return opts, scheme_list, orders, settings if opts["trials"] != 0 else None, header
+    return scheme_list, orders, settings if opts["trials"] != 0 else None, header
 
 
 @cli.command("outage-sweep", params=_sweep_params("2,3,4,5", 3, (
@@ -293,9 +235,9 @@ def _sweep_setup(
     click.Option(["--omega"], type=float, default=None,
                  help="Calibration override for both schemes."),
 )))
-def cmd_outage_sweep(config_path: str | None, **flags) -> None:
+def cmd_outage_sweep(**opts) -> None:
     """Outage probability sweep: analytic, asymptotic and empirical columns."""
-    opts, scheme_list, orders, settings, header = _sweep_setup(config_path, flags)
+    scheme_list, orders, settings, header = _sweep_setup(opts)
     query = OutageQuery(threshold=opts["gamma_o"])
     gamma_o = query.gamma_o
     grid_db = _parse_snr_grid(opts["snr_db"])
@@ -336,9 +278,9 @@ def cmd_outage_sweep(config_path: str | None, **flags) -> None:
     click.Option(["--b1"], type=float, default=None, help="TAS/MRC weighting override."),
     click.Option(["--b2"], type=float, default=None, help="TAS/SC weighting override."),
 )))
-def cmd_af_sweep(config_path: str | None, **flags) -> None:
+def cmd_af_sweep(**opts) -> None:
     """Amount-of-fading table: closed form, bound, quadrature oracle, Monte-Carlo."""
-    opts, scheme_list, orders, settings, header = _sweep_setup(config_path, flags)
+    scheme_list, orders, settings, header = _sweep_setup(opts)
     overrides = {b: opts[b] for b in ("b1", "b2") if opts[b] is not None}
     weights = {
         n: moments.WeightingCoefficients(**overrides) if len(overrides) == 2
@@ -348,7 +290,8 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
 
     # Every AF column is invariant to the mean SNR, so none is an input.
     # The analytic columns come first, so a channel whose law is refused
-    # is refused before any simulation.
+    # is refused before any simulation, and the bound's range check runs
+    # before the oracle, whose quadrature may not converge outside it.
     rows: list[dict] = []
     for n in orders:
         w = weights[n]
@@ -358,12 +301,12 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
                 af_closed = moments.amount_of_fading(scheme, cfg, w)
             except moments.NonPhysicalMomentError:
                 af_closed = None
-            m1 = moments.moment_oracle(1, scheme, cfg)
-            m2 = moments.moment_oracle(2, scheme, cfg)
-            af_oracle = m2 / (m1 * m1) - 1.0
             af_bound = (
                 moments.af_bound_tas_mrc(cfg) if scheme is Scheme.TAS_MRC else None
             )
+            m1 = moments.moment_oracle(1, scheme, cfg)
+            m2 = moments.moment_oracle(2, scheme, cfg)
+            af_oracle = m2 / (m1 * m1) - 1.0
             row = {
                 "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
                 "b1": w.b1, "b2": w.b2, "af_closed": af_closed, "af_bound": af_bound,
@@ -389,13 +332,10 @@ def cmd_af_sweep(config_path: str | None, **flags) -> None:
 @click.option("--seed", type=int, default=SimSettings.master_seed, help="Master seed.")
 @click.option("--workers", type=int, default=SimSettings.workers, help="Worker threads.")
 @click.option("--out", default=None, help="Report path (default: stdout).")
-@click.option("--config", "config_path", default=None, help="JSON config file; flags override.")
-def cmd_validate(config_path: str | None, **flags) -> None:
+def cmd_validate(trials: int, seed: int, workers: int, out: str | None) -> None:
     """Run the acceptance suite and emit the JSON validation report."""
-    opts = _resolve(flags, config_path)
-    settings = SimSettings(opts["trials"], opts["seed"], opts["workers"])
-    report = validation.build_report(settings)
-    _write_output(validation.report_to_json(report), opts["out"])
+    report = validation.build_report(SimSettings(trials, seed, workers))
+    _write_output(validation.report_to_json(report), out)
     for criterion in report["criteria"]:
         status = "PASS" if criterion["passed"] else "FAIL"
         click.echo(f"{status} {criterion['id']} {criterion['name']}", err=True)

@@ -263,83 +263,16 @@ class TestOutageSweep:
         assert "Traceback" not in err
         assert out == ""
 
-    def test_config_file_with_flag_override(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": "2", "snr_db": "0:10:5", "trials": 0}))
-        out_a = tmp_path / "a.csv"
-        run(capsys, "outage-sweep", "--config", str(config), "--out", str(out_a))
-        assert "n_list=2" in out_a.read_text()
-        out_b = tmp_path / "b.csv"
-        run(capsys, "outage-sweep", "--config", str(config), "--n", "3",
-            "--out", str(out_b))
-        assert "n_list=3" in out_b.read_text()
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run(capsys, "outage-sweep", "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert "bogus" in err
-
-    def test_explicit_flag_at_its_default_overrides_config_file(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"nt": 3}))
-        code, out, _ = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
-                           "--trials", "0", "--config", str(config), "--nt", "2")
-        assert code == cli.EXIT_OK
-        assert "# n_t=2" in out
-
-    @pytest.mark.parametrize("file_values,flags", [
-        ({"omega": "1.2", "trials": 0}, ["--omega", "1.2", "--trials", "0"]),
-        ({"gamma_o": 1, "trials": "2000"}, ["--gamma-o", "1", "--trials", "2000"]),
-        ({"omega": None, "out": None, "trials": 0}, ["--trials", "0"]),
-    ])
-    def test_config_values_are_read_like_flag_text(self, capsys, tmp_path, file_values, flags):
-        # An integer, float or choice value converts through its option's
-        # type, and null stands for a None default.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(file_values))
-        base = ["outage-sweep", "--n", "2", "--snr-db", "0:10:5"]
-        code, from_file, _ = run(capsys, *base, "--config", str(config))
-        assert code == cli.EXIT_OK
-        assert from_file == run(capsys, *base, *flags)[1]
-
-    @pytest.mark.parametrize("command,file_values,key", [
-        ("outage-sweep", {"seed": None}, "seed"),
-        ("outage-sweep", {"fmt": "xml", "trials": 0}, "fmt"),
-        ("outage-sweep", {"trials": 1.5}, "trials"),
-        ("af-sweep", {"nt": True, "trials": 0}, "nt"),
-        ("af-sweep", {"scheme": ["tas-mrc"], "trials": 0}, "scheme"),
-        # omega is no key of validate: refused as unknown.
-        ("validate", {"omega": None}, "omega"),
-        ("af-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
-        ("outage-sweep", {"scheme": "tas-egc", "trials": 0}, "scheme"),
-        ("validate", {"seed": None}, "seed"),
-    ])
-    def test_config_value_of_wrong_type_is_usage_error(
-        self, capsys, tmp_path, command, file_values, key
-    ):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps(file_values))
-        code, out, err = run(capsys, command, "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and key in err
-        assert out == ""
-
+    # 10^(4000/10) overflows; 1e-16 dB steps all give the linear SNR 1.0.
     @pytest.mark.parametrize("snr_db,message", [
-        (5, "must be a list or a string"),
-        (["a"], "must be numbers"),
-        ([True], "must be numbers"),
-        ([], "is empty"),
-        ([0, 4000], "no finite positive linear SNR"),
         ("-4000", "no finite positive linear SNR"),
-        ([0, 0], "thresholds must be distinct"),
+        ("0:4000:1000", "no finite positive linear SNR"),
+        ("0:4e-16:1e-16", "thresholds must be distinct"),
         ("0:10000:1", "more than 10000 points"),
     ])
-    def test_bad_snr_grid_is_usage_error(self, capsys, tmp_path, snr_db, message):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"snr_db": snr_db, "trials": 0}))
-        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--config", str(config))
+    def test_bad_snr_grid_is_usage_error(self, capsys, snr_db, message):
+        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", "0",
+                             "--snr-db", snr_db)
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and message in err
         assert out == ""
@@ -363,23 +296,6 @@ class TestOutageSweep:
                            "--scheme", "tas-sc", "--snr-db", grid)
         assert code == cli.EXIT_OK
         assert sum(line.startswith("tas-sc,") for line in out.splitlines()) == points
-
-    def test_snr_grid_list_keeps_its_header_bytes(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"snr_db": [0, 5.5], "trials": 0}))
-        code, out, _ = run(capsys, "outage-sweep", "--n", "2", "--config", str(config))
-        assert code == cli.EXIT_OK
-        assert "# snr_grid_db=[0, 5.5]\n" in out
-        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
-        assert [r["snr_db"] for r in rows] == ["0", "5.5", "0", "5.5"]
-
-    def test_config_file_cannot_name_the_config_option(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"config_path": str(config)}))
-        code, _, err = run(capsys, "outage-sweep", "--trials", "0", "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert "config_path" in err
-
 
 class TestValidatedDomain:
     """Cascade orders above fading.MAX_VALIDATED_CASCADE = 8 are refused."""
@@ -405,18 +321,6 @@ class TestValidatedDomain:
         code, out, _ = run(capsys, command, "--n", "8", *self.ARGS[command])
         assert code == cli.EXIT_OK
         assert "tas-mrc" in out and "tas-sc" in out
-
-    @pytest.mark.parametrize("command", ["outage-sweep", "af-sweep"])
-    @pytest.mark.parametrize("orders,message", [
-        ([2, 40], "validated domain"), ([2, 0], "integer"), ([2, "x"], "cannot parse"),
-    ])
-    def test_config_file_orders_are_checked(self, capsys, tmp_path, command, orders, message):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": ",".join(map(str, orders))}))
-        code, _, err = run(capsys, command, *self.ARGS[command], "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert message in err
-
 
 class TestAfSweep:
     def test_missing_coefficients_error(self, capsys):
@@ -459,15 +363,6 @@ class TestAfSweep:
         assert code == cli.EXIT_USAGE
         assert "--snr-db" in err
 
-    def test_snr_db_config_key_is_removed(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"snr_db": "10"}))
-        code, _, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0",
-                           "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert "snr_db" in err
-
-
 class TestSweepOptions:
     """Both sweeps declare their shared options once; each parameter of
     theirs and of validate keeps its name, flags, type, default, help and
@@ -490,7 +385,6 @@ class TestSweepOptions:
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Output path (default: stdout)."),
             ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
-            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
         ],
         "af-sweep": [
             ("scheme", ["--scheme"], CHOICE_SCHEME, "both", "Selection scheme, or both."),
@@ -505,14 +399,12 @@ class TestSweepOptions:
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Output path (default: stdout)."),
             ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
-            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
         ],
         "validate": [
             ("trials", ["--trials"], "integer", 1_000_000, "Monte-Carlo trials per criterion."),
             ("seed", ["--seed"], "integer", 1, "Master seed."),
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Report path (default: stdout)."),
-            ("config_path", ["--config"], "text", None, "JSON config file; flags override."),
         ],
     }
 
@@ -617,29 +509,16 @@ class TestValidate:
         assert len(expected) == 128
         assert got == expected
 
-    def test_seed_and_omega_config_keys(self, capsys, tmp_path):
-        # The seed key sets the report's seed; the weight is the gate's
-        # own, and an omega key is refused before anything is written.
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"seed": 7}))
+    def test_seed_flag_sets_the_report_seed(self, capsys, tmp_path):
+        # The weight is the gate's own at every seed.
         report_file = tmp_path / "report.json"
         code, _, _ = run(
-            capsys, "validate", "--trials", "2000", "--config", str(config),
-            "--out", str(report_file),
+            capsys, "validate", "--trials", "2000", "--seed", "7", "--out", str(report_file),
         )
         assert code == cli.EXIT_VALIDATION
         resolved = json.loads(report_file.read_text())["config"]
         assert resolved["master_seed"] == 7
         assert resolved["mrc_omega"] == 1.176
-        config.write_text(json.dumps({"seed": 7, "omega": 1.3}))
-        report_file.unlink()
-        code, out, err = run(
-            capsys, "validate", "--trials", "2000", "--config", str(config),
-            "--out", str(report_file),
-        )
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "omega" in err
-        assert out == "" and not report_file.exists()
 
     def test_report_round_trips(self, capsys, tmp_path):
         report_file = tmp_path / "report.json"
@@ -723,6 +602,17 @@ class TestExitCodes:
         assert err == "usage error: AF bound validated for n <= 8 and N <= 16, got n=2, N=25\n"
         assert out == ""
 
+    # Past the bound's N <= 16 the moment oracle's quadrature is not
+    # converged; the range check runs first, so these exit 1, not 3.
+    @pytest.mark.parametrize("nr", [262144, 2097152, 500000, 5000000])
+    def test_af_bound_is_checked_before_the_moment_oracle(self, capsys, nr):
+        code, out, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0", "--nr", str(nr))
+        assert code == cli.EXIT_USAGE
+        assert err == (
+            f"usage error: AF bound validated for n <= 8 and N <= 16, got n=2, N={2 * nr}\n"
+        )
+        assert out == ""
+
     def test_law_inside_the_float_range_prints(self, capsys):
         code, out, err = run(capsys, "params", "--n", "2", "--nt", "1", "--nr", str(10**300))
         assert (code, err) == (cli.EXIT_OK, "")
@@ -750,30 +640,12 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "--partition-width" in err
 
-    @pytest.mark.parametrize("command", sorted(REMOVED_OPTION_ARGS))
-    def test_partition_width_config_key_is_removed(self, capsys, tmp_path, command):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"partition_width": 1000}))
-        code, _, err = run(
-            capsys, command, *self.REMOVED_OPTION_ARGS[command], "--config", str(config)
-        )
-        assert code == cli.EXIT_USAGE
-        assert "partition_width" in err
-
     # c10's probe size is a constant; it was --determinism-trials.
     def test_determinism_trials_flag_is_removed(self, capsys):
         code, out, err = run(capsys, "validate", "--trials", "1000",
                              "--determinism-trials", "4000")
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and "--determinism-trials" in err
-        assert out == ""
-
-    def test_determinism_trials_config_key_is_removed(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"determinism_trials": 4000}))
-        code, out, err = run(capsys, "validate", "--trials", "1000", "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "determinism_trials" in err
         assert out == ""
 
     @pytest.mark.parametrize("flag,value", [("--gamma-o", "1"), ("--omega", "1.176")],
@@ -784,16 +656,6 @@ class TestExitCodes:
         assert err.startswith("usage error:") and flag in err
         assert out == ""
 
-    @pytest.mark.parametrize("key,value", [("gamma_o", 1.0), ("omega", 1.176)],
-                             ids=["gamma_o", "omega"])
-    def test_operating_point_config_key_is_removed(self, capsys, tmp_path, key, value):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({key: value}))
-        code, out, err = run(capsys, "validate", "--trials", "1000", "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and key in err
-        assert out == ""
-
     # outage-sweep's threshold is --gamma-o alone; it was also --rate.
     def test_rate_flag_is_removed(self, capsys):
         code, out, err = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
@@ -802,23 +664,14 @@ class TestExitCodes:
         assert err.startswith("usage error:") and "--rate" in err
         assert out == ""
 
-    def test_rate_config_key_is_removed(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"rate": 2.5}))
-        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
-                             "--trials", "0", "--config", str(config))
+    # Every option has one spelling, its flag; it could also be a key of a
+    # JSON config file given as --config.
+    @pytest.mark.parametrize("command", ["params", *sorted(REMOVED_OPTION_ARGS)])
+    def test_config_option_is_removed(self, capsys, command):
+        argv = self.REMOVED_OPTION_ARGS.get(command, ["--n", "2"])
+        code, out, err = run(capsys, command, *argv, "--config", "x.json")
         assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "rate" in err
-        assert out == ""
-
-    # A config n_list is its flag's text; it could also be a JSON list.
-    def test_n_list_config_list_is_removed(self, capsys, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": [2, 3]}))
-        code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--trials", "0",
-                             "--config", str(config))
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "[2, 3]" in err
+        assert err.startswith("usage error:") and "--config" in err
         assert out == ""
 
     def test_unknown_command(self, capsys):
@@ -828,7 +681,7 @@ class TestExitCodes:
 
 @pytest.mark.usefixtures("small_probe")
 class TestRobustness:
-    """Bad flag and config values end in a documented exit code, never in a
+    """Bad flag values end in a documented exit code, never in a
     traceback.  Each option is set, one at a time, to every value of the
     pool for its type on a cheap base invocation; positive extremes of the
     integer options are left out, because --trials and --workers would do
@@ -847,7 +700,6 @@ class TestRobustness:
         "snr_db": ["", "abc", "a:b:c", "nan", "inf", "-inf", "1e308", "-4000", "0:10",
                    "10:0:1", "0:10:0", "0:10:-1", "0:inf:1", "-inf:0:1", "0:1e300:1"],
     }
-    CONFIG_VALUES = [None, "abc", "", [], {}, True, float("inf"), float("nan"), -1, 1.5, 1e308]
 
     @staticmethod
     def check(capsys, argv):
@@ -866,13 +718,8 @@ class TestRobustness:
             return self.FLOAT_VALUES
         if param.name in self.STRING_VALUES:
             return self.STRING_VALUES[param.name]
-        bad_json = tmp_path / "bad.json"
-        bad_json.write_text("{")
-        listed = tmp_path / "list.json"
-        listed.write_text("[1, 2]")
-        # --out and --config: a missing directory, a directory, no path.
-        paths = [str(tmp_path / "missing" / "x"), str(tmp_path), ""]
-        return paths + ([str(bad_json), str(listed)] if param.name == "config_path" else [])
+        # --out: a missing directory, a directory, no path.
+        return [str(tmp_path / "missing" / "x"), str(tmp_path), ""]
 
     @pytest.mark.parametrize("command", sorted(BASE))
     def test_bad_flag_values_exit_with_a_documented_code(
@@ -887,24 +734,6 @@ class TestRobustness:
                 failures.append(self.check(
                     capsys, [command, *(item for pair in argv.items() for item in pair)]
                 ))
-        assert [f for f in failures if f] == []
-
-    @pytest.mark.parametrize("command", sorted(BASE))
-    def test_bad_config_values_exit_with_a_documented_code(
-        self, capsys, tmp_path, monkeypatch, command
-    ):
-        monkeypatch.chdir(tmp_path)
-        failures = []
-        for param in cli.cli.commands[command].params:
-            if param.name == "config_path":
-                continue
-            # The file value takes effect only where no flag is given.
-            base = {k: v for k, v in self.BASE[command].items() if k != param.opts[0]}
-            for index, value in enumerate(self.CONFIG_VALUES):
-                config = tmp_path / f"{param.name}-{index}.json"
-                config.write_text(json.dumps({param.name: value}))
-                argv = [command, *(item for pair in base.items() for item in pair)]
-                failures.append(self.check(capsys, [*argv, "--config", str(config)]))
         assert [f for f in failures if f] == []
 
     @pytest.mark.parametrize("argv,message", [
@@ -975,22 +804,18 @@ class TestRobustness:
             assert out == ""
 
     @pytest.mark.parametrize("orders", ["Infinity", "1e400", "true", "2,2.5"])
-    def test_cascade_order_that_is_not_a_whole_number_is_usage_error(
-        self, capsys, tmp_path, orders
-    ):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"n_list": orders, "trials": 0}))
-        code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--config", str(config))
+    def test_cascade_order_that_is_not_a_whole_number_is_usage_error(self, capsys, orders):
+        code, out, err = run(capsys, "outage-sweep", "--snr-db", "0", "--trials", "0",
+                             "--n", orders)
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error: cannot parse cascade-order list")
         assert out == ""
 
     @pytest.mark.parametrize("trials", ["0", "100"])
-    def test_repeated_grid_point_is_usage_error(self, capsys, tmp_path, trials):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"snr_db": [0, 0]}))
+    def test_repeated_grid_point_is_usage_error(self, capsys, trials):
+        # 0 and 1e-16 dB both give the linear SNR 1.0, so one threshold.
         code, out, err = run(capsys, "outage-sweep", "--n", "2", "--trials", trials,
-                             "--config", str(config))
+                             "--snr-db", "0:4e-16:1e-16")
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and "thresholds must be distinct" in err
         assert out == ""

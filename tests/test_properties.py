@@ -24,32 +24,30 @@ sets of cascade orders within 1..8 and seeds that include 0 and 2^64 - 1:
   the same float in either order, so only three or more blocks can show
   partials combined out of trial order.
 
-And the CLI's, for every option of ``outage-sweep``, ``af-sweep`` and
-``validate``:
+And the CLI's, over cascade orders 1..8 and transmit and receive antenna
+counts from small counts, the edges 16 and 17, and powers of 2 and 10 up
+to 10^308, at ``--trials 0``:
 
-- a config file ``{key: text}`` and the flag ``--flag text`` give the same
-  exit code, standard output and output file, for valid and invalid text
-  alike.
+- ``params``, ``outage-sweep`` and ``af-sweep`` exit with the code that the
+  README's exit-code paragraph gives the channel, and a refusal prints
+  nothing.
 
 The draws are derandomized and no example database is kept, so every run
 of the same source checks the same cases.
 """
 
 import contextlib
-import dataclasses
 import io
-import json
 import math
 import os
 import tempfile
-from unittest import mock
 
-import click
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nrayleigh import cli, validation
+from nrayleigh import cli
+from nrayleigh.fading import fading_params
 from nrayleigh.montecarlo import (
     _BLOCK_TRIALS,
     SimSettings,
@@ -177,52 +175,6 @@ def test_each_order_of_a_shared_pass_is_that_order_alone(n_t, n_r, orders, seed,
     assert shared == {n: views(ChannelConfig(n, n_t, n_r, 1.0), run)[n] for n in orders}
 
 
-# params takes no --config, and --config itself cannot be a key.  Each sweep
-# runs analytics only on a small grid unless the drawn option is --trials;
-# validate runs against a stub report of its settings, because how the
-# report depends on them is pinned by c10 and TestOutputBytes.  150
-# examples per command cost ~3 s of tier-1 on a 2-core x86-64 host.
-CLI_CASES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
-
-CLI_BASE = {
-    "outage-sweep": {"--n": "2", "--snr-db": "0:10:10", "--trials": "0"},
-    "af-sweep": {"--n": "2", "--trials": "0"},
-    "validate": {},
-}
-
-
-def option_texts(param):
-    """Text for ``param``'s flag: text of its type, or any text."""
-    if param.name == "trials":
-        # Counts up to 5000, and any text of at most four characters (so at
-        # most 9999 trials), keep each simulation to milliseconds.
-        return st.one_of(st.integers(-3, 5000).map(str), st.text(max_size=4))
-    if param.name == "out":
-        # Without a separator, every output path names a file in the run's
-        # own directory.
-        return st.text(st.characters(exclude_characters="/"), max_size=12)
-    if isinstance(param.type, click.Choice):
-        typed = st.sampled_from(param.type.choices)
-    elif param.type is click.INT:
-        typed = st.integers(-(2**65), 2**65).map(str)
-    elif param.type is click.FLOAT:
-        typed = st.one_of(st.floats(1e-3, 1e3), st.floats()).map(repr)
-    elif param.name == "n_list":
-        typed = st.lists(st.integers(-1, 9), max_size=4).map(lambda ns: ",".join(map(str, ns)))
-    else:
-        # snr_db: one point or start:stop:step.  Its JSON-list form has no
-        # flag text, so only text is drawn.
-        points = st.floats(-60.0, 60.0).map(repr)
-        typed = st.one_of(points, st.lists(points, min_size=3, max_size=3).map(":".join))
-    return st.one_of(typed, st.text(max_size=12))
-
-
-def report_of(run):
-    """A report whose bytes are the run's settings, and that passes."""
-    return {"config": dataclasses.asdict(run), "criteria": [],
-            "summary": {"criteria_passed": 0, "criteria_total": 0, "all_passed": True}}
-
-
 def outputs(argv):
     """(exit code, stdout, {file name: bytes}) of ``nrayleigh argv`` run in
     an empty directory."""
@@ -242,21 +194,69 @@ def outputs(argv):
     return code, stdout.getvalue(), files
 
 
-@pytest.mark.parametrize("command", sorted(CLI_BASE))
+# Each example runs one command on one channel, analytics only; 150 per
+# command cost ~1 s of tier-1 on a 2-core x86-64 host.
+CLI_CASES = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+antenna_counts = st.one_of(
+    st.integers(1, 4),
+    st.sampled_from([16, 17]),
+    st.integers(0, 1023).map(lambda k: 2**k),
+    st.integers(0, 308).map(lambda k: 10**k),
+)
+# af-sweep gets explicit weighting coefficients, so that every order has
+# some and only the channel can be refused.
+CLI_ARGS = {
+    "params": [],
+    "outage-sweep": ["--snr-db", "0:30:10", "--trials", "0"],
+    "af-sweep": ["--b1", "1.4", "--b2", "1.7", "--trials", "0"],
+}
+
+
+def laws_in_float_range(n, n_t, n_r):
+    """Whether both schemes' laws are finite floats: the shape s, the scale
+    2s/Omega, the log power-law coefficient k (s ln(2s/Omega) - ln s -
+    lgamma s) and the diversity m N / n, where (s, k) is (m n_r, n_t) for
+    TAS/MRC and (m, N) for TAS/SC."""
+    fp = fading_params(n)
+    try:
+        for shape, exponent in ((fp.m * n_r, n_t), (fp.m, n_t * n_r)):
+            scale = 2.0 * shape / fp.omega
+            ln_coeff = exponent * (
+                shape * math.log(scale) - math.log(shape) - math.lgamma(shape)
+            )
+            if not all(map(math.isfinite, (shape, scale, ln_coeff, fp.m * (n_t * n_r) / n))):
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
+def expected_exit(command, n, n_t, n_r):
+    """The exit code of README.md lines 110-130 (the exit-code paragraph)
+    for one channel: 1 where the product n_t n_r or a law is past the float
+    range, and for af-sweep where N = n_t n_r is past the TAS/MRC AF bound's
+    16 (within it, the order-statistics exponents n_t and N are within the
+    moment sum's cap of 64); else 0.  No channel of n <= 8 is 2 or 3."""
+    try:
+        float(n_t * n_r)
+    except OverflowError:
+        return cli.EXIT_USAGE
+    if not laws_in_float_range(n, n_t, n_r):
+        return cli.EXIT_USAGE
+    if command == "af-sweep" and n_t * n_r > 16:
+        return cli.EXIT_USAGE
+    return cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGS))
 @CLI_CASES
-@given(data=st.data())
-def test_config_value_and_flag_text_give_the_same_output(command, data):
-    params = [p for p in cli.cli.commands[command].params if p.name != "config_path"]
-    param = data.draw(st.sampled_from(params), label="option")
-    text = data.draw(option_texts(param), label="text")
-    flag = param.opts[0]
-    base = [item for key, value in CLI_BASE[command].items() if key != flag
-            for item in (key, value)]
-    with tempfile.TemporaryDirectory() as config_dir, \
-            mock.patch.object(validation, "build_report", report_of):
-        config = os.path.join(config_dir, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({param.name: text}, handle)
-        from_file = outputs([command, *base, "--config", config])
-        from_flag = outputs([command, *base, flag, text])
-    assert from_file == from_flag
+@given(n=st.integers(1, 8), n_t=antenna_counts, n_r=antenna_counts)
+# The README's law past the float range, which 150 draws do not reach.
+@example(n=2, n_t=1, n_r=10**308)
+def test_exit_code_is_the_readme_one_over_the_channel_domain(command, n, n_t, n_r):
+    argv = [command, "--n", str(n), "--nt", str(n_t), "--nr", str(n_r), *CLI_ARGS[command]]
+    code, out, files = outputs(argv)
+    assert code == expected_exit(command, n, n_t, n_r)
+    assert (out == "") == (code != cli.EXIT_OK)
+    assert files == {}
