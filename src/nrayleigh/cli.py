@@ -87,7 +87,7 @@ def _parse_snr_grid(value: str) -> list[float]:
     """Mean-SNR grid in dB from the text of --snr-db ("start:stop:step" or
     one value), of at most ``_MAX_GRID_POINTS`` points.
 
-    The rules on each point's threshold are ``validation.outage_curves``'s.
+    The rules on each point's threshold are ``montecarlo.outage_curves``'s.
     """
     try:
         parts = [float(p) for p in value.split(":")]
@@ -242,10 +242,9 @@ def cmd_outage_sweep(**opts) -> None:
     gamma_o = query.gamma_o
     grid_db = _parse_snr_grid(opts["snr_db"])
 
-    by_order = validation.outage_curves(
-        orders, opts["nt"], opts["nr"], query, grid_db,
-        {scheme: opts["omega"] for scheme in scheme_list}, settings,
-    )
+    # cfg.n is the deepest order, as in af-sweep: the channel of the one pass.
+    cfg = ChannelConfig(max(orders), opts["nt"], opts["nr"], 1.0, opts["omega"])
+    by_order = montecarlo.outage_curves(cfg, settings, grid_db, query, scheme_list, orders)
     rows: list[dict] = []
     # A repeated order is simulated once and printed once per listing.
     for n in orders:
@@ -266,11 +265,8 @@ def cmd_outage_sweep(**opts) -> None:
                         low_confidence=est.low_confidence,
                     )
                 rows.append(row)
-    omega = opts["omega"]
-    header.update(gamma_o=gamma_o, snr_grid_db=opts["snr_db"], **{
-        f"omega_{s.name.lower()}": schemes.DEFAULT_CALIBRATION[s] if omega is None else omega
-        for s in Scheme
-    })
+    header.update(gamma_o=gamma_o, snr_grid_db=opts["snr_db"],
+                  **{f"omega_{s.name.lower()}": cfg.omega_for(s) for s in Scheme})
     _emit_table(_OUTAGE_COLUMNS, rows, header, opts)
 
 

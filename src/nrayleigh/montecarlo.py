@@ -23,7 +23,8 @@ changes every Monte-Carlo number.
 One kernel simulates a block for a set of cascade orders at once and
 returns both schemes' selection statistics for each order from the same
 draws; the two public views reduce them to CDF counts
-(``empirical_cdf_pair``) or power sums (``estimate_af``).  The kernel
+(``empirical_cdf_pair``) or power sums (``estimate_af``), and
+``outage_curves`` sets the CDFs beside the closed forms.  The kernel
 seeds PCG64 once per block and walks the block one channel coefficient
 (t, r) at a time and, within it, one hop at a time: each hop row of
 ``count`` trials is read into one reused buffer and multiplied, in hop
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import positive_int
-from .schemes import ChannelConfig, Scheme
+from .schemes import ChannelConfig, OutageQuery, Scheme, outage, outage_asymptotic
 
 # numpy loads numpy.random on first access.  Every simulation needs it, so
 # load it with this module: start-up pays for it, not the first simulation.
@@ -72,6 +73,7 @@ __all__ = [
     "SimSettings",
     "empirical_cdf_pair",
     "estimate_af",
+    "outage_curves",
 ]
 
 _U64_MAX = 2**64
@@ -338,3 +340,64 @@ def estimate_af(
             )
             result[n][s] = _estimate(af, math.sqrt(var_af))
     return result
+
+
+def outage_curves(
+    cfg: ChannelConfig, settings: SimSettings | None, grid_db: "Iterable[float]",
+    query: OutageQuery, schemes: "Iterable[Scheme]" = tuple(Scheme),
+    orders: "Iterable[int] | None" = None,
+) -> dict[int, dict[Scheme, list[tuple]]]:
+    """One (snr_db, analytic, asymptotic, estimate) per point of a mean-SNR
+    grid in dB, in ascending threshold order, for each scheme of
+    ``schemes`` and each cascade order of ``orders`` (default: cfg.n
+    alone), keyed by order; a repeated order appears once.  The analytic
+    column takes cfg's calibration weight; cfg's mean SNR is not used.
+
+    Point dB has the threshold gamma_o / 10^(dB/10) at unit mean SNR, which
+    must be a positive float and differ from every other point's.  The
+    selection statistic is scale free, so one ``empirical_cdf_pair`` pass
+    serves every point, order and scheme; ``settings`` None gives
+    estimates of None.  A power law above 1 is no probability: None.
+    """
+    gamma_o = query.gamma_o
+    points = []
+    for db in grid_db:
+        try:
+            linear = 10.0 ** (db / 10.0)
+        except OverflowError:
+            linear = math.inf
+        if not (0.0 < linear < math.inf):
+            raise ValueError(
+                f"SNR grid point {db!r} dB has no finite positive linear SNR (gamma_o {gamma_o!r})"
+            )
+        threshold = gamma_o / linear
+        if not (0.0 < threshold < math.inf):
+            raise ValueError(
+                f"SNR grid point {db!r} dB gives threshold {gamma_o!r} / 10^(dB/10) = "
+                f"{threshold!r}, not a positive float"
+            )
+        points.append((threshold, db))
+    points.sort()
+    for (low, db), (high, _) in zip(points, points[1:]):
+        if low == high:
+            raise ValueError(
+                f"SNR grid point {db!r} dB repeats threshold {low!r} at gamma_o {gamma_o!r}; "
+                "thresholds must be distinct"
+            )
+    orders = _distinct_orders((cfg.n,) if orders is None else orders)
+    schemes = tuple(schemes)
+    # The analytic columns come first, so a channel whose law is refused
+    # is refused before any simulation.
+    curves = {n: {scheme: [] for scheme in schemes} for n in orders}
+    for n, by_scheme in curves.items():
+        for scheme, curve in by_scheme.items():
+            for threshold, db in points:
+                at = ChannelConfig(n, cfg.n_t, cfg.n_r, gamma_o / threshold, cfg.calibration_omega)
+                asym = outage_asymptotic(scheme, query, at)[0]
+                curve.append((db, outage(scheme, query, at), asym if asym <= 1.0 else None, None))
+    if settings is not None:
+        cdfs = empirical_cdf_pair(cfg.with_mean_snr(1.0), settings, [t for t, _ in points], orders)
+        for n, by_scheme in curves.items():
+            for scheme, curve in by_scheme.items():
+                curve[:] = [(*row[:3], est) for row, est in zip(curve, cdfs[n][scheme])]
+    return curves

@@ -14,9 +14,11 @@ The one exception reads the wall clock: c01's ``runtime_under_budget`` is
 true when its table takes under 1 s (milliseconds unless the host stalls).
 Each criterion's details carry the gate constants it is judged by, so a
 report can be re-judged from its own bytes.  c01 judges scipy's incomplete
-gamma through ``schemes._ln_reg_lower_gamma``, as the analytics call it.
-The suite computes in ``math``, c04's slope fit included, so only the
-Monte-Carlo numbers from ``montecarlo`` follow numpy's CPU dispatch.
+gamma through ``schemes._ln_reg_lower_gamma``, as the analytics call it;
+c02 judges the table of ``montecarlo.outage_curves``, whose rows
+``outage-sweep`` prints.  Only ``validate`` uses this module.  The suite
+computes in ``math``, c04's slope fit included, so only the Monte-Carlo
+numbers from ``montecarlo`` follow numpy's CPU dispatch.
 
 Several checks are known to fail for structural reasons (the calibrated
 closed form for TAS/MRC does not track a unit-power channel simulation,
@@ -41,7 +43,6 @@ from .schemes import ChannelConfig, OutageQuery, Scheme
 
 __all__ = [
     "build_report",
-    "outage_curves",
     "report_to_json",
 ]
 
@@ -102,69 +103,6 @@ def _criterion_incomplete_gamma_accuracy(settings: SimSettings) -> dict:
     }
 
 
-def outage_curves(
-    orders, n_t: int, n_r: int, query: OutageQuery, grid_db, omegas: dict,
-    settings: SimSettings | None,
-) -> dict[int, dict[Scheme, list[tuple]]]:
-    """One (snr_db, analytic, asymptotic, estimate) per point of a mean-SNR
-    grid in dB, in ascending threshold order, for each cascade order of
-    ``orders`` and each scheme in ``omegas`` (scheme -> calibration weight,
-    None for the default), keyed by order; a repeated order appears once.
-
-    Point dB has the threshold gamma_o / 10^(dB/10) at unit mean SNR, which
-    must be a positive float and differ from every other point's.  The
-    selection statistic is scale free, so one shared-stream simulation of
-    the n_t x n_r channel serves every point, every order and both schemes;
-    ``settings`` None gives estimates of None.  A power law above 1 is no
-    probability: None.
-    """
-    gamma_o = query.gamma_o
-    points = []
-    for db in grid_db:
-        try:
-            linear = 10.0 ** (db / 10.0)
-        except OverflowError:
-            linear = math.inf
-        if not (0.0 < linear < math.inf):
-            raise ValueError(
-                f"SNR grid point {db!r} dB has no finite positive linear SNR (gamma_o {gamma_o!r})"
-            )
-        threshold = gamma_o / linear
-        if not (0.0 < threshold < math.inf):
-            raise ValueError(
-                f"SNR grid point {db!r} dB gives threshold {gamma_o!r} / 10^(dB/10) = "
-                f"{threshold!r}, not a positive float"
-            )
-        points.append((threshold, db))
-    points.sort()
-    for (low, db), (high, _) in zip(points, points[1:]):
-        if low == high:
-            raise ValueError(
-                f"SNR grid point {db!r} dB repeats threshold {low!r} at gamma_o {gamma_o!r}; "
-                "thresholds must be distinct"
-            )
-    orders = montecarlo._distinct_orders(orders)
-    # The analytic columns come first, so a channel whose law is refused
-    # is refused before any simulation.
-    curves = {n: {scheme: [] for scheme in omegas} for n in orders}
-    for n in orders:
-        for scheme, omega in omegas.items():
-            for threshold, db in points:
-                cfg = ChannelConfig(n, n_t, n_r, gamma_o / threshold, omega)
-                asym = schemes.outage_asymptotic(scheme, query, cfg)[0]
-                curves[n][scheme].append(
-                    (db, schemes.outage(scheme, query, cfg), asym if asym <= 1.0 else None)
-                )
-    cdfs = None if settings is None else montecarlo.empirical_cdf_pair(
-        ChannelConfig(orders[-1], n_t, n_r, 1.0), settings, [t for t, _ in points], orders
-    )
-    for n, by_scheme in curves.items():
-        for scheme, curve in by_scheme.items():
-            estimates = [None] * len(curve) if cdfs is None else cdfs[n][scheme]
-            curve[:] = [(*row, est) for row, est in zip(curve, estimates)]
-    return curves
-
-
 def _criterion_outage_vs_montecarlo(settings: SimSettings) -> dict:
     """Analytic outage curves against the channel simulator, per scheme and n.
 
@@ -174,8 +112,8 @@ def _criterion_outage_vs_montecarlo(settings: SimSettings) -> dict:
     vacuously.
     """
     per_curve = {}
-    by_order = outage_curves(
-        (2, 3, 4, 5), 2, 3, _GATE_QUERY, _SNR_GRID_DB, dict.fromkeys(Scheme), settings
+    by_order = montecarlo.outage_curves(
+        ChannelConfig(5, 2, 3, 1.0), settings, _SNR_GRID_DB, _GATE_QUERY, orders=(2, 3, 4, 5)
     )
     for n, curves in by_order.items():
         for scheme, curve in curves.items():

@@ -67,6 +67,65 @@ def test_top_level_is_version_plus_the_library_modules_all():
     assert sorted(nrayleigh.__all__) == sorted(expected)
 
 
+# The private names that one module of the package takes from another, as
+# (taker, module, name).  Each is deliberate: ``moments`` builds its sums on
+# the analytics' own incomplete gamma and law, and c01 judges the incomplete
+# gamma through the call the analytics make.
+CROSS_MODULE_PRIVATE_NAMES = {
+    ("moments", "schemes", "_ln_reg_lower_gamma"),
+    ("moments", "schemes", "_shape_exponent_scale"),
+    ("validation", "schemes", "_ln_reg_lower_gamma"),
+}
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names_taken(path, modules):
+    """(module, name) of each private name that the source at ``path`` takes
+    from a module of ``modules`` (the package's), by ``from .module import
+    _name`` or as ``module._name`` with ``module`` bound by an import."""
+    tree = ast.parse(path.read_text())
+    bound, taken = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "nrayleigh" and module in modules and alias.asname:
+                    bound[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom):
+            # The module read from, relative to the package: "" for the package.
+            head, _, rest = (node.module or "").partition(".")
+            source = None
+            if node.level == 1:
+                source = node.module or ""
+            elif node.level == 0 and head == "nrayleigh":
+                source = rest
+            if source == "":
+                bound.update((a.asname or a.name, a.name) for a in node.names if a.name in modules)
+            elif source in modules:
+                taken.update((source, a.name) for a in node.names if is_private(a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and is_private(node.attr)):
+            taken.add((bound[node.value.id], node.attr))
+    return taken
+
+
+def test_modules_take_only_the_deliberate_private_names_from_each_other():
+    # A private helper that another module calls is an API without the
+    # name: it either gets a public home or stays on this short list.
+    sources = list(Path(nrayleigh.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in sources}
+    taken = {
+        (path.stem, module, name)
+        for path in sources for module, name in private_names_taken(path, modules)
+        if module != path.stem
+    }
+    assert taken == CROSS_MODULE_PRIVATE_NAMES
+
+
 def test_fading_params_holds_only_the_fit():
     assert [f.name for f in dataclasses.fields(nrayleigh.FadingParams)] == ["m", "omega"]
 

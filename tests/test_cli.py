@@ -155,10 +155,9 @@ class TestOutageSweep:
     def test_outage_curves_need_a_cascade_order(self, settings):
         # An empty order list raises the kernel's error, with or without a
         # simulation, in place of an IndexError or an empty table.
-        omegas = {Scheme.TAS_MRC: None, Scheme.TAS_SC: None}
         with pytest.raises(ValueError, match="^orders must name at least one cascade order$"):
-            validation.outage_curves([], 2, 3, OutageQuery(threshold=1.0), [0.0], omegas,
-                                     settings)
+            montecarlo.outage_curves(ChannelConfig(2, 2, 3, 1.0), settings, [0.0],
+                                     OutageQuery(threshold=1.0), orders=[])
 
     def test_analytic_column_monotone(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.csv"

@@ -16,9 +16,17 @@ with the misses of the other readings, and the n = 6 AF confidence
 intervals.  These come from one Monte-Carlo seed; their noise-free
 values, the "per-hop power of ~0.74" and a diversity check against the
 channel's own slope wait for an exact channel reference, which this
-suite does not have yet.  Not executed here either: item 2's convergence
-depths and the slopes at them, item 3's moments of the printed sum, and
-item 4's 3.4x and 0.97.
+suite does not have yet.
+
+Item 2's per-branch scales and convergence depths come from the model
+over c04's twelve channels: each depth is a root in x of an equation in
+Kummer's M, through ``scipy.special.hyp1f1``, and the program's own
+power-law ratio and local slope are read at the mean SNR of that depth.
+Item 4's ordering numbers come from the model's outage curves on the
+scan the item states.  Item 3's moments of the printed sum (27.59 and
+9.2 at n = 2, 3) are checked by
+``tests/test_moments.py::TestMomentFormulas::test_printed_form_reasonable_at_small_cascade``.
+Not executed here: item 2's "equal these exact values to 2e-10".
 """
 
 import ast
@@ -30,10 +38,20 @@ from pathlib import Path
 
 import click
 import pytest
+from scipy import optimize, special
 
 from nrayleigh import cli, validation
-from nrayleigh.montecarlo import SimSettings
-from nrayleigh.schemes import DEFAULT_CALIBRATION, ChannelConfig, Scheme, required_snr
+from nrayleigh.fading import fading_params
+from nrayleigh.montecarlo import SimSettings, outage_curves
+from nrayleigh.schemes import (
+    DEFAULT_CALIBRATION,
+    ChannelConfig,
+    Scheme,
+    diversity_order,
+    outage,
+    outage_asymptotic,
+    required_snr,
+)
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 # The "Known deviations" subsection, with line breaks and indents collapsed.
@@ -168,6 +186,155 @@ def test_power_law_ratio_range():
     assert at_printed_digits([min(ratios), max(ratios)], printed) == printed
 
 
+def printed_range(pattern):
+    """The numbers of a printed 'a..b' range, or the one number, that the
+    pattern's one group matches."""
+    match = re.search(pattern, KNOWN_DEVIATIONS)
+    assert match is not None, pattern
+    return match.group(1).split("..")
+
+
+def at_printed_figures(values, printed):
+    """Each value rounded to as many significant figures as its printed
+    counterpart (a mantissa and exponent, as in '3e-18' or '1.3e-3')."""
+    figures = [len(p.partition("e")[0].replace(".", "")) for p in printed]
+    return [float(f"{v:.{f - 1}e}") for v, f in zip(values, figures)]
+
+
+def convergence_depths(scheme, base, ln_m):
+    """(P_out, program's power-law/full ratio, program's slope / d - 1) at
+    the x where ln M(1, s+1, x) equals ``ln_m(x)``, on a unit-weight channel.
+
+    M is scipy's hyp1f1; P_out = [x^s e^(-x) M / Gamma(s+1)]^k.  The
+    program's ratio and local log-log slope are read at the mean SNR
+    whose outage is P_out, and the ratio must equal [e^x / M]^k.
+    """
+    fit = fading_params(base.n)
+    shape, k = (fit.m * base.n_r, base.n_t) if scheme is Scheme.TAS_MRC else (
+        fit.m, base.n_t * base.n_r)
+
+    def log_m(x):
+        return math.log(special.hyp1f1(1.0, shape + 1.0, x))
+
+    x = optimize.brentq(lambda x: log_m(x) - ln_m(x), 1e-9, 100.0, xtol=1e-14, rtol=1e-15)
+    p_out = math.exp(k * (shape * math.log(x) - x + log_m(x) - special.gammaln(shape + 1.0)))
+    query = validation._GATE_QUERY
+    at = base.with_mean_snr(required_snr(scheme, p_out, query, base))
+    full = outage(scheme, query, at)
+    ratio = outage_asymptotic(scheme, query, at)[0] / full
+    assert ratio == pytest.approx(math.exp(k * (x - log_m(x))), rel=1e-9)
+    step = 1e-4
+    ln_outage = [math.log(outage(scheme, query, at.with_mean_snr(at.mean_snr * math.exp(h))))
+                 for h in (step, -step)]
+    slope = (ln_outage[1] - ln_outage[0]) / (2 * step)
+    return p_out, ratio, slope / diversity_order(scheme, base) - 1.0
+
+
+def test_power_law_convergence_depths():
+    combos = validation._criterion_diversity_slope(SimSettings())["details"]["combos"]
+    channels = [(Scheme(c["scheme"]), ChannelConfig(c["n"], c["n_t"], c["n_r"], 1.0, 1.0))
+                for c in combos]
+    assert len(channels) == 12
+    assert "c04's twelve channels (both schemes, 2x3 and 2x2, n = 2, 3, 4, unit weight)" in (
+        KNOWN_DEVIATIONS)
+    scales = []
+    for scheme, base in channels:
+        fit = fading_params(base.n)
+        shape = fit.m * base.n_r if scheme is Scheme.TAS_MRC else fit.m
+        scales.append(2.0 * shape / fit.omega)
+    printed = printed_numbers(r"2·shape/Omega is ([\d.]+-[\d.]+)")
+    assert at_printed_digits([min(scales), max(scales)], printed) == printed
+
+    # The power law over the full formula is [e^x / M]^k = 1.1.
+    def ratio_1_1(scheme, base):
+        k = base.n_t if scheme is Scheme.TAS_MRC else base.n_t * base.n_r
+        return lambda x: x - math.log(1.1) / k
+
+    depths = {
+        "ratio": [convergence_depths(s, b, ratio_1_1(s, b)) for s, b in channels],
+        "1e-3": [convergence_depths(s, b, lambda x: math.log1p(1e-3)) for s, b in channels],
+        "1%": [convergence_depths(s, b, lambda x: math.log1p(1e-2)) for s, b in channels],
+    }
+    for pattern, rows in (
+        (r"reaches 1\.1 only at P_out ([\de.-]+) on c04's", depths["ratio"]),
+        (r"\(([\de.-]+) on c05's\)",
+         [row for row, (_, b) in zip(depths["ratio"], channels) if b.n_r == 3]),
+        (r"M\(1, s\+1, x\) - 1 = 1e-3 \(P_out ([\de.-]+)\)", depths["1e-3"]),
+        (r"At M - 1 = 1% \(P_out ([\de.-]+)\)", depths["1%"]),
+    ):
+        printed = printed_range(pattern)
+        p_outs = [p for p, _, _ in rows]
+        assert at_printed_figures([max(p_outs), min(p_outs)], printed) == [
+            float(p) for p in printed], pattern
+    for label, slope_pattern, ratio_pattern in (
+        ("1e-3", r"full-formula slope is within ([\d.]+)% of d",
+         r"the ratio is (1\.\d+-1\.\d+)\. At M - 1"),
+        ("1%", r"the slope is within ([\d.]+)% of d but", r"the ratio is still (1\.\d+-1\.\d+)\."),
+    ):
+        (within,) = printed_numbers(slope_pattern)
+        assert max(abs(slope) for _, _, slope in depths[label]) < float(within) / 100, label
+        ratios = [ratio for _, ratio, _ in depths[label]]
+        printed = printed_numbers(ratio_pattern)
+        assert at_printed_digits([min(ratios), max(ratios)], printed) == printed, label
+    assert all(ratio == pytest.approx(1.1, rel=1e-9) for _, ratio, _ in depths["ratio"])
+
+
+# Known deviation 4's scan: mean SNR -26..40 dB in 0.02 dB steps at gamma_o = 1.
+ORDERING_SCAN_DB = [-26.0 + 0.02 * k for k in range(3301)]
+
+
+def ordering_scan(cfg, orders=None):
+    """Per order, the TAS/SC outages of the scan's points where the TAS/MRC
+    model outage is above TAS/SC's and of those where it is below (a tie,
+    both 1.0, counts as neither), and the largest ratio with its dB."""
+    curves = outage_curves(cfg, None, ORDERING_SCAN_DB, validation._GATE_QUERY, orders=orders)
+    scans = {}
+    for n, by_scheme in curves.items():
+        above, below, peak = [], [], (0.0, None)
+        for (db, mrc, _, _), (_, sc, _, _) in zip(by_scheme[Scheme.TAS_MRC],
+                                                  by_scheme[Scheme.TAS_SC]):
+            if mrc != sc:
+                (above if mrc > sc else below).append(sc)
+            peak = max(peak, (mrc / sc, db))
+        scans[n] = above, below, peak
+    return scans
+
+
+def test_model_scheme_ordering():
+    assert ORDERING_SCAN_DB[-1] == 40.0
+    assert ("On a scan at gamma_o = 1, 2x3 and unit calibration weight, over mean SNRs of "
+            "-26 to 40 dB in 0.02 dB steps") in KNOWN_DEVIATIONS
+    unit = ordering_scan(ChannelConfig(8, 2, 3, 1.0, 1.0), orders=range(2, 9))
+    (unit_2x2,) = ordering_scan(ChannelConfig(2, 2, 2, 1.0, 1.0)).values()
+    (default,) = ordering_scan(ChannelConfig(2, 2, 3, 1.0)).values()
+    # Above on the high-outage side of one crossing, below past it.
+    for above, below, _ in (unit[2], unit_2x2, unit[3]):
+        assert min(above) > max(below)
+    printed = printed_numbers(r"outage is above ([\d.]+) at n = 2")
+    printed += printed_numbers(r"\(([\d.]+) at 2x2\)")
+    assert at_printed_digits([min(unit[2][0]), min(unit_2x2[0])], printed) == printed
+    (crossing,) = printed_range(r"down to a TAS/SC outage of ([\de.-]+) at n = 3")
+    assert at_printed_figures([min(unit[3][0])], [crossing]) == [float(crossing)]
+    first, last = (int(n) for n in printed_range(r"at every point for n = (\d\.\.\d)"))
+    assert all(unit[n][0] and not unit[n][1] for n in range(first, last + 1))
+    stated = re.search(
+        r"The ratio peaks at ([\d.]+)x \(n = (\d), ([\d.]+) dB\) for n <= (\d)", KNOWN_DEVIATIONS
+    )
+    assert stated is not None
+    (ratio, db), n = max((unit[n][2], n) for n in range(3, int(stated.group(4)) + 1))
+    assert int(stated.group(2)) == n
+    assert at_printed_digits([ratio, db], [stated.group(1), stated.group(3)]) == [
+        stated.group(1), stated.group(3)]
+    printed = printed_numbers(r"\(([\d.]+)x and [\d.]+x there\)")
+    printed += printed_numbers(r"\([\d.]+x and ([\d.]+)x there\)")
+    assert [unit[n][2][1] for n in (7, 8)] == [40.0, 40.0]
+    assert at_printed_digits([unit[n][2][0] for n in (7, 8)], printed) == printed
+    above, below, _ = default
+    assert above and not below
+    (deepest,) = printed_range(r"down to a TAS/SC outage of ([\de.-]+) at 40 dB")
+    assert at_printed_figures([min(above)], [deepest]) == [float(deepest)]
+
+
 @pytest.fixture(scope="module")
 def simulated(seed1_report):
     """The details of the seed-1 report, keyed by criterion id."""
@@ -272,9 +439,9 @@ def mrc_scores(simulated, weight):
     points in band (inf if none is) and whether the curve passes."""
     details = simulated["c02"]
     low, high = details["band"]
-    analytic = validation.outage_curves(
-        (2, 3, 4, 5), 2, 3, validation._GATE_QUERY, validation._SNR_GRID_DB,
-        {Scheme.TAS_MRC: weight}, None,
+    analytic = outage_curves(
+        ChannelConfig(5, 2, 3, 1.0, weight), None, validation._SNR_GRID_DB,
+        validation._GATE_QUERY, schemes=(Scheme.TAS_MRC,), orders=(2, 3, 4, 5),
     )
     scores = {}
     for n, curves in analytic.items():
