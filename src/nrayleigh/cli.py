@@ -3,8 +3,8 @@
 Subcommands
 -----------
 params        severity / diversity / coding-gain table per (scheme, n)
-outage-sweep  analytic + asymptotic + Monte-Carlo outage curves (CSV/JSON)
-af-sweep      amount-of-fading table per (scheme, n) (CSV/JSON)
+outage-sweep  analytic + asymptotic + Monte-Carlo outage curves (CSV)
+af-sweep      amount-of-fading table per (scheme, n) (CSV)
 validate      run the acceptance suite, emit a JSON report
 
 Exit codes: 0 success (validate: all criteria passed), 1 usage error
@@ -21,7 +21,6 @@ before it simulates.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import replace
@@ -132,21 +131,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit_table(columns: list[str], rows: list[dict], header_config: dict, opts: dict) -> None:
-    """Write a sweep's table as ``--format`` to ``--out``, its rows sorted by
-    scheme, cascade order and, in an outage table, mean SNR."""
-    rows.sort(key=lambda r: (r["scheme"], r["n"], r.get("snr_db", 0.0)))
-    if opts["fmt"] == "json":
-        text = json.dumps(
-            {"config": header_config, "rows": rows}, indent=2, sort_keys=True
-        ) + "\n"
-    else:
-        lines = [f"# {key}={_fmt(value)}" for key, value in sorted(header_config.items())]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(col)) for col in columns))
-        text = "\n".join(lines) + "\n"
-    _write_output(text, opts["out"])
+def _mc_cells(est) -> tuple:
+    """The (estimate, ci_low, ci_high) cells of a row: empty without a
+    Monte-Carlo estimate."""
+    return (None,) * 3 if est is None else (est.value, est.ci95_low, est.ci95_high)
+
+
+def _emit_table(columns: list[str], rows: list[list], header_config: dict, out: str | None) -> None:
+    """Write a sweep's CSV table to ``out``: one "# key=value" line per
+    header key, the column line, then the rows, each in ``columns`` order,
+    sorted by scheme, cascade order and, in an outage table, mean SNR."""
+    by = [columns.index(c) for c in ("scheme", "n", "snr_db") if c in columns]
+    rows.sort(key=lambda row: [row[i] for i in by])
+    lines = [f"# {key}={_fmt(value)}" for key, value in sorted(header_config.items())]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    _write_output("\n".join(lines) + "\n", out)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -209,7 +209,6 @@ def _sweep_params(orders: str, nr: int, own: tuple) -> list[click.Option]:
         click.Option(["--seed"], type=int, default=SimSettings.master_seed, help="Master seed."),
         click.Option(["--workers"], type=int, default=SimSettings.workers, help="Worker threads."),
         click.Option(["--out"], default=None, help="Output path (default: stdout)."),
-        click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]), default="csv"),
     ]
 
 
@@ -245,29 +244,19 @@ def cmd_outage_sweep(**opts) -> None:
     # cfg.n is the deepest order, as in af-sweep: the channel of the one pass.
     cfg = ChannelConfig(max(orders), opts["nt"], opts["nr"], 1.0, opts["omega"])
     by_order = montecarlo.outage_curves(cfg, settings, grid_db, query, scheme_list, orders)
-    rows: list[dict] = []
+    rows = []
     # A repeated order is simulated once and printed once per listing.
     for n in orders:
         for scheme, curve in by_order[n].items():
             for db, analytic, asymptotic, est in curve:
-                row = {
-                    "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
-                    "snr_db": db, "gamma_o": gamma_o, "p_out_analytic": analytic,
-                    "p_out_asymptotic": asymptotic, "p_out_mc": None,
-                    "ci_low": None, "ci_high": None, "trials": opts["trials"],
-                    "seed": opts["seed"], "low_confidence": None,
-                }
-                if est is not None:
-                    row.update(
-                        p_out_mc=est.value,
-                        ci_low=est.ci95_low,
-                        ci_high=est.ci95_high,
-                        low_confidence=est.low_confidence,
-                    )
-                rows.append(row)
+                rows.append([
+                    scheme.value, n, opts["nt"], opts["nr"], db, gamma_o, analytic, asymptotic,
+                    *_mc_cells(est), opts["trials"], opts["seed"],
+                    None if est is None else est.low_confidence,
+                ])
     header.update(gamma_o=gamma_o, snr_grid_db=opts["snr_db"],
                   **{f"omega_{s.name.lower()}": cfg.omega_for(s) for s in Scheme})
-    _emit_table(_OUTAGE_COLUMNS, rows, header, opts)
+    _emit_table(_OUTAGE_COLUMNS, rows, header, opts["out"])
 
 
 @cli.command("af-sweep", params=_sweep_params("2,3,4,5,6", 2, (
@@ -288,7 +277,7 @@ def cmd_af_sweep(**opts) -> None:
     # The analytic columns come first, so a channel whose law is refused
     # is refused before any simulation, and the bound's range check runs
     # before the oracle, whose quadrature may not converge outside it.
-    rows: list[dict] = []
+    rows = []
     for n in orders:
         w = weights[n]
         cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
@@ -303,23 +292,17 @@ def cmd_af_sweep(**opts) -> None:
             m1 = moments.moment_oracle(1, scheme, cfg)
             m2 = moments.moment_oracle(2, scheme, cfg)
             af_oracle = m2 / (m1 * m1) - 1.0
-            row = {
-                "scheme": scheme.value, "n": n, "n_t": opts["nt"], "n_r": opts["nr"],
-                "b1": w.b1, "b2": w.b2, "af_closed": af_closed, "af_bound": af_bound,
-                "af_oracle": af_oracle, "af_mc": None, "ci_low": None, "ci_high": None,
-            }
-            rows.append(row)
-    if settings is not None:
-        by_order = montecarlo.estimate_af(
-            ChannelConfig(max(orders), opts["nt"], opts["nr"], 1.0), settings, orders
-        )
-        for row in rows:
-            est = by_order[row["n"]][Scheme(row["scheme"])]
-            row.update(af_mc=est.value, ci_low=est.ci95_low, ci_high=est.ci95_high)
+            rows.append([scheme.value, n, opts["nt"], opts["nr"], w.b1, w.b2,
+                         af_closed, af_bound, af_oracle])
+    by_order = {} if settings is None else montecarlo.estimate_af(
+        ChannelConfig(max(orders), opts["nt"], opts["nr"], 1.0), settings, orders
+    )
+    for row in rows:
+        row += _mc_cells(by_order[row[1]][Scheme(row[0])] if by_order else None)
     header["weighting_coefficients"] = ";".join(
         f"n={n}:b1={weights[n].b1},b2={weights[n].b2}" for n in orders
     )
-    _emit_table(_AF_COLUMNS, rows, header, opts)
+    _emit_table(_AF_COLUMNS, rows, header, opts["out"])
 
 
 @cli.command("validate")

@@ -29,7 +29,7 @@ seeds PCG64 once per block and walks the block one channel coefficient
 (t, r) at a time and, within it, one hop at a time: each hop row of
 ``count`` trials is read into one reused buffer and multiplied, in hop
 order, into a running product; at hop n - 1 of each requested order n the
-product (negated for odd n) is folded into that order's running TAS/SC
+product's absolute value is folded into that order's running TAS/SC
 maximum, its receive sum of transmit antenna t and, after the last
 receive antenna, its TAS/MRC maximum.  So at most (2 + 3*|orders|)*count
 doubles are live per block and worker, for any (n, n_t, n_r), and each
@@ -38,12 +38,13 @@ when that order is simulated alone: a sweep over orders gives each order
 the bytes it has on its own, one pass instead of one per order (common
 random numbers across orders).  Because every position is addressed, a
 final partial block reads only the first ``count`` positions of each row.
-Block partials are summed into a running total in trial order, with at
-most ``_BLOCKS_IN_FLIGHT`` blocks per worker submitted and not yet summed,
-so memory does not grow with the trial count, and every estimate is a pure
-function of (cfg, order, trials, master_seed) - independent of the worker
-count and of the other orders in the pass - and TAS/MRC and TAS/SC share
-channel realizations exactly.
+Block partials are summed into a running total in trial order.  The
+blocks run on min(workers, host cores) threads, with at most
+``_BLOCKS_IN_FLIGHT`` blocks per thread submitted and not yet summed, so
+memory grows with neither the trial count nor the worker count, and every
+estimate is a pure function of (cfg, order, trials, master_seed) -
+independent of the worker count and of the other orders in the pass - and
+TAS/MRC and TAS/SC share channel realizations exactly.
 
 Channel convention: each hop is a zero-mean circular complex Gaussian with
 unit power, so every coefficient power is a product of n unit-mean
@@ -54,6 +55,7 @@ SNR.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -85,7 +87,7 @@ _PERIOD = 2**128
 # (phi - 1) * 2^128 that numpy's PCG64.jumped advances by.
 _REGION_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
 _BLOCK_TRIALS = 2**14
-# Blocks submitted to the pool and not yet summed, per worker.
+# Blocks submitted to the pool and not yet summed, per thread.
 _BLOCKS_IN_FLIGHT = 2
 
 
@@ -93,8 +95,8 @@ _BLOCKS_IN_FLIGHT = 2
 class SimSettings:
     """Monte-Carlo contract: trial count, seed and parallelism.
 
-    ``workers`` is an execution knob only; results are bit-identical for
-    any value of it.
+    ``workers`` is an execution knob only: at most the host's core count
+    of threads run, and results are bit-identical for any value of it.
     """
 
     trials: int = 1_000_000
@@ -153,14 +155,12 @@ def _block_selected(
     or exactly 0, so a product of at most 8 cannot underflow.
 
     The block is read one coefficient (t, r) at a time and, within it, one
-    hop row at a time into one reused buffer; the running product of the
-    hops' log1p(-u) <= 0 carries the sign (-1)^(h+1), so order n takes it
-    negated for odd n, which gives the same bits as multiplying
-    -log1p(-u), since IEEE rounding is symmetric in sign.  Each order
-    allocates its TAS/SC and TAS/MRC maxima as zeros and its receive sum
-    once, up front, so at most (2 + 3*len(orders))*count doubles are live.
-    Every log1p(-u) has sign bit 1, even log1p(-0.0) = -0.0, so every power
-    has sign bit 0 and a maximum with 0.0 returns the power's own bits.
+    hop row at a time into one reused buffer; order n takes the absolute
+    value of the running product of the hops' log1p(-u) <= 0, which gives
+    the same bits as multiplying -log1p(-u), since IEEE rounding is
+    symmetric in sign.  Each order allocates its TAS/SC and TAS/MRC maxima
+    as zeros and its receive sum once, up front, so at most
+    (2 + 3*len(orders))*count doubles are live.
     """
     coefficients = cfg.n_t * cfg.n_r
     deepest = orders[-1]
@@ -186,7 +186,7 @@ def _block_selected(
                 if fold is None:
                     continue
                 # The hop buffer is free until the next read.
-                power = np.negative(product, out=hop) if (h + 1) % 2 else product
+                power = np.abs(product, out=hop)
                 tas_sc, received, _ = fold
                 np.maximum(tas_sc, power, out=tas_sc)
                 if r == 0:
@@ -228,7 +228,8 @@ def _in_order(pool: Executor, run: Callable, items: Iterable, window: int) -> It
 def _map_blocks(cfg: ChannelConfig, orders: tuple[int, ...], settings: SimSettings, reduce):
     """The sum of reduce(selection statistics per order) over every block,
     in trial order, kept as a running total: memory does not grow with the
-    trial count."""
+    trial count.  The blocks run on min(workers, host cores) threads; the
+    sum does not depend on how many."""
     width = _BLOCK_TRIALS
 
     def run(block: int):
@@ -236,12 +237,9 @@ def _map_blocks(cfg: ChannelConfig, orders: tuple[int, ...], settings: SimSettin
         return reduce(_block_selected(cfg, orders, settings.master_seed, block, count))
 
     blocks = range(-(-settings.trials // width))
-    # Serial: a one-worker pool took deep-cascade peak RSS from ~85.3 to
-    # ~87.7 MB and its wall time up ~6% (6 pairs, 2-core x86-64 host).
-    if settings.workers == 1:
-        return sum(map(run, blocks))
-    with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-        return sum(_in_order(pool, run, blocks, _BLOCKS_IN_FLIGHT * settings.workers))
+    threads = min(settings.workers, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(_in_order(pool, run, blocks, _BLOCKS_IN_FLIGHT * threads))
 
 
 def _estimate(value: float, se: float, events: int | None = None) -> EmpiricalEstimate:

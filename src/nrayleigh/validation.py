@@ -5,10 +5,11 @@ of ``_GATE_QUERY``, gamma_o = 1, with the default calibration weights in
 c02 and c03 and with unit weights in c04 and c05, whose power law is
 uncalibrated.
 Each criterion c01-c10 is a function of the run's ``SimSettings``
-returning its report entry {"id", "name", "passed", "details"};
-``build_report`` runs them all into a JSON-serializable report whose bytes
-depend only on the trial count and the master seed, never on the worker
-count (c10 checks this by comparing c01-c09's reports at one and two
+returning (passed, details); ``_run`` alone makes each report entry
+{"id", "name", "passed", "details"}, numbering them in table order, and
+``build_report`` runs them all into a JSON-serializable report whose
+bytes depend only on the trial count and the master seed, never on the
+worker count (c10 checks this by comparing c01-c09's reports at one and two
 workers, each at the fixed probe size ``_DETERMINISM_TRIALS``).
 The one exception reads the wall clock: c01's ``runtime_under_budget`` is
 true when its table takes under 1 s (milliseconds unless the host stalls).
@@ -76,7 +77,7 @@ def _log_grid(lo: float, hi: float, num: int) -> tuple[float, list[float]]:
     return step, [10.0 ** (k * step + lo) for k in range(num - 1)] + [10.0 ** hi]
 
 
-def _criterion_incomplete_gamma_accuracy(settings: SimSettings) -> dict:
+def _criterion_incomplete_gamma_accuracy(settings: SimSettings) -> tuple[bool, dict]:
     """Incomplete gamma against the frozen 60-digit series oracle."""
     table = json.loads(
         resources.files("nrayleigh.data")
@@ -90,20 +91,15 @@ def _criterion_incomplete_gamma_accuracy(settings: SimSettings) -> dict:
     elapsed = time.perf_counter() - start
     max_err = max(abs(v - e["p"]) for v, e in zip(values, entries))
     runtime_ok = elapsed < _GAMMA_TIME_BUDGET_S
-    return {
-        "id": "c01",
-        "name": "incomplete-gamma accuracy vs 60-digit series oracle",
-        "passed": max_err <= _GAMMA_ABS_TOL and runtime_ok,
-        "details": {
-            "points": len(entries),
-            "max_abs_error": max_err,
-            "abs_tol": _GAMMA_ABS_TOL,
-            "runtime_under_budget": runtime_ok,
-        },
+    return max_err <= _GAMMA_ABS_TOL and runtime_ok, {
+        "points": len(entries),
+        "max_abs_error": max_err,
+        "abs_tol": _GAMMA_ABS_TOL,
+        "runtime_under_budget": runtime_ok,
     }
 
 
-def _criterion_outage_vs_montecarlo(settings: SimSettings) -> dict:
+def _criterion_outage_vs_montecarlo(settings: SimSettings) -> tuple[bool, dict]:
     """Analytic outage curves against the channel simulator, per scheme and n.
 
     Binding wherever the analytic outage is inside the comparison band:
@@ -148,19 +144,14 @@ def _criterion_outage_vs_montecarlo(settings: SimSettings) -> dict:
                 ),
                 "points": records,
             }
-    return {
-        "id": "c02",
-        "name": "outage curves vs Monte-Carlo (2x3, calibrated)",
-        "passed": all(
-            all(r["pass"] for r in c["points"]) and any(r["binding"] for r in c["points"])
-            for c in per_curve.values()
-        ),
-        "details": {"band": list(_MC_MATCH_BAND), "rel_tol": _MC_MATCH_REL_TOL,
-                    "curves": per_curve},
-    }
+    passed = all(
+        all(r["pass"] for r in c["points"]) and any(r["binding"] for r in c["points"])
+        for c in per_curve.values()
+    )
+    return passed, {"band": list(_MC_MATCH_BAND), "rel_tol": _MC_MATCH_REL_TOL, "curves": per_curve}
 
 
-def _criterion_required_snr_gaps(settings: SimSettings) -> dict:
+def _criterion_required_snr_gaps(settings: SimSettings) -> tuple[bool, dict]:
     """Required-SNR spacing across cascade orders at outage 1e-4 (TAS/MRC 2x3).
 
     The gaps are threshold-invariant (required SNR scales linearly with the
@@ -176,27 +167,22 @@ def _criterion_required_snr_gaps(settings: SimSettings) -> dict:
     gaps_ok = all(e <= _GAP_TOL_DB for e in gap_errors)
     level_errors = [abs(l - t) for l, t in zip(levels_db, _LEVEL_TARGETS_DB)]
     levels_ok = all(e <= _LEVEL_TOL_DB for e in level_errors)
-    return {
-        "id": "c03",
-        "name": "required-SNR gaps across n at outage 1e-4 (TAS/MRC 2x3)",
-        "passed": gaps_ok,
-        "details": {
-            "levels_db": levels_db,
-            "gaps_db": gaps,
-            "gap_targets_db": list(_GAP_TARGETS_DB),
-            "gap_tol_db": _GAP_TOL_DB,
-            "gaps_ok": gaps_ok,
-            # Absolute levels assume a unit threshold (rate 1 bit/s/Hz);
-            # reported alongside but not gating.
-            "absolute_levels_assumption": "gamma_o = 1",
-            "absolute_level_targets_db": list(_LEVEL_TARGETS_DB),
-            "absolute_level_tol_db": _LEVEL_TOL_DB,
-            "absolute_levels_ok": levels_ok,
-        },
+    return gaps_ok, {
+        "levels_db": levels_db,
+        "gaps_db": gaps,
+        "gap_targets_db": list(_GAP_TARGETS_DB),
+        "gap_tol_db": _GAP_TOL_DB,
+        "gaps_ok": gaps_ok,
+        # Absolute levels assume a unit threshold (rate 1 bit/s/Hz);
+        # reported alongside but not gating.
+        "absolute_levels_assumption": "gamma_o = 1",
+        "absolute_level_targets_db": list(_LEVEL_TARGETS_DB),
+        "absolute_level_tol_db": _LEVEL_TOL_DB,
+        "absolute_levels_ok": levels_ok,
     }
 
 
-def _criterion_diversity_slope(settings: SimSettings) -> dict:
+def _criterion_diversity_slope(settings: SimSettings) -> tuple[bool, dict]:
     """Fitted log-log outage slope vs d = mN/n over the outage decade below 1e-6."""
     combos = []
     for scheme in Scheme:
@@ -237,16 +223,12 @@ def _criterion_diversity_slope(settings: SimSettings) -> dict:
                         "pass": ok,
                     }
                 )
-    return {
-        "id": "c04",
-        "name": "diversity order from fitted outage slope",
-        "passed": all(c["pass"] for c in combos),
-        "details": {"rel_tol": _SLOPE_REL_TOL,
-                    "asymptote_rel_tol": _ASYMPTOTE_SLOPE_REL_TOL, "combos": combos},
+    return all(c["pass"] for c in combos), {
+        "rel_tol": _SLOPE_REL_TOL, "asymptote_rel_tol": _ASYMPTOTE_SLOPE_REL_TOL, "combos": combos,
     }
 
 
-def _criterion_asymptote_consistency(settings: SimSettings) -> dict:
+def _criterion_asymptote_consistency(settings: SimSettings) -> tuple[bool, dict]:
     """Power-law/full-formula ratio at the SNR where the full formula is 1e-7."""
     rows = []
     for scheme in Scheme:
@@ -262,15 +244,10 @@ def _criterion_asymptote_consistency(settings: SimSettings) -> dict:
                 {"scheme": scheme.value, "n": n, "snr_db": 10 * math.log10(g_star),
                  "ratio": ratio, "pass": ok}
             )
-    return {
-        "id": "c05",
-        "name": "asymptote/full-formula ratio at outage 1e-7",
-        "passed": all(r["pass"] for r in rows),
-        "details": {"band": list(_ASYMPTOTE_RATIO_BAND), "rows": rows},
-    }
+    return all(r["pass"] for r in rows), {"band": list(_ASYMPTOTE_RATIO_BAND), "rows": rows}
 
 
-def _criterion_af_anchors(settings: SimSettings) -> dict:
+def _criterion_af_anchors(settings: SimSettings) -> tuple[bool, dict]:
     """Closed-form AF anchor identities and trade-off approximations."""
     checks = []
 
@@ -312,15 +289,10 @@ def _criterion_af_anchors(settings: SimSettings) -> dict:
         "rel_error": abs(moments.af_simo(2, 1) - (2.5**2 - 1.0)) / (2.5**2 - 1.0),
     }
     passed = all(c["pass"] for c in checks)
-    return {
-        "id": "c06",
-        "name": "closed-form AF anchors (SISO/SIMO reductions)",
-        "passed": passed,
-        "details": {"checks": checks, "excluded": excluded},
-    }
+    return passed, {"checks": checks, "excluded": excluded}
 
 
-def _criterion_af_profile(settings: SimSettings) -> dict:
+def _criterion_af_profile(settings: SimSettings) -> tuple[bool, dict]:
     """AF vs cascade order at 2x2: monotonicity, scheme ordering, bound side."""
     mrc, sc = Scheme.TAS_MRC, Scheme.TAS_SC
     closed = {mrc: [], sc: []}
@@ -366,22 +338,17 @@ def _criterion_af_profile(settings: SimSettings) -> dict:
         for c_mrc, c_sc, e_mrc, e_sc in pairs
         if c_mrc is not None and c_sc is not None
     )
-    return {
-        "id": "c07",
-        "name": "AF vs n profile at 2x2 (monotone, ordered, bound side)",
-        "passed": increasing_ok and ordering_ok and bound_ok,
-        "details": {
-            "increasing_ok": increasing_ok,
-            "ordering_ok": ordering_ok,
-            "lower_bound_ok": bound_ok,
-            "lower_bound_margin": _AF_LOWER_BOUND_MARGIN,
-            "issues": issues,
-            "rows": rows,
-        },
+    return increasing_ok and ordering_ok and bound_ok, {
+        "increasing_ok": increasing_ok,
+        "ordering_ok": ordering_ok,
+        "lower_bound_ok": bound_ok,
+        "lower_bound_margin": _AF_LOWER_BOUND_MARGIN,
+        "issues": issues,
+        "rows": rows,
     }
 
 
-def _criterion_moments_vs_oracle(settings: SimSettings) -> dict:
+def _criterion_moments_vs_oracle(settings: SimSettings) -> tuple[bool, dict]:
     """Closed-form moments against quadrature of the exact model CDF."""
     rows = []
     for n in (2, 3, 4, 5, 6):
@@ -400,21 +367,16 @@ def _criterion_moments_vs_oracle(settings: SimSettings) -> dict:
                 )
     exceed = sum(not r["pass"] for r in rows)
     allowed = int(_MOMENT_FAIL_FRACTION * len(rows))
-    return {
-        "id": "c08",
-        "name": "closed-form moments vs quadrature oracle (2x2)",
-        "passed": exceed <= allowed,
-        "details": {
-            "rel_tol": _MOMENT_REL_TOL,
-            "points": len(rows),
-            "points_exceeding": exceed,
-            "allowed_exceeding": allowed,
-            "rows": rows,
-        },
+    return exceed <= allowed, {
+        "rel_tol": _MOMENT_REL_TOL,
+        "points": len(rows),
+        "points_exceeding": exceed,
+        "allowed_exceeding": allowed,
+        "rows": rows,
     }
 
 
-def _criterion_rayleigh_base_case(settings: SimSettings) -> dict:
+def _criterion_rayleigh_base_case(settings: SimSettings) -> tuple[bool, dict]:
     """Degenerate 1x1, n=1 channel against the exact exponential CDF."""
     cfg = ChannelConfig(1, 1, 1, 1.0)
     _, grid = _log_grid(math.log10(0.01), math.log10(4.0), 20)
@@ -428,43 +390,35 @@ def _criterion_rayleigh_base_case(settings: SimSettings) -> dict:
             {"gamma": g, "exact": exact, "empirical": est.value,
              "sigmas": abs(est.value - exact) / se if se > 0 else 0.0, "pass": ok}
         )
-    return {
-        "id": "c09",
-        "name": "Monte-Carlo base case vs exact exponential CDF",
-        "passed": all(r["pass"] for r in rows),
-        "details": {"sigma_budget": _BASE_CASE_SIGMAS, "rows": rows},
-    }
+    return all(r["pass"] for r in rows), {"sigma_budget": _BASE_CASE_SIGMAS, "rows": rows}
 
 
-def _criterion_determinism(settings: SimSettings) -> dict:
+def _criterion_determinism(settings: SimSettings) -> tuple[bool, dict]:
     """Report bytes must not depend on the worker count."""
     probes = []
     for workers in (1, 2):
         probe = replace(settings, trials=_DETERMINISM_TRIALS, workers=workers)
         probes.append(report_to_json(_run(probe, _CRITERIA)))
     identical = probes[0] == probes[1]
-    return {
-        "id": "c10",
-        "name": "byte-identical reports across worker counts",
-        "passed": identical,
-        "details": {
-            "probe_trials": _DETERMINISM_TRIALS,
-            "worker_counts": [1, 2],
-            "identical": identical,
-        },
+    return identical, {
+        "probe_trials": _DETERMINISM_TRIALS,
+        "worker_counts": [1, 2],
+        "identical": identical,
     }
 
 
+# (name, judge) of c01-c09, in report order; build_report appends c10.
 _CRITERIA = (
-    _criterion_incomplete_gamma_accuracy,
-    _criterion_outage_vs_montecarlo,
-    _criterion_required_snr_gaps,
-    _criterion_diversity_slope,
-    _criterion_asymptote_consistency,
-    _criterion_af_anchors,
-    _criterion_af_profile,
-    _criterion_moments_vs_oracle,
-    _criterion_rayleigh_base_case,
+    ("incomplete-gamma accuracy vs 60-digit series oracle",
+     _criterion_incomplete_gamma_accuracy),
+    ("outage curves vs Monte-Carlo (2x3, calibrated)", _criterion_outage_vs_montecarlo),
+    ("required-SNR gaps across n at outage 1e-4 (TAS/MRC 2x3)", _criterion_required_snr_gaps),
+    ("diversity order from fitted outage slope", _criterion_diversity_slope),
+    ("asymptote/full-formula ratio at outage 1e-7", _criterion_asymptote_consistency),
+    ("closed-form AF anchors (SISO/SIMO reductions)", _criterion_af_anchors),
+    ("AF vs n profile at 2x2 (monotone, ordered, bound side)", _criterion_af_profile),
+    ("closed-form moments vs quadrature oracle (2x2)", _criterion_moments_vs_oracle),
+    ("Monte-Carlo base case vs exact exponential CDF", _criterion_rayleigh_base_case),
 )
 
 
@@ -475,11 +429,19 @@ def build_report(settings: SimSettings) -> dict:
     excludes execution knobs (worker count, timings) so that equal seeds
     give byte-identical serializations regardless of parallelism.
     """
-    return _run(settings, _CRITERIA + (_criterion_determinism,))
+    return _run(settings, _CRITERIA + (
+        ("byte-identical reports across worker counts", _criterion_determinism),
+    ))
 
 
 def _run(settings: SimSettings, criteria: tuple) -> dict:
-    results = [criterion(settings) for criterion in criteria]
+    """The report of the (name, judge) pairs of ``criteria``: entry k is
+    {"id": "c<k>", "name", "passed", "details"}, counting from c01, with
+    the judge's (passed, details) at ``settings``."""
+    results = []
+    for k, (name, judge) in enumerate(criteria, start=1):
+        passed, details = judge(settings)
+        results.append({"id": f"c{k:02d}", "name": name, "passed": passed, "details": details})
     passed = sum(1 for r in results if r["passed"])
     return {
         "config": {

@@ -193,17 +193,6 @@ class TestOutageSweep:
         assert "# omega_tas_sc=1.0" in text
         assert "# seed=1" in text
 
-    def test_json_format(self, capsys, tmp_path):
-        out_file = tmp_path / "sweep.json"
-        code, _, _ = run(
-            capsys, "outage-sweep", "--n", "2", "--snr-db", "0:10:10",
-            "--trials", "0", "--format", "json", "--out", str(out_file),
-        )
-        assert code == cli.EXIT_OK
-        data = json.loads(out_file.read_text())
-        assert {"config", "rows"} <= set(data)
-        assert data["rows"][0]["scheme"] in {"tas-mrc", "tas-sc"}
-
     def test_coefficient_past_the_float_range_gives_a_zero_row(self, capsys):
         # TAS/MRC n = 1 with 300 x 4 antennas: ln C is above ln(max float),
         # and both columns underflow to 0.0 instead of failing.
@@ -214,25 +203,19 @@ class TestOutageSweep:
         assert len(rows) == 1
         assert (rows[0]["p_out_analytic"], rows[0]["p_out_asymptotic"]) == ("0.0", "0.0")
 
-    def test_asymptote_above_one_is_left_empty(self, capsys, tmp_path):
+    def test_asymptote_above_one_is_left_empty(self, capsys):
         # TAS/SC, n = 2, 2x3: the power law reads 1.50 at 4 dB and 0.154 at 6 dB.
         args = ["outage-sweep", "--scheme", "tas-sc", "--n", "2", "--snr-db", "4:6:2",
                 "--trials", "0"]
         cfg = ChannelConfig(n=2, n_t=2, n_r=3, mean_snr=10.0 ** 0.6)
         kept, _ = outage_asymptotic(Scheme.TAS_SC, OutageQuery(threshold=1.0), cfg)
         assert kept < 1.0
-        csv_file, json_file = tmp_path / "sweep.csv", tmp_path / "sweep.json"
-        assert run(capsys, *args, "--out", str(csv_file))[0] == cli.EXIT_OK
-        assert run(capsys, *args, "--format", "json", "--out", str(json_file))[0] == cli.EXIT_OK
-        lines = [l for l in csv_file.read_text().splitlines() if not l.startswith("#")]
-        rows = list(csv.DictReader(lines))
+        code, out, _ = run(capsys, *args)
+        assert code == cli.EXIT_OK
+        rows = list(csv.DictReader(l for l in out.splitlines() if not l.startswith("#")))
         assert [r["snr_db"] for r in rows] == ["4.0", "6.0"]
         assert rows[0]["p_out_asymptotic"] == ""
         assert float(rows[1]["p_out_asymptotic"]) == pytest.approx(kept, rel=1e-12)
-        rows = json.loads(json_file.read_text())["rows"]
-        assert [r["snr_db"] for r in rows] == [4.0, 6.0]
-        assert rows[0]["p_out_asymptotic"] is None
-        assert rows[1]["p_out_asymptotic"] == pytest.approx(kept, rel=1e-12)
 
     def test_power_law_past_the_float_range_is_left_empty(self, capsys):
         # At gamma_o = 1e300 the power law exceeds the largest float.
@@ -368,7 +351,6 @@ class TestSweepOptions:
     place, so --help is unchanged."""
 
     CHOICE_SCHEME = ("choice", ("tas-mrc", "tas-sc", "both"))
-    CHOICE_FORMAT = ("choice", ("csv", "json"))
     EXPECTED = {
         "outage-sweep": [
             ("scheme", ["--scheme"], CHOICE_SCHEME, "both", "Selection scheme, or both."),
@@ -383,7 +365,6 @@ class TestSweepOptions:
             ("seed", ["--seed"], "integer", 1, "Master seed."),
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Output path (default: stdout)."),
-            ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
         ],
         "af-sweep": [
             ("scheme", ["--scheme"], CHOICE_SCHEME, "both", "Selection scheme, or both."),
@@ -397,7 +378,6 @@ class TestSweepOptions:
             ("seed", ["--seed"], "integer", 1, "Master seed."),
             ("workers", ["--workers"], "integer", 1, "Worker threads."),
             ("out", ["--out"], "text", None, "Output path (default: stdout)."),
-            ("fmt", ["--format"], CHOICE_FORMAT, "csv", None),
         ],
         "validate": [
             ("trials", ["--trials"], "integer", 1_000_000, "Monte-Carlo trials per criterion."),
@@ -495,15 +475,18 @@ class TestValidate:
             )
             for c in curves.values() for p in c["points"]
         }
-        code, out, _ = run(capsys, "outage-sweep", "--trials", "20000", "--seed", "3",
-                           "--format", "json")
+        code, out, _ = run(capsys, "outage-sweep", "--trials", "20000", "--seed", "3")
         assert code == cli.EXIT_OK
+
+        def cell(text):
+            return None if text == "" else float(text)
+
         got = {
-            (r["scheme"], r["n"], r["snr_db"]): (
-                r["p_out_analytic"], r["p_out_asymptotic"], r["p_out_mc"],
-                r["ci_low"], r["ci_high"]
+            (r["scheme"], cell(r["n"]), cell(r["snr_db"])): tuple(
+                cell(r[c])
+                for c in ("p_out_analytic", "p_out_asymptotic", "p_out_mc", "ci_low", "ci_high")
             )
-            for r in json.loads(out)["rows"]
+            for r in csv.DictReader(l for l in out.splitlines() if not l.startswith("#"))
         }
         assert len(expected) == 128
         assert got == expected
@@ -663,6 +646,15 @@ class TestExitCodes:
         assert err.startswith("usage error:") and "--rate" in err
         assert out == ""
 
+    # The sweeps print CSV only; --format json printed the same table as JSON.
+    @pytest.mark.parametrize("command", ["af-sweep", "outage-sweep"])
+    def test_format_option_is_removed(self, capsys, command):
+        code, out, err = run(capsys, command, *self.REMOVED_OPTION_ARGS[command],
+                             "--format", "json")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and "--format" in err
+        assert out == ""
+
     # Every option has one spelling, its flag; it could also be a key of a
     # JSON config file given as --config.
     @pytest.mark.parametrize("command", ["params", *sorted(REMOVED_OPTION_ARGS)])
@@ -775,7 +767,7 @@ class TestRobustness:
         def criterion_ran(config):
             raise AssertionError("a criterion ran")
 
-        monkeypatch.setattr(cli.validation, "_CRITERIA", (criterion_ran,))
+        monkeypatch.setattr(cli.validation, "_CRITERIA", (("ran", criterion_ran),))
         monkeypatch.setattr(cli.validation, "_criterion_determinism", criterion_ran)
         argv = {"--trials": "1000", flag: value}
         code, out, err = run(capsys, "validate", *(item for pair in argv.items() for item in pair))
@@ -843,16 +835,15 @@ class TestOutputBytes:
             "233331326d877ee7c4cdbd9ceee2c791e33d4e98dfd1cacb9633da7da178d875"
         )
 
-    def test_outage_sweep_json(self, capsys):
+    def test_outage_sweep_csv(self, capsys):
         # 4.656854249492381 is 2^2.5 - 1, the threshold of rate 2.5.
         code, out, _ = run(
             capsys, "outage-sweep", "--n", "2,3", "--trials", "20000",
-            "--gamma-o", "4.656854249492381",
-            "--omega", "1.0", "--format", "json",
+            "--gamma-o", "4.656854249492381", "--omega", "1.0",
         )
         assert code == cli.EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "dab61998a33a84871bf19d3bd415086a572a4f6b9ccc48bdb5a683de4c3b714e"
+            "02d36441423971c2cb3b8c443cd39dcc2ff73769000cea925036d22b323577aa"
         )
 
     def test_deep_cascade_sweep_csv(self, capsys):

@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate, special
 
 import nrayleigh
-from nrayleigh import moments
+from nrayleigh import moments, validation
 from nrayleigh.fading import fading_params
 from nrayleigh.moments import (
     CAPTION_COEFFS,
@@ -417,12 +417,7 @@ class TestMomentOracle:
             "        for target in (1e-1, 1e-4, 1e-7, 1e-12):\n"
             "            print(repr(required_snr(scheme, target, query, c)))\n"
             "print()\n"
-            "criteria = (validation._criterion_incomplete_gamma_accuracy,\n"
-            "            validation._criterion_required_snr_gaps,\n"
-            "            validation._criterion_diversity_slope,\n"
-            "            validation._criterion_asymptote_consistency,\n"
-            "            validation._criterion_af_anchors,\n"
-            "            validation._criterion_moments_vs_oracle)\n"
+            "criteria = [validation._CRITERIA[k] for k in (0, 2, 3, 4, 5, 7)]\n"
             "report = validation._run(SimSettings(), criteria)\n"
             "print(validation.report_to_json(report), end='')\n"
         )
@@ -436,7 +431,8 @@ class TestMomentOracle:
         oracle, analytic, report = outputs[0].split("\n\n")
         assert len(oracle.split()) == 160
         assert len(analytic.split()) == 8 * 2 * (15 * 2 + 4)
-        assert [c["id"] for c in json.loads(report)["criteria"]] == [
-            "c01", "c03", "c04", "c05", "c06", "c08"
+        # c01, c03-c06 and c08, numbered c01-c06 in the probe's report.
+        assert [c["name"] for c in json.loads(report)["criteria"]] == [
+            validation._CRITERIA[k][0] for k in (0, 2, 3, 4, 5, 7)
         ]
         assert outputs[0] == outputs[1]

@@ -1,6 +1,7 @@
 """Monte-Carlo engine: stream addressing, determinism, distributional checks."""
 
 import math
+import os
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, getcontext
@@ -549,6 +550,43 @@ class TestDeterminism:
         assert max(in_flight) <= window
         assert len(in_flight) <= stop + window
         assert len(simulated) <= stop + window
+
+    def test_pool_is_clamped_to_the_host_cores(self, monkeypatch):
+        # A million workers on a 2-core host run on 2 threads, with a window
+        # of 4 blocks.  The pool stops the run at its 17th submit, so code
+        # without the clamp starts at most 16 threads before it fails.
+        built, in_flight, summed = [], [], []
+
+        class Stop(Exception):
+            pass
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, fn, /, *args, **kwargs):
+                if len(in_flight) == 16:
+                    raise Stop
+                future = super().submit(fn, *args, **kwargs)
+                result = future.result
+
+                def counted(timeout=None):
+                    value = result(timeout)
+                    summed.append(value)
+                    return value
+
+                future.result = counted
+                in_flight.append(len(in_flight) + 1 - len(summed))
+                return future
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+        settings = SimSettings(trials=10**10, master_seed=3, workers=10**6)
+        with pytest.raises(Stop):
+            estimate_af(cfg(n=1, n_t=1, n_r=1), settings)
+        assert built == [2]
+        assert max(in_flight) <= 4
 
     def test_seed_changes_results(self):
         c = cfg()  # P(selected power <= 1) ~ 5%: ample events either way

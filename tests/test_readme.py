@@ -1,6 +1,8 @@
 """README claims: the library example runs and prints what its comments
-say, every CLI example names only options that exist, only `montecarlo`
-imports numpy, and the seed-1 report's digest is the one stated under
+say, every CLI example names only options that exist, the two column lines
+under "Output columns" are the sweeps' CSV headers
+(``test_output_columns_are_the_cli_headers``), only `montecarlo` imports
+numpy, and the seed-1 report's digest is the one stated under
 "Reproducibility".
 
 Under "Known deviations", the analytic numbers are recomputed from c03's
@@ -151,10 +153,17 @@ def test_analytic_modules_import_no_numpy():
     assert imports == {"__init__": set(), "cli": set(), "validation": set()}
 
 
+def test_output_columns_are_the_cli_headers():
+    section = README.split("\n### Output columns\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^`([a-z0-9_,]+)`$", section, flags=re.MULTILINE) == [
+        ",".join(cli._OUTAGE_COLUMNS), ",".join(cli._AF_COLUMNS)
+    ]
+
+
 def test_required_snr_levels_and_gaps():
     default = c03_details(DEFAULT_CALIBRATION[Scheme.TAS_MRC])
     unit = c03_details(1.0)
-    c03 = validation._criterion_required_snr_gaps(SimSettings())["details"]
+    _, c03 = validation._criterion_required_snr_gaps(SimSettings())
     assert {key: c03[key] for key in default} == default
     for pattern, values in (
         (r"levels come out ([\d./]+) dB", default["levels_db"]),
@@ -180,8 +189,8 @@ def test_each_gap_inherits_the_calibration_step():
 
 
 def test_power_law_ratio_range():
-    rows = validation._criterion_asymptote_consistency(SimSettings())
-    ratios = [row["ratio"] for row in rows["details"]["rows"]]
+    _, c05 = validation._criterion_asymptote_consistency(SimSettings())
+    ratios = [row["ratio"] for row in c05["rows"]]
     printed = printed_numbers(r"the ratio is still ([\d.]+-[\d.]+)")
     assert at_printed_digits([min(ratios), max(ratios)], printed) == printed
 
@@ -231,7 +240,7 @@ def convergence_depths(scheme, base, ln_m):
 
 
 def test_power_law_convergence_depths():
-    combos = validation._criterion_diversity_slope(SimSettings())["details"]["combos"]
+    combos = validation._criterion_diversity_slope(SimSettings())[1]["combos"]
     channels = [(Scheme(c["scheme"]), ChannelConfig(c["n"], c["n_t"], c["n_r"], 1.0, 1.0))
                 for c in combos]
     assert len(channels) == 12
