@@ -55,10 +55,6 @@ _AF_COLUMNS = [
 _MAX_GRID_POINTS = 10_000
 
 
-class ValidationFailure(Exception):
-    """Raised by the validate command when criteria fail."""
-
-
 def _parse_n_list(value: str) -> list[int]:
     """Cascade orders from the text of --n ("2,3,4").
 
@@ -122,7 +118,7 @@ def _stepped_grid(start: float, stop: float, step: float) -> list[float]:
 
 def _fmt(value) -> str:
     """Round-trip formatting: shortest representation that parses back."""
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -325,13 +321,15 @@ def cmd_validate(trials: int, seed: int, workers: int, out: str | None) -> None:
     )
     if not summary["all_passed"]:
         failed = [c["id"] for c in report["criteria"] if not c["passed"]]
-        raise ValidationFailure(f"failing criteria: {', '.join(failed)}")
+        click.echo(f"validation failure: failing criteria: {', '.join(failed)}", err=True)
+        raise click.exceptions.Exit(EXIT_VALIDATION)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping: a command's own
+    exit code (validate's 2) comes back from click, errors map here."""
     try:
-        cli.main(args=argv, standalone_mode=False)
+        return cli.main(args=argv, standalone_mode=False) or EXIT_OK
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return EXIT_USAGE
@@ -340,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except click.exceptions.Abort:
         return EXIT_USAGE
-    except ValidationFailure as exc:
-        click.echo(f"validation failure: {exc}", err=True)
-        return EXIT_VALIDATION
     except ConvergenceError as exc:
         click.echo(f"numerical non-convergence: {exc}", err=True)
         return EXIT_NUMERIC
@@ -351,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         # coefficients for n) surface as usage problems.
         click.echo(f"usage error: {exc}", err=True)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

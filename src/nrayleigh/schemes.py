@@ -200,10 +200,6 @@ class OutageQuery:
     def __post_init__(self) -> None:
         if (self.threshold is None) == (self.rate is None):
             raise ValueError("provide exactly one of threshold or rate")
-        if self.threshold is not None and not (self.threshold > 0.0):
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.rate is not None and not (self.rate > 0.0):
-            raise ValueError(f"rate must be positive, got {self.rate}")
         if self.threshold is not None:
             gamma_o = float(self.threshold)
         else:

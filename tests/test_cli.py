@@ -417,7 +417,10 @@ class TestValidate:
         # Known structural failures keep the gate red; see README.
         assert code == cli.EXIT_VALIDATION
         assert not report["summary"]["all_passed"]
-        assert "criteria passed" in err
+        assert err.splitlines()[-2:] == [
+            "4/10 criteria passed",
+            "validation failure: failing criteria: c02, c03, c04, c05, c07, c08",
+        ]
         # Checks that do not depend on the source approximations must pass.
         by_id = {c["id"]: c for c in report["criteria"]}
         for cid in ("c01", "c06", "c09", "c10"):
@@ -749,6 +752,12 @@ class TestRobustness:
         (["outage-sweep", "--n", "2", "--trials", "0", "--snr-db", "0:10:inf"], "must be finite"),
         (["outage-sweep", "--n", "2", "--trials", "0", "--gamma-o", "1e308", "--snr-db", "-300"],
          "= inf, not a positive float"),
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--gamma-o", "0"],
+         "finite and positive"),
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--gamma-o", "-1"],
+         "finite and positive"),
+        (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--gamma-o", "nan"],
+         "finite and positive"),
     ])
     def test_out_of_domain_value_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -28,7 +28,8 @@ Item 4's ordering numbers come from the model's outage curves on the
 scan the item states.  Item 3's moments of the printed sum (27.59 and
 9.2 at n = 2, 3) are checked by
 ``tests/test_moments.py::TestMomentFormulas::test_printed_form_reasonable_at_small_cascade``.
-Not executed here: item 2's "equal these exact values to 2e-10".
+Item 2's "equal these exact values to 2e-10" is checked on c05's ratios
+and c04's fitted slopes, recomputed from the Kummer series of P.
 """
 
 import ast
@@ -195,6 +196,51 @@ def test_power_law_ratio_range():
     assert at_printed_digits([min(ratios), max(ratios)], printed) == printed
 
 
+def branch_law(scheme, base):
+    """(shape s, exponent k, scale at unit mean SNR) of the unit-weight
+    model: x = scale * (gamma_o / g)^(1/n) at mean SNR g."""
+    fit = fading_params(base.n)
+    shape, k, gain = (fit.m * base.n_r, base.n_t, base.n_r) if scheme is Scheme.TAS_MRC else (
+        fit.m, base.n_t * base.n_r, 1)
+    return shape, k, 2.0 * shape / fit.omega * gain ** (-1.0 / base.n)
+
+
+def log_m(shape, x):
+    """ln M(1, s+1, x), with Kummer's M from scipy's hyp1f1."""
+    return math.log(special.hyp1f1(1.0, shape + 1.0, x))
+
+
+def ln_p_series(shape, x):
+    """ln P(s, x) from P(s, x) = x^s e^(-x) M(1, s+1, x) / Gamma(s+1)."""
+    return shape * math.log(x) - x + log_m(shape, x) - special.gammaln(shape + 1.0)
+
+
+def test_power_laws_equal_the_kummer_series():
+    (tol,) = printed_range(r"ratios and slopes equal these exact values to ([\de.-]+)\.")
+    gamma_o = validation._GATE_QUERY.gamma_o
+
+    def x_at(scale, base, g):
+        return scale * (gamma_o / g) ** (1.0 / base.n)
+
+    _, c05 = validation._criterion_asymptote_consistency(SimSettings())
+    for row in c05["rows"]:
+        scheme, base = Scheme(row["scheme"]), ChannelConfig(row["n"], 2, 3, 1.0, 1.0)
+        shape, k, scale = branch_law(scheme, base)
+        x = x_at(scale, base, required_snr(scheme, 1e-7, validation._GATE_QUERY, base))
+        assert row["ratio"] == pytest.approx(math.exp(k * (x - log_m(shape, x))),
+                                             rel=float(tol)), row
+    _, c04 = validation._criterion_diversity_slope(SimSettings())
+    for combo in c04["combos"]:
+        scheme = Scheme(combo["scheme"])
+        base = ChannelConfig(combo["n"], combo["n_t"], combo["n_r"], 1.0, 1.0)
+        shape, k, scale = branch_law(scheme, base)
+        g_lo, g_hi = (required_snr(scheme, p, validation._GATE_QUERY, base) for p in (1e-6, 1e-7))
+        step, pts = validation._log_grid(math.log10(g_lo), math.log10(g_hi), 11)
+        logs = [k * ln_p_series(shape, x_at(scale, base, g)) / math.log(10.0) for g in pts]
+        slope = abs(math.fsum((j - 5) * y for j, y in enumerate(logs)) / (110 * step))
+        assert combo["fitted_slope"] == pytest.approx(slope, rel=float(tol)), combo
+
+
 def printed_range(pattern):
     """The numbers of a printed 'a..b' range, or the one number, that the
     pattern's one group matches."""
@@ -218,20 +264,15 @@ def convergence_depths(scheme, base, ln_m):
     program's ratio and local log-log slope are read at the mean SNR
     whose outage is P_out, and the ratio must equal [e^x / M]^k.
     """
-    fit = fading_params(base.n)
-    shape, k = (fit.m * base.n_r, base.n_t) if scheme is Scheme.TAS_MRC else (
-        fit.m, base.n_t * base.n_r)
-
-    def log_m(x):
-        return math.log(special.hyp1f1(1.0, shape + 1.0, x))
-
-    x = optimize.brentq(lambda x: log_m(x) - ln_m(x), 1e-9, 100.0, xtol=1e-14, rtol=1e-15)
-    p_out = math.exp(k * (shape * math.log(x) - x + log_m(x) - special.gammaln(shape + 1.0)))
+    shape, k, _ = branch_law(scheme, base)
+    x = optimize.brentq(lambda x: log_m(shape, x) - ln_m(x), 1e-9, 100.0,
+                        xtol=1e-14, rtol=1e-15)
+    p_out = math.exp(k * ln_p_series(shape, x))
     query = validation._GATE_QUERY
     at = base.with_mean_snr(required_snr(scheme, p_out, query, base))
     full = outage(scheme, query, at)
     ratio = outage_asymptotic(scheme, query, at)[0] / full
-    assert ratio == pytest.approx(math.exp(k * (x - log_m(x))), rel=1e-9)
+    assert ratio == pytest.approx(math.exp(k * (x - log_m(shape, x))), rel=1e-9)
     step = 1e-4
     ln_outage = [math.log(outage(scheme, query, at.with_mean_snr(at.mean_snr * math.exp(h))))
                  for h in (step, -step)]
