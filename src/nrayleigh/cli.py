@@ -8,7 +8,7 @@ af-sweep      amount-of-fading table per (scheme, n) (CSV)
 validate      run the acceptance suite, emit a JSON report
 
 Exit codes: 0 success (validate: all criteria passed), 1 usage error
-(including a cascade order above the validated domain n <= 8),
+(including a cascade order outside the validated domain n <= 8, or af-sweep's fitted 2..6),
 2 validation failure, 3 numerical non-convergence.
 
 Option defaults live in the option declarations (every command's --trials,
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import replace
 
 import click
 
@@ -255,36 +254,26 @@ def cmd_outage_sweep(**opts) -> None:
     _emit_table(_OUTAGE_COLUMNS, rows, header, opts["out"])
 
 
-@cli.command("af-sweep", params=_sweep_params("2,3,4,5,6", 2, (
-    click.Option(["--b1"], type=float, default=None, help="TAS/MRC weighting override."),
-    click.Option(["--b2"], type=float, default=None, help="TAS/SC weighting override."),
-)))
+@cli.command("af-sweep", params=_sweep_params("2,3,4,5,6", 2, ()))
 def cmd_af_sweep(**opts) -> None:
     """Amount-of-fading table: closed form, bound, quadrature oracle, Monte-Carlo."""
     scheme_list, orders, settings, header = _sweep_setup(opts)
-    overrides = {b: opts[b] for b in ("b1", "b2") if opts[b] is not None}
-    weights = {
-        n: moments.WeightingCoefficients(**overrides) if len(overrides) == 2
-        else replace(moments.default_weights(n), **overrides)
-        for n in orders
-    }
+    # An order outside the fitted b-table (n = 2..6) is refused here.
+    weights = {n: moments.default_weights(n) for n in orders}
 
     # Every AF column is invariant to the mean SNR, so none is an input.
     # The analytic columns come first, so a channel whose law is refused
-    # is refused before any simulation, and the bound's range check runs
-    # before the oracle, whose quadrature may not converge outside it.
+    # is refused before any simulation.  The TAS/MRC bound's range check
+    # runs first: outside it the closed form can leave the float range and
+    # the oracle's quadrature may not converge.  Inside it, and inside the
+    # moment sum's exponent cap for TAS/SC, no fitted-weight closed form does.
     rows = []
     for n in orders:
         w = weights[n]
         cfg = ChannelConfig(n=n, n_t=opts["nt"], n_r=opts["nr"], mean_snr=1.0)
         for scheme in scheme_list:
-            try:
-                af_closed = moments.amount_of_fading(scheme, cfg, w)
-            except moments.NonPhysicalMomentError:
-                af_closed = None
-            af_bound = (
-                moments.af_bound_tas_mrc(cfg) if scheme is Scheme.TAS_MRC else None
-            )
+            af_bound = moments.af_bound_tas_mrc(cfg) if scheme is Scheme.TAS_MRC else None
+            af_closed = moments.amount_of_fading(scheme, cfg, w)
             m1 = moments.moment_oracle(1, scheme, cfg)
             m2 = moments.moment_oracle(2, scheme, cfg)
             af_oracle = m2 / (m1 * m1) - 1.0

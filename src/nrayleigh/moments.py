@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # Weighting coefficients (b1 for TAS/MRC, b2 for TAS/SC) fitted per cascade
-# order.  No extrapolation outside this table: callers must supply explicit
-# coefficients for other n.
+# order.  No extrapolation outside this table: callers must supply their own
+# ``WeightingCoefficients`` for other n.
 CAPTION_COEFFS: dict[int, tuple[float, float]] = {
     2: (2.3, 1.5),
     3: (2.1, 1.5),
@@ -77,7 +77,7 @@ _ORACLE_REL_TOL = 1e-6
 
 class NonPhysicalMomentError(ArithmeticError):
     """The alternating moment sum produced a nonpositive value, or a term
-    past the float range."""
+    past the float range, or a first moment whose square underflows."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def default_weights(n: int) -> WeightingCoefficients:
     except KeyError:
         raise ValueError(
             f"no fitted weighting coefficients for cascade order n={n}; "
-            f"available n: {sorted(CAPTION_COEFFS)} - supply b1/b2 explicitly"
+            f"available n: {sorted(CAPTION_COEFFS)} - pass WeightingCoefficients(b1, b2)"
         ) from None
     return WeightingCoefficients(b1=b1, b2=b2)
 
@@ -124,15 +124,15 @@ def _moment_sum(l: int, shape: float, exponent: int, beta: float, n: int, b: flo
     total = 0.0
     for k in range(1, exponent + 1):
         a_k = k * (shape - 1.0)
-        ln_mag = (
-            math.log(math.comb(exponent, k))
-            + math.log(float(nl))
-            + math.lgamma(a_k + nl)
-            - (a_k + nl) * math.log(k)
-            - nl * math.log(beta)
-            + k * (math.log(b) - math.lgamma(shape))
-        )
         try:
+            ln_mag = (
+                math.log(math.comb(exponent, k))
+                + math.log(float(nl))
+                + math.lgamma(a_k + nl)
+                - (a_k + nl) * math.log(k)
+                - nl * math.log(beta)
+                + k * (math.log(b) - math.lgamma(shape))
+            )
             total += (-1.0) ** (k + 1) * math.exp(ln_mag)
         except OverflowError:
             raise NonPhysicalMomentError(f"moment sum term k={k} overflows, b={b}") from None
@@ -162,6 +162,8 @@ def amount_of_fading(
     numerator and the squared mean.
     """
     m1, m2 = moment(1, scheme, cfg, w), moment(2, scheme, cfg, w)
+    if not m1 * m1:
+        raise NonPhysicalMomentError(f"the squared first moment {m1} underflows to 0")
     return m2 / (m1 * m1) - 1.0
 
 

@@ -282,13 +282,14 @@ class TestOutageSweep:
 class TestValidatedDomain:
     """Cascade orders above fading.MAX_VALIDATED_CASCADE = 8 are refused."""
 
-    # af-sweep gets explicit coefficients, so only the domain check can
-    # refuse an order outside the fitted b-table.
+    # The domain check runs before af-sweep looks up the fitted b-table,
+    # whose top order is 6.
     ARGS = {
         "params": [],
         "outage-sweep": ["--snr-db", "0", "--trials", "1000"],
-        "af-sweep": ["--b1", "1.4", "--b2", "1.7", "--trials", "1000"],
+        "af-sweep": ["--trials", "1000"],
     }
+    TOP = {"params": "8", "outage-sweep": "8", "af-sweep": "6"}
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     @pytest.mark.parametrize("orders", ["9", "40", "2,9"])
@@ -300,7 +301,7 @@ class TestValidatedDomain:
 
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_top_of_domain_runs(self, capsys, command):
-        code, out, _ = run(capsys, command, "--n", "8", *self.ARGS[command])
+        code, out, _ = run(capsys, command, "--n", self.TOP[command], *self.ARGS[command])
         assert code == cli.EXIT_OK
         assert "tas-mrc" in out and "tas-sc" in out
 
@@ -309,15 +310,6 @@ class TestAfSweep:
         code, _, err = run(capsys, "af-sweep", "--n", "7", "--trials", "0")
         assert code == cli.EXIT_USAGE
         assert "coefficients" in err and "7" in err
-
-    def test_explicit_coefficients_allow_any_order(self, capsys, tmp_path):
-        out_file = tmp_path / "af.csv"
-        code, _, _ = run(
-            capsys, "af-sweep", "--n", "7", "--b1", "1.4", "--b2", "1.7",
-            "--trials", "0", "--out", str(out_file),
-        )
-        assert code == cli.EXIT_OK
-        assert "b1" in out_file.read_text()
 
     def test_columns_and_bound_only_for_mrc(self, capsys, tmp_path):
         out_file = tmp_path / "af.csv"
@@ -338,12 +330,6 @@ class TestAfSweep:
                 assert parts[bound_idx] != ""
             else:
                 assert parts[bound_idx] == ""
-
-    # AF is invariant to the mean SNR, so af-sweep takes none as input.
-    def test_snr_db_flag_is_removed(self, capsys):
-        code, _, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0", "--snr-db", "10")
-        assert code == cli.EXIT_USAGE
-        assert "--snr-db" in err
 
 class TestSweepOptions:
     """Both sweeps declare their shared options once; each parameter of
@@ -371,8 +357,6 @@ class TestSweepOptions:
             ("n_list", ["--n"], "text", "2,3,4,5,6", "Cascade orders, e.g. 2,3,4,5,6."),
             ("nt", ["--nt"], "integer", 2, "Transmit antennas."),
             ("nr", ["--nr"], "integer", 2, "Receive antennas."),
-            ("b1", ["--b1"], "float", None, "TAS/MRC weighting override."),
-            ("b2", ["--b2"], "float", None, "TAS/SC weighting override."),
             ("trials", ["--trials"], "integer", 1_000_000,
              "Monte-Carlo trials (0 = analytics only)."),
             ("seed", ["--seed"], "integer", 1, "Master seed."),
@@ -550,29 +534,51 @@ class TestExitCodes:
         assert err.startswith("usage error: n_t * n_r must convert to a float, got ")
         assert out == ""
 
-    # n_t n_r is a float, but the TAS/MRC shape m n_r (or its lgamma) is not.
-    @pytest.mark.parametrize("argv", [
-        ["params", "--n", "2", "--nt", "1", "--nr", str(10**308)],
-        ["outage-sweep", "--nt", "1", "--nr", str(10**308), "--trials", "0", "--snr-db", "0"],
-        ["af-sweep", "--nt", "1", "--nr", str(int(sys.float_info.max)), "--trials", "0"],
-    ], ids=lambda argv: argv[0])
-    def test_law_past_the_float_range_is_one(self, capsys, argv):
+    # n_t n_r is a float, but the TAS/MRC shape m n_r (or its lgamma) is
+    # not.  af-sweep refuses the channel first, as past its AF bound's N.
+    LAW_REFUSAL = "usage error: the tas-mrc law of n=2, n_t=1, n_r="
+    BOUND_REFUSAL = "usage error: AF bound validated for n <= 8 and N <= 16, got n=2, N="
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (["params", "--n", "2", "--nt", "1", "--nr", str(10**308)], LAW_REFUSAL),
+        (["outage-sweep", "--nt", "1", "--nr", str(10**308), "--trials", "0", "--snr-db", "0"],
+         LAW_REFUSAL),
+        (["af-sweep", "--nt", "1", "--nr", str(int(sys.float_info.max)), "--trials", "0"],
+         BOUND_REFUSAL),
+    ], ids=["params", "outage-sweep", "af-sweep"])
+    def test_law_past_the_float_range_is_one(self, capsys, argv, refusal):
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error: the tas-mrc law of n=2, n_t=1, n_r=")
+        assert err.startswith(refusal)
         assert argv[argv.index("--nr") + 1] in err
         assert out == ""
 
     # At the default --trials, a sweep that simulated first would loop over
     # the n_t n_r coefficients for as long as it was let run.
-    @pytest.mark.parametrize("argv", [
-        ["outage-sweep", "--n", "2", "--nt", "1", "--nr", str(10**308), "--snr-db", "0"],
-        ["af-sweep", "--n", "2", "--nt", "1", "--nr", str(int(sys.float_info.max))],
-    ], ids=lambda argv: argv[0])
-    def test_law_past_the_float_range_is_refused_before_simulating(self, argv):
+    @pytest.mark.parametrize("argv,refusal", [
+        (["outage-sweep", "--n", "2", "--nt", "1", "--nr", str(10**308), "--snr-db", "0"],
+         LAW_REFUSAL),
+        (["af-sweep", "--n", "2", "--nt", "1", "--nr", str(int(sys.float_info.max))],
+         BOUND_REFUSAL),
+    ], ids=["outage-sweep", "af-sweep"])
+    def test_law_past_the_float_range_is_refused_before_simulating(self, argv, refusal):
         code, out, err = run_process(*argv)
         assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error: the tas-mrc law of n=2, n_t=1, n_r=")
+        assert err.startswith(refusal)
+        assert out == ""
+
+    # With the fitted weights these TAS/MRC closed forms leave the float
+    # range (lgamma overflows; the squared first moment underflows); the
+    # bound's range check refuses both channels before they are evaluated.
+    @pytest.mark.parametrize("n,nt,nr", [(2, 3, 10**305), (4, 5, 3162277660168379)],
+                             ids=["lgamma-overflow", "squared-mean-underflow"])
+    def test_closed_form_past_the_float_range_is_refused_by_the_bound(self, capsys, n, nt, nr):
+        code, out, err = run(capsys, "af-sweep", "--n", str(n), "--nt", str(nt),
+                             "--nr", str(nr), "--trials", "0")
+        assert code == cli.EXIT_USAGE
+        assert err == (
+            f"usage error: AF bound validated for n <= 8 and N <= 16, got n={n}, N={nt * nr}\n"
+        )
         assert out == ""
 
     def test_af_bound_past_its_antenna_count_is_refused_before_simulating(
@@ -612,60 +618,38 @@ class TestExitCodes:
 
     # Each invocation would exit 0 (or 2 for validate) if the option existed.
     REMOVED_OPTION_ARGS = {
+        "params": ["--n", "2"],
         "outage-sweep": ["--n", "2", "--snr-db", "0", "--trials", "0"],
         "af-sweep": ["--n", "2", "--trials", "0"],
         "validate": ["--trials", "1000"],
     }
 
-    @pytest.mark.parametrize("command", sorted(REMOVED_OPTION_ARGS))
-    def test_partition_width_flag_is_removed(self, capsys, command):
-        code, _, err = run(
-            capsys, command, *self.REMOVED_OPTION_ARGS[command], "--partition-width", "1000"
-        )
-        assert code == cli.EXIT_USAGE
-        assert "--partition-width" in err
-
-    # c10's probe size is a constant; it was --determinism-trials.
-    def test_determinism_trials_flag_is_removed(self, capsys):
-        code, out, err = run(capsys, "validate", "--trials", "1000",
-                             "--determinism-trials", "4000")
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "--determinism-trials" in err
-        assert out == ""
-
-    @pytest.mark.parametrize("flag,value", [("--gamma-o", "1"), ("--omega", "1.176")],
-                             ids=["gamma-o", "omega"])
-    def test_operating_point_flag_is_removed(self, capsys, flag, value):
-        code, out, err = run(capsys, "validate", "--trials", "1000", flag, value)
+    # Each flag below once existed; the README "Versioned changes" table
+    # names the change that removed it.
+    @pytest.mark.parametrize("command,flag,value", [
+        *((c, "--partition-width", "1000") for c in ("af-sweep", "outage-sweep", "validate")),
+        # c10's probe size is a constant.
+        ("validate", "--determinism-trials", "4000"),
+        # The gate has one operating point.
+        ("validate", "--gamma-o", "1"),
+        ("validate", "--omega", "1.176"),
+        # outage-sweep's threshold is --gamma-o alone.
+        ("outage-sweep", "--rate", "2.5"),
+        # The sweeps print CSV only.
+        ("af-sweep", "--format", "json"),
+        ("outage-sweep", "--format", "json"),
+        # Every option has one spelling, its flag, not a key of a JSON file.
+        *((c, "--config", "x.json") for c in ("params", "af-sweep", "outage-sweep", "validate")),
+        # AF is invariant to the mean SNR, so af-sweep takes none as input.
+        ("af-sweep", "--snr-db", "10"),
+        # af-sweep takes the fitted weights only.
+        ("af-sweep", "--b1", "1.4"),
+        ("af-sweep", "--b2", "1.7"),
+    ])
+    def test_removed_flag_is_usage_error(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, *self.REMOVED_OPTION_ARGS[command], flag, value)
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and flag in err
-        assert out == ""
-
-    # outage-sweep's threshold is --gamma-o alone; it was also --rate.
-    def test_rate_flag_is_removed(self, capsys):
-        code, out, err = run(capsys, "outage-sweep", "--n", "2", "--snr-db", "0",
-                             "--trials", "0", "--rate", "2.5")
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "--rate" in err
-        assert out == ""
-
-    # The sweeps print CSV only; --format json printed the same table as JSON.
-    @pytest.mark.parametrize("command", ["af-sweep", "outage-sweep"])
-    def test_format_option_is_removed(self, capsys, command):
-        code, out, err = run(capsys, command, *self.REMOVED_OPTION_ARGS[command],
-                             "--format", "json")
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "--format" in err
-        assert out == ""
-
-    # Every option has one spelling, its flag; it could also be a key of a
-    # JSON config file given as --config.
-    @pytest.mark.parametrize("command", ["params", *sorted(REMOVED_OPTION_ARGS)])
-    def test_config_option_is_removed(self, capsys, command):
-        argv = self.REMOVED_OPTION_ARGS.get(command, ["--n", "2"])
-        code, out, err = run(capsys, command, *argv, "--config", "x.json")
-        assert code == cli.EXIT_USAGE
-        assert err.startswith("usage error:") and "--config" in err
         assert out == ""
 
     def test_unknown_command(self, capsys):
@@ -737,8 +721,8 @@ class TestRobustness:
          "calibration_omega must be positive and finite"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--omega", "0"],
          "calibration_omega must be positive and finite"),
-        (["af-sweep", "--n", "2", "--trials", "0", "--b1", "inf"],
-         "must be finite and exceed 1"),
+        (["af-sweep", "--n", "7", "--trials", "0"],
+         "no fitted weighting coefficients for cascade order n=7"),
         (["outage-sweep", "--n", "2", "--snr-db", "0", "--trials", "100", "--gamma-o", "inf"],
          "finite and positive"),
         (["outage-sweep", "--n", "2", "--trials", "100", "--gamma-o", "5e-324"],
@@ -819,13 +803,6 @@ class TestRobustness:
         assert code == cli.EXIT_USAGE
         assert err.startswith("usage error:") and "thresholds must be distinct" in err
         assert out == ""
-
-    def test_moment_term_past_the_float_range_leaves_af_closed_empty(self, capsys):
-        code, out, err = run(capsys, "af-sweep", "--n", "2", "--trials", "0",
-                             "--b1", "1e308", "--b2", "1e308")
-        assert code == cli.EXIT_OK and err == ""
-        rows = list(csv.DictReader(line for line in out.splitlines() if not line.startswith("#")))
-        assert [r["af_closed"] for r in rows] == ["", ""]
 
 
 class TestOutputBytes:

@@ -213,6 +213,28 @@ class TestMomentFormulas:
         with pytest.raises(NonPhysicalMomentError):
             moment(1, Scheme.TAS_SC, cfg(), WeightingCoefficients(b1=2.0, b2=20.0))
 
+    # NonPhysicalMomentError covers every float-range failure of the sum;
+    # the link-design tally counts it as a refusal, any other exception as
+    # a failure.
+    def test_term_past_the_float_range_is_nonphysical(self):
+        # b^k overflows exp at k = 2 for both schemes.
+        w = WeightingCoefficients(b1=1e308, b2=1e308)
+        for scheme in Scheme:
+            with pytest.raises(NonPhysicalMomentError, match="overflows"):
+                amount_of_fading(scheme, cfg(), w)
+
+    def test_lgamma_past_the_float_range_is_nonphysical(self):
+        # The TAS/MRC shape m n_r is finite, lgamma(a_k + nl) is not.
+        with pytest.raises(NonPhysicalMomentError, match="overflows"):
+            moment(1, Scheme.TAS_MRC, ChannelConfig(2, 3, 10**305, 1.0), default_weights(2))
+
+    def test_squared_first_moment_underflow_is_nonphysical(self):
+        # m1 = 4.4e-223 squares to 0.
+        c = ChannelConfig(4, 5, 3162277660168379, 1.0)
+        assert 0.0 < moment(1, Scheme.TAS_MRC, c, default_weights(4)) < 1e-200
+        with pytest.raises(NonPhysicalMomentError, match="underflows"):
+            amount_of_fading(Scheme.TAS_MRC, c, default_weights(4))
+
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             moment(0, Scheme.TAS_MRC, cfg(), default_weights(2))
