@@ -17,6 +17,7 @@ from nrayleigh.moments import (
     CAPTION_COEFFS,
     NonPhysicalMomentError,
     WeightingCoefficients,
+    _moment_sum,
     af_bound_tas_mrc,
     af_simo,
     af_siso,
@@ -238,6 +239,11 @@ class TestMomentFormulas:
     def test_moment_order_validation(self):
         with pytest.raises(ValueError):
             moment(0, Scheme.TAS_MRC, cfg(), default_weights(2))
+
+    def test_order_statistics_exponent_cap(self):
+        # The moment expansion is validated for exponents up to 64 only.
+        with pytest.raises(ValueError, match="order-statistics exponent .* <= 64, got 65"):
+            _moment_sum(1, 1.6467, 65, 1.0, 2, 1.5)
 
 
 class TestAmountOfFading:

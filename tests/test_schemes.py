@@ -1,15 +1,31 @@
-"""Post-processing SNR analytics: distributions, outage, asymptotics, gains."""
+"""Post-processing SNR analytics: distributions, outage, asymptotics, gains.
+
+Every closed form is a power of the regularized incomplete gamma P(a, x),
+which ``schemes._ln_reg_lower_gamma`` evaluates one point at a time from
+scipy's ``cython_special`` kernels; P and Q below are derived from it, and
+``TestScalarPath`` checks that it gives the bits of scipy's ufuncs.
+
+Frozen expected values were computed with mpmath at 50 decimal digits
+(tools/generate_gamma_oracle.py regenerates the bulk table of incomplete
+gamma values; the P and Q literals came from the same brute-force series /
+gamma evaluations).
+"""
 
 import dataclasses
+import importlib.util
+import json
 import math
+import pathlib
 import pickle
 import random
 import sys
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy import special
+from scipy.special import cython_special
 
 from nrayleigh import schemes
 from nrayleigh.fading import fading_params
@@ -18,6 +34,9 @@ from nrayleigh.schemes import (
     OutageQuery,
     Scheme,
     ConvergenceError,
+    _law,
+    _ln_reg_lower_gamma,
+    _shape_exponent_scale,
     coding_gain,
     diversity_order,
     outage,
@@ -25,10 +44,17 @@ from nrayleigh.schemes import (
     required_snr,
 )
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
+ORACLE_PATH = REPO / "src" / "nrayleigh" / "data" / "reg_lower_gamma_oracle.json"
+GENERATOR_PATH = REPO / "tools" / "generate_gamma_oracle.py"
+
 # mpmath, dps=50
 ASYM_COEFF_MRC_2X3_N2 = 6617.5570150278958
 CG_EXTRACTED_MRC_2X3_N2 = 0.50549437275247244
 DB_PER_DOUBLING = 3.010299956639812
+P_3_3 = 0.57680991887315648467558946697447489863055346638515
+Q_494_20 = 1.5436394306932059711218796777869500309874260095461e-5
+P_25_03 = 0.011996757205906266514706560652025391041073219653665
 
 
 def cfg(n=2, n_t=2, n_r=3, mean_snr=10.0, omega=None):
@@ -39,6 +65,31 @@ def cfg(n=2, n_t=2, n_r=3, mean_snr=10.0, omega=None):
 def cdf(scheme, g, c):
     """The post-processing SNR distribution at g: the outage at threshold g."""
     return outage(scheme, OutageQuery(threshold=g), c)
+
+
+def reg_lower_gamma(a, x):
+    """P(a, x) as the analytics evaluate it."""
+    return math.exp(_ln_reg_lower_gamma(a, x))
+
+
+def reg_upper_gamma(a, x):
+    """Q(a, x) = 1 - P(a, x) from the same log-space value."""
+    return -math.expm1(_ln_reg_lower_gamma(a, x))
+
+
+def ufunc_ln_reg_lower_gamma(a, xs):
+    """ln P(a, x) for each x of ``xs`` by the same two-sided rule, with P and
+    Q from scipy's ``gammainc``/``gammaincc`` ufuncs (one pass per side) and
+    the logs from ``math``: the reference the scalar helper must equal."""
+    xs = np.array(xs, dtype=float)
+    lower = xs < a + 1.0
+    side = np.empty_like(xs)
+    side[lower] = special.gammainc(a, xs[lower])
+    side[~lower] = special.gammaincc(a, xs[~lower])
+    return [
+        (math.log(v) if v > 0.0 else -math.inf) if is_lower else math.log1p(-v)
+        for v, is_lower in zip(side.tolist(), lower.tolist())
+    ]
 
 
 class TestChannelConfig:
@@ -130,6 +181,152 @@ class TestOutageQuery:
             dataclasses.replace(q, rate=2000.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             q.rate = 3.0
+
+
+class TestBranchSnrParams:
+    def test_composition(self):
+        c = ChannelConfig(n=2, n_t=2, n_r=3, mean_snr=10.0, calibration_omega=1.0)
+        fp = fading_params(2)
+        a, k_mrc, beta_mrc = _shape_exponent_scale(Scheme.TAS_MRC, c)
+        m, k_sc, beta_sc = _shape_exponent_scale(Scheme.TAS_SC, c)
+        assert a == pytest.approx(fp.m * 3)
+        assert m == pytest.approx(fp.m)
+        assert (k_mrc, k_sc) == (2, 6)
+        assert beta_mrc == pytest.approx((2 * a / fp.omega) * (30.0) ** -0.5)
+        assert beta_sc == pytest.approx((2 * fp.m / fp.omega) * 10.0**-0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_scale_exponent(self, n):
+        # Both scales shrink as mean_snr^(-1/n).
+        c1 = ChannelConfig(n=n, n_t=2, n_r=2, mean_snr=4.0)
+        c2 = c1.with_mean_snr(8.0)
+        factor = 2.0 ** (-1.0 / n)
+        for scheme in Scheme:
+            beta1 = _shape_exponent_scale(scheme, c1)[2]
+            beta2 = _shape_exponent_scale(scheme, c2)[2]
+            assert beta2 == pytest.approx(beta1 * factor, rel=1e-12)
+
+
+class TestRegLowerGamma:
+    """P(a, x) through ``schemes._ln_reg_lower_gamma``."""
+
+    def test_zero_argument(self):
+        assert _ln_reg_lower_gamma(2.5, 0.0) == -math.inf
+        assert reg_lower_gamma(2.5, 0.0) == 0.0
+        assert reg_upper_gamma(2.5, 0.0) == 1.0
+
+    def test_exponential_closed_form(self):
+        # P(1, x) = 1 - exp(-x).
+        for x in (0.01, 0.5, 1.0, 3.0, 10.0, 40.0):
+            assert reg_lower_gamma(1.0, x) == pytest.approx(-math.expm1(-x), abs=1e-12)
+            assert reg_upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-10)
+
+    def test_series_oracle_values(self):
+        assert reg_lower_gamma(3.0, 3.0) == pytest.approx(P_3_3, abs=1e-12)
+        assert reg_upper_gamma(4.94, 20.0) == pytest.approx(Q_494_20, rel=1e-9)
+        assert reg_lower_gamma(2.5, 0.3) == pytest.approx(P_25_03, abs=1e-12)
+
+    def test_integer_shape_closed_form(self):
+        # P(a, x) = 1 - exp(-x) sum_{k<a} x^k/k! for integer a.
+        for a in (1, 2, 3, 5, 8):
+            for x in (0.2, 1.0, 2.5, 7.0, 15.0):
+                partial = sum(x**k / math.factorial(k) for k in range(a))
+                expected = 1.0 - math.exp(-x) * partial
+                assert reg_lower_gamma(float(a), x) == pytest.approx(
+                    expected, abs=1e-10
+                )
+
+    @pytest.mark.parametrize("a", [0.5, 1.6467, 4.9401, 10.0])
+    def test_monotone_in_x(self, a):
+        xs = [i * 30.0 / 999 for i in range(1000)]
+        values = [reg_lower_gamma(a, x) for x in xs]
+        assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+        assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_complement_identity(self):
+        # Both branches of the log-space P agree with scipy's own Q.
+        for a in (0.5, 1.0, 1.6467, 4.9401, 10.0, 25.0):
+            for x in (0.0, 0.3, 1.0, a, a + 1.0, 3 * a + 5.0, 80.0):
+                p = reg_lower_gamma(a, x)
+                q = float(special.gammaincc(a, x))
+                assert abs(p + q - 1.0) <= 1e-12
+
+    def test_log_form_matches_both_tails(self):
+        # Deep lower tail: ln P must stay accurate far below double range of
+        # P**k.  Expansion: ln P = a ln x - x - ln G(a+1) + ln(1 + x/(a+1) + ...).
+        ln_p = _ln_reg_lower_gamma(25.0, 0.01)
+        expected = 25.0 * math.log(0.01) - 0.01 - math.lgamma(26.0) + math.log1p(0.01 / 26.0)
+        assert ln_p == pytest.approx(expected, abs=1e-6)
+        # Near saturation ln P ~ -Q; abs=0 so that pytest's default 1e-12
+        # absolute slack cannot hide a log(P) that lost Q to rounding.
+        assert _ln_reg_lower_gamma(1.0, 30.0) == pytest.approx(
+            -math.exp(-30.0), rel=1e-6, abs=0.0
+        )
+
+    @pytest.mark.parametrize("a,x", [(0.0, 1.0), (-2.0, 1.0), (1.0, -0.5), (2.0, math.nan)])
+    def test_domain_errors(self, a, x):
+        with pytest.raises(ValueError):
+            _ln_reg_lower_gamma(a, x)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
+    def test_shape_domain_errors(self, bad):
+        # ln Gamma(a) sits in the incomplete-gamma prefactor; a shape outside
+        # its finite positive domain is refused, not turned into nan.
+        with pytest.raises(ValueError):
+            _ln_reg_lower_gamma(bad, 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 4.9401, 25.0])
+    def test_array_equals_scalar_bit_for_bit(self, a):
+        # Both branches, the boundary x = a + 1 and P underflowing to 0.
+        xs = [0.0, 1e-300, 1e-3, 0.5 * a, a, a + 1.0, a + 1.5, 3 * a + 5.0, 800.0]
+        scalar = [_ln_reg_lower_gamma(a, x) for x in xs]
+        assert list(map(repr, scalar)) == list(map(repr, ufunc_ln_reg_lower_gamma(a, xs)))
+
+    def test_generator_reproduces_frozen_table(self):
+        # The frozen table is the only independent evidence behind c01:
+        # regenerating it with mpmath must give the committed values exactly.
+        pytest.importorskip("mpmath")
+        spec = importlib.util.spec_from_file_location("generate_gamma_oracle", GENERATOR_PATH)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        table = json.loads(ORACLE_PATH.read_text())
+        assert table["dps"] == generator.DPS
+        assert generator.oracle_entries() == table["entries"]
+
+
+class TestScalarPath:
+    """The scalar helper (cython_special) gives the ufunc reference's bits."""
+
+    def test_oracle_table(self):
+        table = json.loads(ORACLE_PATH.read_text())
+        differ = []
+        for entry in table["entries"]:
+            a, x = entry["a"], entry["x"]
+            kernels = (cython_special.gammainc(a, x), cython_special.gammaincc(a, x))
+            ufuncs = (float(special.gammainc(a, x)), float(special.gammaincc(a, x)))
+            scalar = _ln_reg_lower_gamma(a, x)
+            (reference,) = ufunc_ln_reg_lower_gamma(a, [x])
+            if repr(kernels) != repr(ufuncs) or repr(scalar) != repr(reference):
+                differ.append((a, x, scalar, reference))
+        assert differ == []
+
+    def test_every_law_shape(self):
+        # n = 1..8, n_r = 1..4, both schemes; x from 0 through P underflowing
+        # (x = 1e-300) and Q underflowing (x = 1e3), with the branch point
+        # x = a + 1 and its neighbouring floats.
+        shapes = sorted({_law(scheme, n, 1, n_r).shape for scheme in Scheme
+                         for n in range(1, 9) for n_r in range(1, 5)})
+        assert len(shapes) == 32  # TAS/SC's m(n) is TAS/MRC's shape at n_r = 1
+        grid = [0.0] + [10.0 ** (e / 8.0) for e in range(-2400, 25)]
+        differ = []
+        for a in shapes:
+            xs = sorted(grid + [math.nextafter(a + 1.0, 0.0), a + 1.0,
+                                math.nextafter(a + 1.0, math.inf)])
+            scalar = [_ln_reg_lower_gamma(a, x) for x in xs]
+            assert scalar[1] == -math.inf and scalar[-1] == 0.0
+            if list(map(repr, scalar)) != list(map(repr, ufunc_ln_reg_lower_gamma(a, xs))):
+                differ.append(a)
+        assert differ == []
 
 
 class TestPostprocCdf:
