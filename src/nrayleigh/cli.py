@@ -21,7 +21,9 @@ before it simulates.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import sys
 
 import click
@@ -147,7 +149,23 @@ def _emit_table(columns: list[str], rows: list[list], header_config: dict, out: 
 def _write_output(text: str, out: str | None) -> None:
     """Write to ``out`` (stdout when None); an I/O error is a usage error."""
     if out is None:
-        click.echo(text, nl=False)
+        # Bytes where stdout has a binary layer: on a closed pipe the text
+        # layer reports a short write as complete.  An in-process stream
+        # such as io.StringIO takes the text.
+        stream = getattr(sys.stdout, "buffer", sys.stdout)
+        data = text if stream is sys.stdout else text.encode()
+        try:
+            if (count := stream.write(data)) != len(data):
+                raise OSError(f"wrote {count} of {len(data)} bytes")
+            stream.flush()
+        except OSError as exc:
+            if isinstance(exc, BrokenPipeError):
+                # As the Python docs' note on SIGPIPE does: point stdout at
+                # devnull, so that the flush at exit cannot fail again.  A
+                # stream without a descriptor (pytest's capsys) is left as is.
+                with contextlib.suppress(OSError):
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise click.ClickException(f"cannot write output to stdout: {exc}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
@@ -185,7 +203,7 @@ def cmd_params(n_list: str, nt: int, nr: int) -> None:
                 f"{scheme.value:8s} {n:2d} {fp.m:9.5g} {fp.omega:9.6g} "
                 f"{fp.m * nr:9.5g} {d:9.6g} {cg.printed:12.6g} {cg.extracted:12.6g}"
             )
-    click.echo("\n".join(lines))
+    _write_output("\n".join(lines) + "\n", None)
 
 
 def _sweep_params(orders: str, nr: int, own: tuple) -> list[click.Option]:

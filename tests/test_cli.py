@@ -34,18 +34,22 @@ def small_probe(monkeypatch):
     monkeypatch.setattr(validation, "_DETERMINISM_TRIALS", 1000)
 
 
-def run_process(*argv):
-    """(exit code, stdout, stderr) of ``nrayleigh`` in a child interpreter
-    that imports this nrayleigh; a command that has not ended in 60 s fails."""
+def child(*argv, **popen):
+    """``nrayleigh`` in a child interpreter that imports this nrayleigh."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run(
-        [sys.executable, "-m", "nrayleigh.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    return result.returncode, result.stdout, result.stderr
+    return subprocess.Popen([sys.executable, "-m", "nrayleigh.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+def run_process(*argv, stdout=subprocess.PIPE):
+    """(exit code, stdout, stderr) of ``child(*argv)``; a command that has
+    not ended in 60 s fails."""
+    with child(*argv, stdout=stdout) as process:
+        out, err = process.communicate(timeout=60)
+    return process.returncode, out, err
 
 
 class TestParams:
@@ -615,6 +619,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--trials", "2000", "--out", str(out))
         assert code == cli.EXIT_USAGE
         assert "cannot write output" in err
+
+    # Each output is larger than a pipe holds (64 KiB on Linux), and the
+    # reader takes 10 bytes, as "| head -c 10" does: the rest cannot be
+    # delivered, so the command must not report success (or, for validate,
+    # a delivered report).
+    @pytest.mark.parametrize("argv", [
+        ["outage-sweep", "--trials", "0", "--snr-db", "0:30:0.01"],
+        ["validate", "--trials", "20000", "--seed", "3"],
+    ], ids=["outage-sweep", "validate"])
+    def test_closed_stdout_pipe_is_one(self, argv):
+        with child(*argv, stdout=subprocess.PIPE) as process:
+            assert len(process.stdout.read(10)) == 10
+            process.stdout.close()
+            _, err = process.communicate(timeout=60)
+        assert process.returncode == cli.EXIT_USAGE
+        assert err.startswith("error: cannot write output to stdout: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this host")
+    @pytest.mark.parametrize("argv", [
+        ["outage-sweep", "--trials", "0", "--snr-db", "0:30:0.01"],
+        ["params", "--n", "1,2,3"],
+    ], ids=["outage-sweep", "params"])
+    def test_full_stdout_is_one(self, argv):
+        with open("/dev/full", "wb") as full:
+            code, _, err = run_process(*argv, stdout=full)
+        assert code == cli.EXIT_USAGE
+        assert err == "error: cannot write output to stdout: [Errno 28] No space left on device\n"
 
     # Each invocation would exit 0 (or 2 for validate) if the option existed.
     REMOVED_OPTION_ARGS = {

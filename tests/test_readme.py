@@ -29,7 +29,9 @@ scan the item states.  Item 3's moments of the printed sum (27.59 and
 9.2 at n = 2, 3) are checked by
 ``tests/test_moments.py::TestMomentFormulas::test_printed_form_reasonable_at_small_cascade``.
 Item 2's "equal these exact values to 2e-10" is checked on c05's ratios
-and c04's fitted slopes, recomputed from the Kummer series of P.
+and c04's fitted slopes, recomputed from the Kummer series of P.  Item 5's
+gaps come from the model and the channel's exact AF (2^n - 1)/n_r, and one
+simulation checks that exact value.
 """
 
 import ast
@@ -45,7 +47,8 @@ from scipy import optimize, special
 
 from nrayleigh import cli, validation
 from nrayleigh.fading import fading_params
-from nrayleigh.montecarlo import SimSettings, outage_curves
+from nrayleigh.moments import af_simo
+from nrayleigh.montecarlo import SimSettings, estimate_af, outage_curves
 from nrayleigh.schemes import (
     DEFAULT_CALIBRATION,
     ChannelConfig,
@@ -383,6 +386,30 @@ def test_model_scheme_ordering():
     assert above and not below
     (deepest,) = printed_range(r"down to a TAS/SC outage of ([\de.-]+) at 40 dB")
     assert at_printed_figures([min(above)], [deepest]) == [float(deepest)]
+
+
+def exact_channel_af(n, n_r):
+    """AF of a sum of n_r i.i.d. products of n unit exponentials, from
+    E[X^l] = (l!)^n: (2^n - 1)/n_r."""
+    return (2**n - 1) / n_r
+
+
+def test_model_af_gaps_to_the_channel():
+    for n_r in (1, 2, 3):
+        gaps = [100.0 * (1.0 - af_simo(n, n_r) / exact_channel_af(n, n_r)) for n in range(1, 9)]
+        printed = printed_numbers(rf"by ([\d./]+)% at n_r = {n_r}")
+        assert len(printed) == 8
+        assert at_printed_digits(gaps, printed) == printed
+    printed = printed_numbers(r"severity fit's m\(1\) = ([\d.]+)")
+    assert at_printed_digits([fading_params(1).m], printed) == printed
+
+
+def test_simulated_channel_af_is_the_exact_value():
+    assert ("simulated 1x3 channel at n = 2 (200 000 trials) gives an AF within 4 "
+            "standard errors of the exact 1") in KNOWN_DEVIATIONS
+    # With one transmit antenna the TAS/MRC output is the MRC sum itself.
+    est = estimate_af(ChannelConfig(2, 1, 3, 1.0), SimSettings(200_000, 1))[2][Scheme.TAS_MRC]
+    assert abs(est.value - exact_channel_af(2, 3)) <= 4.0 * est.std_error
 
 
 @pytest.fixture(scope="module")
