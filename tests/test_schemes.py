@@ -36,7 +36,6 @@ from nrayleigh.schemes import (
     ConvergenceError,
     _law,
     _ln_reg_lower_gamma,
-    _shape_exponent_scale,
     coding_gain,
     diversity_order,
     outage,
@@ -181,30 +180,6 @@ class TestOutageQuery:
             dataclasses.replace(q, rate=2000.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             q.rate = 3.0
-
-
-class TestBranchSnrParams:
-    def test_composition(self):
-        c = ChannelConfig(n=2, n_t=2, n_r=3, mean_snr=10.0, calibration_omega=1.0)
-        fp = fading_params(2)
-        a, k_mrc, beta_mrc = _shape_exponent_scale(Scheme.TAS_MRC, c)
-        m, k_sc, beta_sc = _shape_exponent_scale(Scheme.TAS_SC, c)
-        assert a == pytest.approx(fp.m * 3)
-        assert m == pytest.approx(fp.m)
-        assert (k_mrc, k_sc) == (2, 6)
-        assert beta_mrc == pytest.approx((2 * a / fp.omega) * (30.0) ** -0.5)
-        assert beta_sc == pytest.approx((2 * fp.m / fp.omega) * 10.0**-0.5)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_scale_exponent(self, n):
-        # Both scales shrink as mean_snr^(-1/n).
-        c1 = ChannelConfig(n=n, n_t=2, n_r=2, mean_snr=4.0)
-        c2 = c1.with_mean_snr(8.0)
-        factor = 2.0 ** (-1.0 / n)
-        for scheme in Scheme:
-            beta1 = _shape_exponent_scale(scheme, c1)[2]
-            beta2 = _shape_exponent_scale(scheme, c2)[2]
-            assert beta2 == pytest.approx(beta1 * factor, rel=1e-12)
 
 
 class TestRegLowerGamma:
