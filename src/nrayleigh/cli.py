@@ -149,15 +149,13 @@ def _emit_table(columns: list[str], rows: list[list], header_config: dict, out: 
 def _write_output(text: str, out: str | None) -> None:
     """Write to ``out`` (stdout when None); an I/O error is a usage error."""
     if out is None:
-        # Bytes where stdout has a binary layer: on a closed pipe the text
-        # layer reports a short write as complete.  An in-process stream
-        # such as io.StringIO takes the text.
-        stream = getattr(sys.stdout, "buffer", sys.stdout)
-        data = text if stream is sys.stdout else text.encode()
+        # Bytes to the binary layer: on a closed pipe the text layer
+        # reports a short write as complete.
+        data = text.encode()
         try:
-            if (count := stream.write(data)) != len(data):
+            if (count := sys.stdout.buffer.write(data)) != len(data):
                 raise OSError(f"wrote {count} of {len(data)} bytes")
-            stream.flush()
+            sys.stdout.buffer.flush()
         except OSError as exc:
             if isinstance(exc, BrokenPipeError):
                 # As the Python docs' note on SIGPIPE does: point stdout at

@@ -188,7 +188,7 @@ def test_each_order_of_a_shared_pass_is_that_order_alone(n_t, n_r, orders, seed,
 def outputs(argv):
     """(exit code, stdout, {file name: bytes}) of ``nrayleigh argv`` run in
     an empty directory."""
-    stdout = io.StringIO()
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as run_dir:
         os.chdir(run_dir)
@@ -201,7 +201,7 @@ def outputs(argv):
                     files[name] = handle.read()
         finally:
             os.chdir(cwd)
-    return code, stdout.getvalue(), files
+    return code, stdout.buffer.getvalue().decode(), files
 
 
 # Each example runs one command on one channel, analytics only; 150 per
